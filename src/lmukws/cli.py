@@ -173,6 +173,18 @@ def _load_model_checked(path) -> "QuantizedModel":
     return load_model(path)
 
 
+def _quantized_model(cfg: dict):
+    """--model loaded, or else --model-preset frozen from seeded random weights."""
+    if cfg["model"]:
+        return _load_model_checked(cfg["model"])
+    model_cfg = reference_config(str(cfg["model_preset"]))
+    model = build_model(model_cfg, np.random.default_rng(int(cfg["seed"])))
+    mask = (prune_magnitude(model, model_cfg.target_sparsity)
+            if model_cfg.target_sparsity > 0.0 else None)
+    zero = calibrate_activation_scales(model, np.zeros((1, 2, model_cfg.input_dim)))
+    return freeze(model, model_cfg.weight_bits, zero, mask=mask)
+
+
 def _softmax(v: np.ndarray) -> np.ndarray:
     e = np.exp(v - v.max())
     return e / e.sum()
@@ -510,24 +522,11 @@ SIZE_DEFAULTS = {
 }
 
 
-def _preset_quantized(name: str, seed: int):
-    model_cfg = reference_config(name)
-    model = build_model(model_cfg, np.random.default_rng(seed))
-    mask = (prune_magnitude(model, model_cfg.target_sparsity)
-            if model_cfg.target_sparsity > 0.0 else None)
-    zero = calibrate_activation_scales(model, np.zeros((1, 2, model_cfg.input_dim)))
-    return freeze(model, model_cfg.weight_bits, zero, mask=mask)
-
-
 def cmd_size_report(cfg: dict) -> int:
     if bool(cfg["model"]) == bool(cfg["model_preset"]):
         raise UsageError("give exactly one of --model / --model-preset")
-    if cfg["model"]:
-        name = Path(cfg["model"]).name
-        qm = _load_model_checked(cfg["model"])
-    else:
-        name = str(cfg["model_preset"])
-        qm = _preset_quantized(name, int(cfg["seed"]))
+    name = Path(cfg["model"]).name if cfg["model"] else str(cfg["model_preset"])
+    qm = _quantized_model(cfg)
     total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
     nonzero = (int(sum(m.sum() for m in qm.keep_masks.values()))
                if qm.keep_masks else total)
@@ -558,17 +557,8 @@ HW_REPORT_DEFAULTS = {
 }
 
 
-def _workload(cfg: dict):
-    if cfg["model"]:
-        return profile_workload(_load_model_checked(cfg["model"]))
-    name = str(cfg["model_preset"])
-    model_cfg = reference_config(name)
-    model = build_model(model_cfg, np.random.default_rng(int(cfg["seed"])))
-    return profile_workload(model, weight_bits=model_cfg.weight_bits)
-
-
 def cmd_hw_report(cfg: dict) -> int:
-    w = _workload(cfg)
+    w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
     dp = DesignPoint(
         clock_hz=float(cfg["clock_hz"]),
@@ -618,7 +608,7 @@ HW_SWEEP_DEFAULTS = {
 
 
 def cmd_hw_sweep(cfg: dict) -> int:
-    w = _workload(cfg)
+    w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
     if float(cfg["clock_min"]) <= 0 or float(cfg["clock_max"]) < float(cfg["clock_min"]):
         raise UsageError("need 0 < clock-min <= clock-max")

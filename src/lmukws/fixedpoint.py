@@ -79,10 +79,6 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> QuantTensor:
     return QuantTensor(q=q, spec=spec)
 
 
-def dequantize(qt: QuantTensor) -> np.ndarray:
-    return qt.dequantize()
-
-
 def fake_quant(x: np.ndarray, spec: QuantSpec):
     """Quantize-dequantize for training graphs, with the straight-through mask.
 
@@ -230,39 +226,28 @@ class PruneMask:
         return self.pruned_count() / total if total else 0.0
 
 
-def prune_magnitude(model, sparsity: float, scope: str = "global") -> PruneMask:
-    """Mask out the smallest-magnitude trainable weights.
+def prune_magnitude(model, sparsity: float) -> PruneMask:
+    """Mask out the smallest-magnitude trainable weights, across all tensors.
 
-    Exactly floor(sparsity * n) weights are pruned (globally, or per tensor
-    for scope="per-tensor"); magnitude ties break by fixed tensor-then-index
-    order so the mask is deterministic.  The fixed memory matrices are not
-    trainable tensors and are never touched.
+    Exactly floor(sparsity * n) weights are pruned; magnitude ties break by
+    fixed tensor-then-index order so the mask is deterministic.  The fixed
+    memory matrices are not trainable tensors and are never touched.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity!r}")
-    if scope not in ("global", "per-tensor"):
-        raise ValueError(f"unknown scope {scope!r}")
     tensors = list(model.trainable_tensors())
     masks = {name: np.ones(t.shape, dtype=bool) for name, t in tensors}
-    if scope == "per-tensor":
+    mags = np.concatenate([np.abs(t).ravel() for _, t in tensors])
+    k = int(sparsity * mags.size)
+    if k:
+        order = np.argsort(mags, kind="stable")
+        drop = np.zeros(mags.size, dtype=bool)
+        drop[order[:k]] = True
+        offset = 0
         for name, t in tensors:
-            k = int(sparsity * t.size)
-            if k:
-                order = np.argsort(np.abs(t).ravel(), kind="stable")
-                flat = masks[name].ravel()
-                flat[order[:k]] = False
-    else:
-        mags = np.concatenate([np.abs(t).ravel() for _, t in tensors])
-        k = int(sparsity * mags.size)
-        if k:
-            order = np.argsort(mags, kind="stable")
-            drop = np.zeros(mags.size, dtype=bool)
-            drop[order[:k]] = True
-            offset = 0
-            for name, t in tensors:
-                sel = drop[offset : offset + t.size].reshape(t.shape)
-                masks[name] &= ~sel
-                offset += t.size
+            sel = drop[offset : offset + t.size].reshape(t.shape)
+            masks[name] &= ~sel
+            offset += t.size
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 

@@ -1,4 +1,4 @@
-"""Floating-point reference implementation of the streaming Legendre memory unit.
+"""The Legendre memory unit: fixed memory cells, layer parameters, model graph.
 
 The unit couples a fixed linear memory (a state-space system whose state holds
 the Legendre coefficients of the recent input window) with a trained nonlinear
@@ -10,7 +10,8 @@ layer.  Per step, with input ``x_t`` and previous hidden state ``h_{t-1}``:
 
 ``A_d``/``B_d`` are fixed (never trained): they are the zero-order-hold
 discretization of the closed-form Legendre delay system.  The state ``m`` can
-be decoded back into the input window via shifted Legendre polynomials.
+be decoded back into the input window via shifted Legendre polynomials.  The
+batched forward over a whole model is ``training.hat_forward``.
 """
 
 from __future__ import annotations
@@ -54,61 +55,39 @@ class ContinuousStateSpace:
     B: np.ndarray
 
 
-def discretize(ss: ContinuousStateSpace, dt: float, method: str = "zoh"):
-    """Discretize ``ss`` at timestep ``dt``.
+def discretize(ss: ContinuousStateSpace, dt: float):
+    """Zero-order-hold discretization of ``ss`` at timestep ``dt``.
 
-    ``zoh`` assumes the input is held constant over each step and is exact for
-    such inputs: A_d = expm(A dt), B_d = A^-1 (A_d - I) B.  ``euler`` is the
-    first-order approximation A_d = I + A dt, B_d = B dt.
+    Assumes the input is held constant over each step and is exact for such
+    inputs: A_d = expm(A dt), B_d = A^-1 (A_d - I) B.  The Legendre A is
+    Hurwitz, hence invertible.
 
     Returns:
         (A_d, B_d) with spectral radius of A_d < 1 for the Legendre system.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    method = method.lower()
-    if method == "euler":
-        return np.eye(ss.order) + ss.A * dt, ss.B * dt
-    if method != "zoh":
-        raise ValueError(f"unknown discretization method {method!r}")
     A_d = expm(ss.A * dt)
-    try:
-        B_d = np.linalg.solve(ss.A, (A_d - np.eye(ss.order)) @ ss.B)
-    except np.linalg.LinAlgError:
-        # A is invertible for the Legendre construction; series fallback for
-        # a singular A: B_d = (sum_{k>=1} A^{k-1} dt^k / k!) B.
-        B_d = _zoh_series(ss.A, ss.B, dt)
+    B_d = np.linalg.solve(ss.A, (A_d - np.eye(ss.order)) @ ss.B)
     return A_d, B_d
-
-
-def _zoh_series(A: np.ndarray, B: np.ndarray, dt: float, terms: int = 40) -> np.ndarray:
-    acc = np.zeros_like(B)
-    term = np.eye(A.shape[0]) * dt
-    for k in range(1, terms + 1):
-        acc = acc + term @ B
-        term = term @ A * (dt / (k + 1))
-    return acc
 
 
 class MemoryCell:
     """One fixed linear memory: discretized Legendre system plus its state.
 
     Owns a mutable state vector ``m`` so a cell can be used standalone as a
-    streaming window buffer; inside a model, per-stream state lives in
-    StreamRecurrentState instead and the cell only supplies its matrices.
-    A cell instance is single-owner; share the matrices, not the object.
+    streaming window buffer; inside a model the cell only supplies its
+    matrices.  A cell instance is single-owner; share the matrices, not the
+    object.
     """
 
-    def __init__(self, order: int, theta: float, dt: float, method: str = "zoh"):
+    def __init__(self, order: int, theta: float, dt: float):
         ss = legendre_state_space(order, theta)
         self.order = order
         self.theta = theta
         self.dt = dt
-        self.A_d, self.B_d = discretize(ss, dt, method)
+        self.A_d, self.B_d = discretize(ss, dt)
         self.m = np.zeros(order)
-
-    def reset(self) -> None:
-        self.m = np.zeros(self.order)
 
     def step(self, u: float) -> np.ndarray:
         """Advance one timestep with scalar input; returns the new state."""
@@ -222,79 +201,6 @@ class ModelGraph:
         return sum(int(np.prod(t.shape)) for _, t in self.trainable_tensors())
 
 
-class StreamRecurrentState:
-    """Per-stream recurrent state: h per layer, m per memory cell.
-
-    Never reset implicitly between utterances; call reset() only when a new
-    independent stream begins.  One stream owns one instance.
-    """
-
-    def __init__(self, model: ModelGraph):
-        self._shapes = [
-            (layer.hidden_dim, [c.order for c in layer.cells]) for layer in model.layers
-        ]
-        self.reset()
-
-    def reset(self) -> None:
-        self.h = [np.zeros(hd) for hd, _ in self._shapes]
-        self.m = [[np.zeros(d) for d in orders] for _, orders in self._shapes]
-
-    def copy(self) -> "StreamRecurrentState":
-        dup = object.__new__(StreamRecurrentState)
-        dup._shapes = self._shapes
-        dup.h = [v.copy() for v in self.h]
-        dup.m = [[v.copy() for v in row] for row in self.m]
-        return dup
-
-
-def lmu_layer_step(params: LmuLayerParams, h_prev: np.ndarray, m_prev: list, x: np.ndarray):
-    """One recurrent step; returns (h, m_list).
-
-    Ordering is fixed: u from (x, h_prev), then the memory update, then h from
-    (x, the new m).
-    """
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"input shape {x.shape} != ({params.input_dim},)")
-    u = params.input_encoder @ x + params.hidden_encoder @ h_prev
-    m = [
-        cell.A_d @ m_prev[k] + cell.B_d * u[k]
-        for k, cell in enumerate(params.cells)
-    ]
-    m_cat = np.concatenate(m) if m else np.zeros(0)
-    pre = params.input_kernel @ x + params.memory_kernel @ m_cat + params.bias
-    h = np.maximum(pre, 0.0)
-    return h, m
-
-
-def model_forward(model: ModelGraph, features: np.ndarray, state: StreamRecurrentState | None = None):
-    """Run the model over a (T, input_dim) feature sequence.
-
-    Threads the recurrent state through every step, so chunked evaluation with
-    the returned state is bit-identical to a single call.
-
-    Returns:
-        (logits, state): logits is (T, 12); state is the final recurrent state.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.input_dim:
-        raise ValueError(f"features must be (T, {model.input_dim}), got {features.shape}")
-    if features.shape[0] < 1:
-        raise ValueError("feature sequence must contain at least one step")
-    if state is None:
-        state = StreamRecurrentState(model)
-    T = features.shape[0]
-    logits = np.empty((T, 12))
-    for t in range(T):
-        x = features[t]
-        for i, layer in enumerate(model.layers):
-            h, m = lmu_layer_step(layer, state.h[i], state.m[i], x)
-            state.h[i] = h
-            state.m[i] = m
-            x = h
-        logits[t] = model.output_weight @ x + model.output_bias
-    return logits, state
-
-
 # ---------------------------------------------------------------------------
 # Architecture configuration and initialization
 # ---------------------------------------------------------------------------
@@ -321,7 +227,6 @@ class ModelConfig:
     label_names: tuple = ()
     weight_bits: int = 8
     target_sparsity: float = 0.0
-    discretization: str = "zoh"
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelGraph:
@@ -335,9 +240,7 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     layers = []
     n = config.input_dim
     for lc in config.layers:
-        cells = [
-            MemoryCell(cc.order, cc.theta, config.dt, config.discretization) for cc in lc.cells
-        ]
+        cells = [MemoryCell(cc.order, cc.theta, config.dt) for cc in lc.cells]
         D = sum(c.order for c in cells)
         layers.append(
             LmuLayerParams(

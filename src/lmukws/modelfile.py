@@ -26,7 +26,7 @@ import zlib
 import numpy as np
 
 from .fixedpoint import QuantSpec, QuantTensor, pack_nibbles, unpack_nibbles
-from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel
+from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel, assert_accumulator_safe
 
 MAGIC = b"LMUQ"
 VERSION = 1
@@ -123,7 +123,11 @@ class _Reader:
 
 
 def load_model(path) -> QuantizedModel:
-    """Read a model file, verifying magic, version, structure, and CRC."""
+    """Read a model file, verifying magic, version, structure, and CRC.
+
+    The 32-bit accumulator proof that freeze runs is re-run on the loaded
+    model, so no file the engine accepts can overflow it.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < len(MAGIC) + 2 + 4:
@@ -208,7 +212,7 @@ def load_model(path) -> QuantizedModel:
                 h_exp=h_exp,
             )
         )
-    return QuantizedModel(
+    qm = QuantizedModel(
         input_dim=input_dim,
         dt=dt,
         weight_bits=weight_bits,
@@ -220,3 +224,8 @@ def load_model(path) -> QuantizedModel:
         keep_masks=masks,
         frontend_hash=frontend_hash,
     )
+    try:
+        assert_accumulator_safe(qm)
+    except ValueError as exc:
+        raise ModelFormatError(f"model fails the accumulator proof: {exc}") from exc
+    return qm

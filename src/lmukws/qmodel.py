@@ -119,54 +119,26 @@ def model_size_kbits(qm: QuantizedModel) -> float:
 # Calibration
 # ---------------------------------------------------------------------------
 
-def collect_float_activations(model: ModelGraph, sequences) -> dict:
-    """Run the float model and gather every activation that will be quantized.
-
-    Returns {"input": values, "layers": [(u, m, h) arrays per layer]} with
-    one flat array of samples per site.
-    """
-    n_layers = len(model.layers)
-    pools = {"input": [], "layers": [([], [], []) for _ in range(n_layers)]}
-    for feats in sequences:
-        feats = np.asarray(feats, dtype=np.float64)
-        pools["input"].append(feats.ravel())
-        h = [np.zeros(l.hidden_dim) for l in model.layers]
-        m = [[np.zeros(c.order) for c in l.cells] for l in model.layers]
-        for t in range(feats.shape[0]):
-            x = feats[t]
-            for i, layer in enumerate(model.layers):
-                u = layer.input_encoder @ x + layer.hidden_encoder @ h[i]
-                m[i] = [
-                    cell.A_d @ m[i][k] + cell.B_d * u[k]
-                    for k, cell in enumerate(layer.cells)
-                ]
-                m_cat = np.concatenate(m[i])
-                x = np.maximum(
-                    layer.input_kernel @ x + layer.memory_kernel @ m_cat + layer.bias, 0.0
-                )
-                h[i] = x
-                pools["layers"][i][0].append(u)
-                pools["layers"][i][1].append(m_cat)
-                pools["layers"][i][2].append(x)
-    return {
-        "input": np.concatenate(pools["input"]),
-        "layers": [tuple(np.concatenate(p) for p in trio) for trio in pools["layers"]],
-    }
-
-
 def calibrate_activation_scales(model: ModelGraph, sequences) -> ActivationScales:
-    """Choose frozen activation scales from observed float-model magnitudes."""
-    acts = collect_float_activations(model, sequences)
+    """Choose frozen activation scales from the float graph's magnitudes.
+
+    ``sequences`` is (N, T, input_dim); the u, m and h samples come from one
+    float ``training.hat_forward`` over all of them.
+    """
+    from .training import hat_forward  # training imports this module
+
+    feats = np.asarray(sequences, dtype=np.float64)
+    cache = hat_forward(model, feats)
     layer_exps = tuple(
         (
-            activation_quant_spec(u).scale_exp,
-            activation_quant_spec(m).scale_exp,
-            activation_quant_spec(h).scale_exp,
+            activation_quant_spec(lc.u).scale_exp,
+            activation_quant_spec(lc.m).scale_exp,
+            activation_quant_spec(lc.h).scale_exp,
         )
-        for (u, m, h) in acts["layers"]
+        for lc in cache.layers
     )
     return ActivationScales(
-        input_exp=activation_quant_spec(acts["input"]).scale_exp, layer_exps=layer_exps
+        input_exp=activation_quant_spec(feats).scale_exp, layer_exps=layer_exps
     )
 
 
@@ -304,7 +276,11 @@ def assert_accumulator_safe(qm: QuantizedModel) -> None:
              layer.memory_kernel.spec.scale_exp + layer.m_exp),
         ]
         peak, gmin = worst(h_terms)
-        assert gmin == layer.bias.spec.scale_exp
+        if gmin != layer.bias.spec.scale_exp:
+            raise ValueError(
+                f"layer{i}: bias grid 2^{layer.bias.spec.scale_exp} != "
+                f"preactivation grid 2^{gmin}"
+            )
         peak += int(np.max(np.abs(layer.bias.q), initial=0))
         if peak >= ACC_LIMIT:
             raise ValueError(f"layer{i}: h accumulator worst case {peak} >= 2^31")
@@ -331,13 +307,6 @@ class QuantStreamState:
     def reset(self) -> None:
         self.h = [np.zeros(hd, dtype=np.int64) for hd, _ in self._shapes]
         self.m = [[np.zeros(d, dtype=np.int64) for d in orders] for _, orders in self._shapes]
-
-    def copy(self) -> "QuantStreamState":
-        dup = object.__new__(QuantStreamState)
-        dup._shapes = self._shapes
-        dup.h = [v.copy() for v in self.h]
-        dup.m = [[v.copy() for v in row] for row in self.m]
-        return dup
 
 
 def _act_spec(exp: int) -> QuantSpec:
@@ -423,8 +392,3 @@ def quantized_forward(
         return logits, state, trace
     return logits, state
 
-
-def predict_labels(qm: QuantizedModel, features: np.ndarray, state: QuantStreamState | None = None):
-    """Convenience: per-step argmax label indices from integer logits."""
-    logits, state = quantized_forward(qm, features, state)
-    return np.argmax(logits, axis=1), state

@@ -98,6 +98,8 @@ class _LayerCache:
     mask_h: np.ndarray  # relu and fake-quant masks combined
     w_fq: dict  # fake-quantized weights used
     w_mask: dict  # straight-through masks for the weights
+    A: np.ndarray  # (D, D) block-diagonal memory matrix used
+    B: np.ndarray  # (c, D) input matrix used: row k holds cell k's B_d in its block
 
 
 @dataclass
@@ -116,6 +118,27 @@ def _fq_weight(w: np.ndarray, bits: int):
     return y, mask, spec.scale_exp
 
 
+def _memory_matrices(layer, quant_on: bool):
+    """One layer's memory cells as a single linear system m' = m A^T + u B.
+
+    Each cell's A_d and B_d fill its own diagonal block; with quant_on each
+    block is fake-quantized at 8 bits on that cell's own scale, as freeze
+    stores it.
+    """
+    D = layer.memory_dim
+    A = np.zeros((D, D))
+    B = np.zeros((len(layer.cells), D))
+    off = 0
+    for k, cell in enumerate(layer.cells):
+        sl = slice(off, off + cell.order)
+        A_k, B_k = cell.A_d, cell.B_d
+        if quant_on:
+            A_k, B_k = _fq_weight(A_k, 8)[0], _fq_weight(B_k, 8)[0]
+        A[sl, sl], B[k, sl] = A_k, B_k
+        off += cell.order
+    return A, B
+
+
 def hat_forward(
     model: ModelGraph,
     feats: np.ndarray,
@@ -125,12 +148,16 @@ def hat_forward(
 ) -> ForwardCache:
     """Unrolled batch forward storing everything backward needs.
 
-    feats is (B, T, input_dim).  With quant_on, ``scales`` must hold the
-    frozen activation scales and the arithmetic matches deployment exactly.
+    feats is (B, T, input_dim) with T >= 1.  This is the one float forward:
+    training, evaluation and calibration all run it.  With quant_on,
+    ``scales`` must hold the frozen activation scales and the arithmetic
+    matches deployment exactly.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 3 or feats.shape[2] != model.input_dim:
         raise ValueError(f"feats must be (B, T, {model.input_dim}), got {feats.shape}")
+    if feats.shape[1] < 1:
+        raise ValueError("feature sequences must contain at least one step")
     if quant_on and scales is None:
         raise ValueError("quant_on requires calibrated activation scales")
     B, T, _ = feats.shape
@@ -159,13 +186,10 @@ def hat_forward(
                 w_exp["input_kernel"], x_exp, w_exp["memory_kernel"], m_exp
             )
             bias_fq, bias_mask = fake_quant(layer.bias, QuantSpec(32, pre_exp))
-            cell_mats = [
-                (_fq_weight(c.A_d, 8)[0], _fq_weight(c.B_d, 8)[0]) for c in layer.cells
-            ]
         else:
             bias_fq, bias_mask = layer.bias, np.ones(layer.bias.shape, dtype=bool)
-            cell_mats = [(c.A_d, c.B_d) for c in layer.cells]
         w_fq["bias"], w_mask["bias"] = bias_fq, bias_mask
+        A, B_in = _memory_matrices(layer, quant_on)
 
         c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
         U = np.empty((B, T, c_dim))
@@ -176,19 +200,10 @@ def hat_forward(
         mask_h = np.empty((B, T, h_dim), dtype=bool)
         h_prev = np.zeros((B, h_dim))
         m_prev = np.zeros((B, D))
-        slices = []
-        off = 0
-        for cell in layer.cells:
-            slices.append(slice(off, off + cell.order))
-            off += cell.order
         for t in range(T):
             u_pre = x[:, t] @ w_fq["input_encoder"].T + h_prev @ w_fq["hidden_encoder"].T
             u, mu = act_fq(u_pre, u_exp if quant_on else 0)
-            m_pre = np.empty((B, D))
-            for k, (A_m, B_m) in enumerate(cell_mats):
-                sl = slices[k]
-                m_pre[:, sl] = m_prev[:, sl] @ A_m.T + u[:, k : k + 1] * B_m
-            m, mm = act_fq(m_pre, m_exp if quant_on else 0)
+            m, mm = act_fq(m_prev @ A.T + u @ B_in, m_exp if quant_on else 0)
             pre = x[:, t] @ w_fq["input_kernel"].T + m @ w_fq["memory_kernel"].T + bias_fq
             relu = np.maximum(pre, 0.0)
             h, mh = act_fq(relu, h_exp if quant_on else 0)
@@ -198,7 +213,7 @@ def hat_forward(
             h_prev, m_prev = h, m
         caches.append(
             _LayerCache(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
-                        mask_h=mask_h, w_fq=w_fq, w_mask=w_mask)
+                        mask_h=mask_h, w_fq=w_fq, w_mask=w_mask, A=A, B=B_in)
         )
         x = H
         if quant_on:
@@ -293,17 +308,6 @@ def forward_backward(
         layer = model.layers[li]
         lc = cache.layers[li]
         w = lc.w_fq
-        slices = []
-        off = 0
-        for cell in layer.cells:
-            slices.append(slice(off, off + cell.order))
-            off += cell.order
-        cell_mats = []
-        for k, cell in enumerate(layer.cells):
-            if quant_on:
-                cell_mats.append((_fq_weight(cell.A_d, 8)[0], _fq_weight(cell.B_d, 8)[0]))
-            else:
-                cell_mats.append((cell.A_d, cell.B_d))
         dWex = np.zeros_like(layer.input_encoder)
         dWeh = np.zeros_like(layer.hidden_encoder)
         dWx = np.zeros_like(layer.input_kernel)
@@ -319,13 +323,8 @@ def forward_backward(
             dWm += dh.T @ lc.m[:, t]
             dX[:, t] += dh @ w["input_kernel"]
             dm = (dh @ w["memory_kernel"] + dm_carry) * lc.mask_m[:, t]
-            du = np.empty((B, len(layer.cells)))
-            dm_carry = np.empty_like(dm)
-            for k, (A_m, B_m) in enumerate(cell_mats):
-                sl = slices[k]
-                du[:, k] = dm[:, sl] @ B_m
-                dm_carry[:, sl] = dm[:, sl] @ A_m
-            du *= lc.mask_u[:, t]
+            du = (dm @ lc.B.T) * lc.mask_u[:, t]
+            dm_carry = dm @ lc.A
             dWex += du.T @ lc.x[:, t]
             h_prev = lc.h[:, t - 1] if t > 0 else np.zeros((B, layer.hidden_dim))
             dWeh += du.T @ h_prev
@@ -448,6 +447,8 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, scales=None, weight_bits: int 
     given) or a deployed QuantizedModel.
     """
     y = np.asarray(y)
+    if len(x) == 0:
+        raise ValueError("cannot evaluate on zero utterances")
     if isinstance(model, QuantizedModel):
         correct = 0
         for i in range(x.shape[0]):

@@ -8,6 +8,7 @@ import pytest
 
 from lmukws.cli import main
 from lmukws.frontend import write_wav
+from lmukws.modelfile import load_model, save_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -180,6 +181,18 @@ class TestEval:
                    "--split", "val", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
+
+    def test_model_failing_accumulator_proof_is_data_error(
+        self, toy_root, trained, tmp_path, capsys
+    ):
+        qm = load_model(trained / "model.lmuq")
+        qm.layers[0].bias.q[0] = 2**31 - 1
+        bad = tmp_path / "bad.lmuq"
+        save_model(qm, bad)
+        rc = main(["eval", "--model", str(bad), "--data-root", str(toy_root),
+                   "--split", "val", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "h accumulator worst case" in capsys.readouterr().err
 
     def test_missing_model_is_data_error(self, toy_root, tmp_path):
         rc = main(["eval", "--model", str(tmp_path / "none.lmuq"),

@@ -267,12 +267,6 @@ class TestPruning:
         assert mask.masks["a"].tolist() == [True, False]
         assert mask.masks["b"].tolist() == [False, True]
 
-    def test_per_tensor_scope(self):
-        model = _StubModel({"a": np.array([10.0, 0.1]), "b": np.array([0.2, 20.0])})
-        mask = prune_magnitude(model, 0.5, scope="per-tensor")
-        assert mask.masks["a"].tolist() == [True, False]
-        assert mask.masks["b"].tolist() == [False, True]
-
     def test_ties_break_by_index_order(self):
         model = _StubModel({"w": np.ones(6)})
         mask = prune_magnitude(model, 0.5)
@@ -289,4 +283,4 @@ class TestPruning:
         with pytest.raises(ValueError):
             prune_magnitude(model, 1.0)
         with pytest.raises(ValueError):
-            prune_magnitude(model, 0.5, scope="rowwise")
+            prune_magnitude(model, -0.1)

@@ -1,4 +1,4 @@
-"""Tests for the floating-point Legendre memory unit reference path."""
+"""Tests for the Legendre memory unit and the float forward over a model."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ from lmukws.lmu import (
     LayerConfig,
     MemoryCell,
     ModelConfig,
-    StreamRecurrentState,
     build_model,
     decode_window,
     discretize,
     legendre_state_space,
-    model_forward,
     shifted_legendre,
-    _zoh_series,
 )
+from lmukws.training import hat_forward
 
 
 class TestLegendreStateSpace:
@@ -56,27 +54,14 @@ class TestDiscretize:
     def test_scalar_zoh_exact(self):
         # dm/dt = -m + u discretized at dt=0.1: A_d = e^-0.1, B_d = 1 - e^-0.1.
         ss = legendre_state_space(1, 1.0)
-        A_d, B_d = discretize(ss, 0.1, "zoh")
+        A_d, B_d = discretize(ss, 0.1)
         np.testing.assert_allclose(A_d, [[np.exp(-0.1)]], rtol=1e-14)
         np.testing.assert_allclose(B_d, [1.0 - np.exp(-0.1)], rtol=1e-14)
-
-    def test_scalar_euler(self):
-        ss = legendre_state_space(1, 1.0)
-        A_d, B_d = discretize(ss, 0.1, "euler")
-        np.testing.assert_allclose(A_d, [[0.9]])
-        np.testing.assert_allclose(B_d, [0.1])
-
-    def test_euler_approaches_zoh(self):
-        ss = legendre_state_space(4, 0.2)
-        A_z, B_z = discretize(ss, 1e-4, "zoh")
-        A_e, B_e = discretize(ss, 1e-4, "euler")
-        np.testing.assert_allclose(A_e, A_z, atol=1e-4)
-        np.testing.assert_allclose(B_e, B_z, atol=1e-4)
 
     @pytest.mark.parametrize("order,theta", [(4, 0.2), (8, 0.2), (16, 1.0), (32, 0.2)])
     def test_zoh_spectral_radius_below_one(self, order, theta):
         ss = legendre_state_space(order, theta)
-        A_d, _ = discretize(ss, 0.02, "zoh")
+        A_d, _ = discretize(ss, 0.02)
         assert np.max(np.abs(np.linalg.eigvals(A_d))) < 1.0
 
     def test_zoh_exact_for_constant_input(self):
@@ -87,21 +72,12 @@ class TestDiscretize:
             cell.step(1.0)
             np.testing.assert_allclose(cell.m[0], 1.0 - np.exp(-0.05 * k), rtol=1e-12)
 
-    def test_series_fallback_matches_integral(self):
-        # Nilpotent A (singular): integral of e^{As} B over [0, dt] has the
-        # closed form dt*B + dt^2/2 * A B.
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        B = np.array([0.5, 2.0])
-        dt = 0.3
-        expected = dt * B + dt**2 / 2.0 * (A @ B)
-        np.testing.assert_allclose(_zoh_series(A, B, dt), expected, rtol=1e-14)
-
     def test_rejects_bad_arguments(self):
         ss = legendre_state_space(2, 1.0)
         with pytest.raises(ValueError):
             discretize(ss, 0.0)
         with pytest.raises(ValueError):
-            discretize(ss, 0.02, "bilinear")
+            discretize(ss, -0.02)
 
 
 class TestDecodeWindow:
@@ -171,7 +147,7 @@ def _small_config(seed_labels=False):
 
 
 def _reference_forward(model, features):
-    """Unrolled plain-loop evaluator, independent of the library's step code."""
+    """Unrolled plain-loop evaluator, independent of the library's forward."""
     T = features.shape[0]
     h = [np.zeros(l.hidden_dim) for l in model.layers]
     m = [[np.zeros(c.order) for c in l.cells] for l in model.layers]
@@ -205,45 +181,24 @@ class TestModelForward:
             # Break the zero hidden-encoder init so the h feedback is hit too.
             for layer in model.layers:
                 layer.hidden_encoder[:] = rng.uniform(-0.5, 0.5, layer.hidden_encoder.shape)
-            feats = rng.standard_normal((12, 3))
-            logits, _ = model_forward(model, feats)
-            np.testing.assert_allclose(logits, _reference_forward(model, feats), rtol=1e-12)
-
-    def test_chunked_equals_one_shot(self):
-        rng = np.random.default_rng(7)
-        model = build_model(_small_config(), rng)
-        feats = rng.standard_normal((40, 3))
-        full, _ = model_forward(model, feats)
-        for trial in range(10):
-            split_rng = np.random.default_rng(100 + trial)
-            cuts = np.sort(split_rng.choice(np.arange(1, 40), size=3, replace=False))
-            state = StreamRecurrentState(model)
-            parts = []
-            for chunk in np.split(feats, cuts):
-                out, state = model_forward(model, chunk, state)
-                parts.append(out)
-            np.testing.assert_array_equal(np.concatenate(parts), full)
+            feats = rng.standard_normal((4, 12, 3))
+            logits = hat_forward(model, feats).logits
+            for b in range(feats.shape[0]):
+                np.testing.assert_allclose(
+                    logits[b], _reference_forward(model, feats[b]), rtol=1e-12
+                )
 
     def test_causality(self):
         # Perturbing the input at step t must not change logits before t.
         rng = np.random.default_rng(3)
         model = build_model(_small_config(), rng)
-        feats = rng.standard_normal((20, 3))
-        base, _ = model_forward(model, feats)
+        feats = rng.standard_normal((1, 20, 3))
+        base = hat_forward(model, feats).logits[0]
         bumped = feats.copy()
-        bumped[12] += 5.0
-        out, _ = model_forward(model, bumped)
+        bumped[0, 12] += 5.0
+        out = hat_forward(model, bumped).logits[0]
         np.testing.assert_array_equal(out[:12], base[:12])
         assert not np.array_equal(out[12:], base[12:])
-
-    def test_state_not_reset_between_calls(self):
-        rng = np.random.default_rng(11)
-        model = build_model(_small_config(), rng)
-        feats = rng.standard_normal((6, 3))
-        state = StreamRecurrentState(model)
-        first, state = model_forward(model, feats, state)
-        second, state = model_forward(model, feats, state)
-        assert not np.array_equal(first, second)
 
     def test_long_run_stays_bounded(self):
         # The fixed memory is strictly stable, so bounded input keeps the
@@ -260,9 +215,9 @@ class TestModelForward:
     def test_rejects_bad_feature_shape(self):
         model = build_model(_small_config(), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model_forward(model, np.zeros((5, 4)))
+            hat_forward(model, np.zeros((1, 5, 4)))
         with pytest.raises(ValueError):
-            model_forward(model, np.zeros((0, 3)))
+            hat_forward(model, np.zeros((1, 0, 3)))
 
     def test_validate_catches_shape_drift(self):
         model = build_model(_small_config(), np.random.default_rng(0))

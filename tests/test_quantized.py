@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmukws.fixedpoint import prune_magnitude, apply_mask
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.modelfile import ModelFormatError, load_model, save_model
 from lmukws.qmodel import (
     QuantStreamState,
+    assert_accumulator_safe,
     calibrate_activation_scales,
     freeze,
     model_size_kbits,
@@ -104,6 +106,43 @@ class TestBitExactness:
                         np.testing.assert_array_equal(
                             trace_q[key][t][li], trace_t[key][t][li]
                         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 12), st.lists(st.integers(1, 16), min_size=1, max_size=4)),
+            min_size=1, max_size=2,
+        ),
+        input_dim=st.integers(1, 8),
+        weight_bits=st.sampled_from([4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_topology_trace_equals_engine(self, topology, input_dim, weight_bits, seed):
+        # 1-2 layers of 1-4 cells with orders 1-16: the quantized training
+        # graph and the integer engine agree integer for integer.
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(
+            input_dim=input_dim,
+            layers=tuple(
+                LayerConfig(hidden=hidden, cells=tuple(
+                    CellConfig(order, float(rng.uniform(0.05, 0.5))) for order in orders))
+                for hidden, orders in topology
+            ),
+        )
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.4, 0.4, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        scales = calibrate_activation_scales(model, rng.standard_normal((4, 10, input_dim)))
+        qm = freeze(model, weight_bits, scales)
+        feats = rng.standard_normal((10, input_dim)) * rng.uniform(0.5, 2.0)
+        logits_q, _, trace_q = quantized_forward(qm, feats, collect_trace=True)
+        logits_t, trace_t = hat_forward_trace(model, feats, scales, weight_bits)
+        np.testing.assert_array_equal(logits_q, logits_t)
+        for key in ("u", "m", "h"):
+            for step_q, step_t in zip(trace_q[key], trace_t[key]):
+                for a, b in zip(step_q, step_t):
+                    np.testing.assert_array_equal(a, b)
 
     def test_logits_grid_consistency(self):
         # Integer logits times their grid step equal the float-graph logits.
@@ -246,4 +285,16 @@ class TestModelFile:
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    def test_bias_breaking_accumulator_proof_rejected(self, tmp_path):
+        # A file freeze would never write: the largest 32-bit bias pushes the
+        # h accumulator's worst case past 2^31.
+        _, _, qm, _ = _calibrated(18)
+        qm.layers[0].bias.q[0] = 2**31 - 1
+        with pytest.raises(ValueError, match="h accumulator"):
+            assert_accumulator_safe(qm)
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match="accumulator"):
             load_model(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
-from lmukws.qmodel import calibrate_activation_scales, quantized_forward
+from lmukws.qmodel import calibrate_activation_scales, freeze, quantized_forward
 from lmukws.training import (
     Adam,
     TrainConfig,
@@ -41,6 +41,24 @@ def _loss_only(model, batch):
     return loss
 
 
+def _worst_fd_error(model, feats, labels, h=1e-5):
+    """Largest relative gap between reverse mode and central differences."""
+    _, grads = forward_backward(model, (feats, labels))
+    worst = 0.0
+    for name, w in model.trainable_tensors():
+        g = grads.tensors[name]
+        for idx in np.ndindex(w.shape):
+            orig = w[idx]
+            w[idx] = orig + h
+            up = _loss_only(model, (feats, labels))
+            w[idx] = orig - h
+            dn = _loss_only(model, (feats, labels))
+            w[idx] = orig
+            fd = (up - dn) / (2 * h)
+            worst = max(worst, abs(g[idx] - fd) / max(abs(g[idx]), abs(fd), 1e-8))
+    return worst
+
+
 def _toy_dataset(seed, n=240, T=20, F=6, classes=(0, 1, 2, 3)):
     """Separable sequence classes: shared noise plus a class-specific ramp."""
     rng = np.random.default_rng(seed)
@@ -72,22 +90,21 @@ class TestLossAndGradients:
         model, rng = _tiny_model(1)
         feats = rng.standard_normal((3, 10, 4))
         labels = np.array([2, 7, 0])
-        _, grads = forward_backward(model, (feats, labels))
-        h = 1e-5
-        worst = 0.0
-        for name, w in model.trainable_tensors():
-            g = grads.tensors[name]
-            for idx in np.ndindex(w.shape):
-                orig = w[idx]
-                w[idx] = orig + h
-                up = _loss_only(model, (feats, labels))
-                w[idx] = orig - h
-                dn = _loss_only(model, (feats, labels))
-                w[idx] = orig
-                fd = (up - dn) / (2 * h)
-                rel = abs(g[idx] - fd) / max(abs(g[idx]), abs(fd), 1e-8)
-                worst = max(worst, rel)
-        assert worst < 1e-4
+        assert _worst_fd_error(model, feats, labels) < 1e-4
+
+    def test_finite_difference_check_two_cells(self):
+        # Two cells share one block-diagonal memory; a gradient leaking
+        # across blocks would show here and not in the one-cell check.
+        cfg = ModelConfig(
+            input_dim=3,
+            layers=(LayerConfig(hidden=4, cells=(CellConfig(3, 0.2), CellConfig(2, 0.1))),),
+        )
+        rng = np.random.default_rng(5)
+        model = build_model(cfg, rng)
+        model.layers[0].hidden_encoder[:] = rng.uniform(-0.5, 0.5, (2, 4))
+        model.layers[0].bias[:] = rng.uniform(-0.3, 0.3, 4)
+        feats = rng.standard_normal((2, 8, 3))
+        assert _worst_fd_error(model, feats, np.array([4, 9])) < 1e-4
 
     def test_memory_matrices_have_no_gradients(self):
         model, rng = _tiny_model(2)
@@ -115,6 +132,16 @@ class TestLossAndGradients:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError):
                 forward_backward(model, (rng.standard_normal((2, 6, 4)), np.array([0, 1])))
+
+
+class TestEvaluate:
+    def test_zero_utterances_rejected_for_both_model_kinds(self):
+        model, rng = _tiny_model(6)
+        scales = calibrate_activation_scales(model, rng.standard_normal((4, 10, 4)))
+        qm = freeze(model, 8, scales)
+        for m in (model, qm):
+            with pytest.raises(ValueError, match="zero utterances"):
+                evaluate(m, np.zeros((0, 10, 4)), np.zeros(0, dtype=np.int64))
 
 
 class TestAdam:
