@@ -25,8 +25,8 @@ import zlib
 
 import numpy as np
 
-from .fixedpoint import QuantSpec, QuantTensor, pack_nibbles, unpack_nibbles
-from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel, assert_accumulator_safe
+from .fixedpoint import WEIGHT_BIT_CHOICES, QuantSpec, QuantTensor, pack_nibbles, unpack_nibbles
+from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel, compile_model
 
 MAGIC = b"LMUQ"
 VERSION = 1
@@ -122,11 +122,33 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
 
+def _expected_tensors(input_dim: int, weight_bits: int, layer_meta) -> dict:
+    """name -> (shape, bits) of every tensor the stored topology implies."""
+    expected = {}
+    n = input_dim
+    for i, (hidden, _, _, _, cells) in enumerate(layer_meta):
+        D = sum(order for order, _ in cells)
+        for k, (order, _) in enumerate(cells):
+            expected[f"layer{i}.cell{k}.A"] = ((order, order), 8)
+            expected[f"layer{i}.cell{k}.B"] = ((order,), 8)
+        expected[f"layer{i}.input_encoder"] = ((len(cells), n), weight_bits)
+        expected[f"layer{i}.hidden_encoder"] = ((len(cells), hidden), weight_bits)
+        expected[f"layer{i}.input_kernel"] = ((hidden, n), weight_bits)
+        expected[f"layer{i}.memory_kernel"] = ((hidden, D), weight_bits)
+        expected[f"layer{i}.bias"] = ((hidden,), 32)
+        n = hidden
+    expected["output.weight"] = ((12, n), weight_bits)
+    expected["output.bias"] = ((12,), 32)
+    return expected
+
+
 def load_model(path) -> QuantizedModel:
     """Read a model file, verifying magic, version, structure, and CRC.
 
-    The 32-bit accumulator proof that freeze runs is re-run on the loaded
-    model, so no file the engine accepts can overflow it.
+    Every tensor's shape and width must match the stored topology and
+    weight width, and there must be 12 labels.  The model is then compiled,
+    which re-runs the 32-bit accumulator proof that freeze runs, so no file
+    the engine accepts can overflow it.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -182,18 +204,27 @@ def load_model(path) -> QuantizedModel:
             raise ModelFormatError(f"tensor {name!r}: {exc}") from exc
     if r.pos != len(r.data):
         raise ModelFormatError(f"{len(r.data) - r.pos} trailing bytes before CRC")
-
-    def take(name):
+    if len(labels) != 12:
+        raise ModelFormatError(f"{len(labels)} labels; a model has exactly 12")
+    if weight_bits not in WEIGHT_BIT_CHOICES:
+        raise ModelFormatError(f"weight width {weight_bits} is not 4 or 8")
+    expected = _expected_tensors(input_dim, weight_bits, layer_meta)
+    for name, (shape, bits) in expected.items():
         if name not in tensors:
             raise ModelFormatError(f"missing tensor {name!r}")
-        return tensors[name]
+        qt = tensors[name]
+        if qt.shape != shape or qt.spec.bits != bits:
+            raise ModelFormatError(
+                f"tensor {name!r} is {qt.spec.bits}-bit {qt.shape}; the topology "
+                f"needs {bits}-bit {shape}"
+            )
 
     layers = []
     for i, (hidden, u_exp, m_exp, h_exp, cell_meta) in enumerate(layer_meta):
         cells = [
             QuantizedCell(
-                A=take(f"layer{i}.cell{k}.A"),
-                B=take(f"layer{i}.cell{k}.B"),
+                A=tensors[f"layer{i}.cell{k}.A"],
+                B=tensors[f"layer{i}.cell{k}.B"],
                 order=order,
                 theta=theta,
             )
@@ -201,11 +232,11 @@ def load_model(path) -> QuantizedModel:
         ]
         layers.append(
             QuantizedLayer(
-                input_encoder=take(f"layer{i}.input_encoder"),
-                hidden_encoder=take(f"layer{i}.hidden_encoder"),
-                input_kernel=take(f"layer{i}.input_kernel"),
-                memory_kernel=take(f"layer{i}.memory_kernel"),
-                bias=take(f"layer{i}.bias"),
+                input_encoder=tensors[f"layer{i}.input_encoder"],
+                hidden_encoder=tensors[f"layer{i}.hidden_encoder"],
+                input_kernel=tensors[f"layer{i}.input_kernel"],
+                memory_kernel=tensors[f"layer{i}.memory_kernel"],
+                bias=tensors[f"layer{i}.bias"],
                 cells=cells,
                 u_exp=u_exp,
                 m_exp=m_exp,
@@ -219,13 +250,13 @@ def load_model(path) -> QuantizedModel:
         label_names=labels,
         input_exp=input_exp,
         layers=layers,
-        output_weight=take("output.weight"),
-        output_bias=take("output.bias"),
+        output_weight=tensors["output.weight"],
+        output_bias=tensors["output.bias"],
         keep_masks=masks,
         frontend_hash=frontend_hash,
     )
     try:
-        assert_accumulator_safe(qm)
+        qm.compiled = compile_model(qm)
     except ValueError as exc:
         raise ModelFormatError(f"model fails the accumulator proof: {exc}") from exc
     return qm

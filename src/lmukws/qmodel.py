@@ -1,10 +1,12 @@
 """Deployable quantized models: calibration, freezing, integer-only inference.
 
-The deployed path never touches floating point: weights are 4- or 8-bit
-integers, activations 7-bit, and every step's sums live in a 32-bit
-accumulator whose worst case is checked at freeze time.  Multi-term sums are
-aligned by shifting each term to the finest grid among them (always an exact
-left shift, since scales are powers of two), then requantized once.
+The deployed arithmetic is integer: weights are 4- or 8-bit integers,
+activations 7-bit, and every step's sums live in a 32-bit accumulator whose
+worst case is proven when a model is compiled.  Multi-term sums are aligned
+by shifting each term to the finest grid among them (always an exact left
+shift, since scales are powers of two), then requantized once.  The engine
+runs each layer as three float64 matmuls over weights pre-shifted onto their
+stage's grid; float64 holds every such sum exactly (see ``compile_model``).
 
 Scale bookkeeping that must match the training graph exactly:
   - weight scales are a pure function of the weight tensor (exact-max rule),
@@ -84,6 +86,9 @@ class QuantizedModel:
     output_bias: QuantTensor  # 32-bit, on the output accumulator grid
     keep_masks: dict = field(default_factory=dict)
     frontend_hash: bytes = bytes(32)
+    # The engine's stages: set by freeze and load_model, rebuilt by the
+    # engine when the model has been edited since (see compile_model).
+    compiled: "CompiledModel | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def logits_exp(self) -> int:
@@ -224,7 +229,7 @@ def freeze(
         keep_masks=keep_masks,
         frontend_hash=bytes(frontend_hash),
     )
-    assert_accumulator_safe(qm)
+    qm.compiled = compile_model(qm)
     return qm
 
 
@@ -292,34 +297,141 @@ def assert_accumulator_safe(qm: QuantizedModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Integer inference
+# Integer inference: each layer compiled into three exact float64 matmuls
 # ---------------------------------------------------------------------------
 
+def _shifted(qt: QuantTensor, grid: int, stage_grid: int) -> np.ndarray:
+    """qt's integers as float64, moved from grid 2**grid onto 2**stage_grid."""
+    return np.ldexp(qt.q.astype(np.float64), grid - stage_grid)
+
+
+@dataclass
+class CompiledLayer:
+    """One layer's u, m and h stages.
+
+    The operands are laid out as [h | x] for u, [m | u] for m and [x | m]
+    for h.  The m stage has one grid exponent per row, because each cell's
+    A and B have their own scales.
+    """
+
+    U: np.ndarray  # (c, nh + nx): [W_eh | W_ex]
+    u_grid: int
+    M: np.ndarray  # (D, D + c): [A block-diagonal | each cell's B in its own column]
+    m_grid: np.ndarray  # (D,)
+    H: np.ndarray  # (nh, nx + D): [W_x | W_m]
+    bias: np.ndarray  # (nh,), on h_grid
+    h_grid: int
+    u_spec: QuantSpec
+    m_spec: QuantSpec
+    h_spec: QuantSpec
+
+
+@dataclass
+class CompiledModel:
+    """Every layer's stages and the output head, with what they were built
+    from, so that an edited model is recompiled and re-proved."""
+
+    x_spec: QuantSpec  # the input features' format
+    layers: list
+    out_W: np.ndarray  # (12, nh), on the logits grid
+    out_b: np.ndarray  # (12,)
+    source: tuple  # _source(qm) at compile time
+
+
+def _source(qm: "QuantizedModel") -> tuple:
+    """Every exponent and integer the stages are built from."""
+    tensors = [qt for _, qt in qm.weight_tensor_items()]
+    tensors += [t for layer in qm.layers for cell in layer.cells for t in (cell.A, cell.B)]
+    return (
+        qm.input_exp,
+        tuple((layer.u_exp, layer.m_exp, layer.h_exp) for layer in qm.layers),
+        tuple((qt.spec, qt.shape, qt.q.tobytes()) for qt in tensors),
+    )
+
+
+def compile_model(qm: QuantizedModel) -> CompiledModel:
+    """Prove qm's accumulators safe, then build its float64 stages.
+
+    A stage is one matmul whose weights are pre-shifted onto the stage's
+    finest grid, so the product is the aligned integer sum, followed by one
+    requantize.  Float64 computes it exactly: the proof bounds every aligned
+    sum, bias included, by a sum of magnitudes below 2^31, and any partial
+    sum BLAS forms, in any order, is bounded by the same sum, far below the
+    2^53 up to which float64 holds every integer.
+    """
+    assert_accumulator_safe(qm)
+    layers = []
+    x_exp = qm.input_exp
+    for layer in qm.layers:
+        enc_x = layer.input_encoder.spec.scale_exp + x_exp
+        enc_h = layer.hidden_encoder.spec.scale_exp + layer.h_exp
+        u_grid = min(enc_x, enc_h)
+        U = np.concatenate(
+            [_shifted(layer.hidden_encoder, enc_h, u_grid),
+             _shifted(layer.input_encoder, enc_x, u_grid)], axis=1)
+
+        D, c = sum(cell.order for cell in layer.cells), len(layer.cells)
+        M = np.zeros((D, D + c))
+        m_grid = np.empty(D, dtype=np.int64)
+        lo = 0
+        for k, cell in enumerate(layer.cells):
+            hi = lo + cell.order
+            a_grid = cell.A.spec.scale_exp + layer.m_exp
+            b_grid = cell.B.spec.scale_exp + layer.u_exp
+            g = min(a_grid, b_grid)
+            M[lo:hi, lo:hi] = _shifted(cell.A, a_grid, g)
+            M[lo:hi, D + k] = _shifted(cell.B, b_grid, g)
+            m_grid[lo:hi] = g
+            lo = hi
+
+        ker_x = layer.input_kernel.spec.scale_exp + x_exp
+        ker_m = layer.memory_kernel.spec.scale_exp + layer.m_exp
+        h_grid = layer.bias.spec.scale_exp  # the proof checked it is min(ker_x, ker_m)
+        H = np.concatenate(
+            [_shifted(layer.input_kernel, ker_x, h_grid),
+             _shifted(layer.memory_kernel, ker_m, h_grid)], axis=1)
+        layers.append(CompiledLayer(
+            U=U, u_grid=u_grid, M=M, m_grid=m_grid, H=H,
+            bias=layer.bias.q.astype(np.float64), h_grid=h_grid,
+            u_spec=_act_spec(layer.u_exp), m_spec=_act_spec(layer.m_exp),
+            h_spec=_act_spec(layer.h_exp),
+        ))
+        x_exp = layer.h_exp
+    return CompiledModel(
+        x_spec=_act_spec(qm.input_exp),
+        layers=layers,
+        out_W=qm.output_weight.q.astype(np.float64),
+        out_b=qm.output_bias.q.astype(np.float64),
+        source=_source(qm),
+    )
+
+
+def _engine(qm: QuantizedModel) -> CompiledModel:
+    """qm's compiled stages; recompiled, with the proof, if qm was edited."""
+    if qm.compiled is None or qm.compiled.source != _source(qm):
+        qm.compiled = compile_model(qm)
+    return qm.compiled
+
+
 class QuantStreamState:
-    """Per-stream integer recurrent state (7-bit h and m per layer)."""
+    """Per-stream integer recurrent state (7-bit h and m per layer).
+
+    The stream runs the stages of ``qm`` as they are when the state is made
+    (or reset); an edit of ``qm`` after that reaches new states only.
+    """
 
     def __init__(self, qm: QuantizedModel):
-        self._shapes = [
-            (layer.hidden_dim, [c.order for c in layer.cells]) for layer in qm.layers
-        ]
+        self._qm = qm
         self.reset()
 
     def reset(self) -> None:
-        self.h = [np.zeros(hd, dtype=np.int64) for hd, _ in self._shapes]
-        self.m = [[np.zeros(d, dtype=np.int64) for d in orders] for _, orders in self._shapes]
+        self.engine = _engine(self._qm)
+        self.h = [np.zeros(layer.H.shape[0], dtype=np.int64) for layer in self.engine.layers]
+        self.m = [np.zeros(layer.M.shape[0], dtype=np.int64) for layer in self.engine.layers]
 
 
 def _act_spec(exp: int) -> QuantSpec:
     return QuantSpec(ACTIVATION_BITS, exp)
-
-
-def _aligned_sum(terms):
-    """Sum (acc, grid_exp) terms on their common minimum grid, exactly."""
-    gmin = min(g for _, g in terms)
-    total = 0
-    for acc, g in terms:
-        total = total + (acc << (g - gmin))
-    return total, gmin
 
 
 def quantized_forward(
@@ -331,8 +443,9 @@ def quantized_forward(
     """Integer-only inference over a (T, input_dim) float feature array.
 
     Features are quantized to the model's input format at the boundary; all
-    arithmetic after that is integer.  Logits are returned as int64 on the
-    grid 2**qm.logits_exp (argmax works directly on them).
+    arithmetic after that is on integers (held exactly in float64 inside a
+    stage).  Logits are returned as int64 on the grid 2**qm.logits_exp
+    (argmax works directly on them).
 
     Returns (logits_q, state) or (logits_q, state, trace) with trace holding
     per-step quantized u/m/h per layer when collect_trace is set.
@@ -342,53 +455,35 @@ def quantized_forward(
         raise ValueError(f"features must be (T, {qm.input_dim}), got {features.shape}")
     if state is None:
         state = QuantStreamState(qm)
-    x_q_all = quantize(features, _act_spec(qm.input_exp)).q
+    elif state._qm is not qm:
+        raise ValueError("state was made for another model")
+    engine = state.engine
+    x_q_all = quantize(features, engine.x_spec).q
     T = features.shape[0]
     logits = np.empty((T, 12), dtype=np.int64)
     trace = {"u": [], "m": [], "h": []} if collect_trace else None
     for t in range(T):
         x = x_q_all[t]
-        x_exp = qm.input_exp
-        step_u, step_m, step_h = [], [], []
-        for i, layer in enumerate(qm.layers):
-            acc_u, g_u = _aligned_sum(
-                [
-                    (layer.input_encoder.q @ x, layer.input_encoder.spec.scale_exp + x_exp),
-                    (layer.hidden_encoder.q @ state.h[i],
-                     layer.hidden_encoder.spec.scale_exp + layer.h_exp),
-                ]
-            )
-            u = requantize(acc_u, g_u, layer.u_exp, _act_spec(layer.u_exp))
-            for k, cell in enumerate(layer.cells):
-                acc_m, g_m = _aligned_sum(
-                    [
-                        (cell.A.q @ state.m[i][k], cell.A.spec.scale_exp + layer.m_exp),
-                        (cell.B.q * u[k], cell.B.spec.scale_exp + layer.u_exp),
-                    ]
-                )
-                state.m[i][k] = requantize(acc_m, g_m, layer.m_exp, _act_spec(layer.m_exp))
-            m_cat = np.concatenate(state.m[i])
-            acc_h, g_pre = _aligned_sum(
-                [
-                    (layer.input_kernel.q @ x, layer.input_kernel.spec.scale_exp + x_exp),
-                    (layer.memory_kernel.q @ m_cat,
-                     layer.memory_kernel.spec.scale_exp + layer.m_exp),
-                ]
-            )
-            acc_h = np.maximum(acc_h + layer.bias.q, 0)
-            state.h[i] = requantize(acc_h, g_pre, layer.h_exp, _act_spec(layer.h_exp))
-            if collect_trace:
-                step_u.append(u.copy())
-                step_m.append(m_cat.copy())
-                step_h.append(state.h[i].copy())
-            x = state.h[i]
-            x_exp = layer.h_exp
-        logits[t] = qm.output_weight.q @ x + qm.output_bias.q
         if collect_trace:
-            trace["u"].append(step_u)
-            trace["m"].append(step_m)
-            trace["h"].append(step_h)
+            for steps in trace.values():
+                steps.append([])
+        for i, st in enumerate(engine.layers):
+            u = requantize(st.U @ np.concatenate((state.h[i], x)),
+                           st.u_grid, st.u_spec.scale_exp, st.u_spec)
+            m = requantize(st.M @ np.concatenate((state.m[i], u)),
+                           st.m_grid, st.m_spec.scale_exp, st.m_spec)
+            acc = st.H @ np.concatenate((x, m))
+            acc += st.bias
+            np.maximum(acc, 0.0, out=acc)
+            x = requantize(acc, st.h_grid, st.h_spec.scale_exp, st.h_spec)
+            state.m[i], state.h[i] = m, x
+            if collect_trace:
+                trace["u"][-1].append(u)
+                trace["m"][-1].append(m)
+                trace["h"][-1].append(x)
+        out = engine.out_W @ x
+        out += engine.out_b
+        logits[t] = out
     if collect_trace:
         return logits, state, trace
     return logits, state
-

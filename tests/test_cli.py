@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lmukws.cli import main
+from lmukws.fixedpoint import QuantTensor
 from lmukws.frontend import write_wav
 from lmukws.modelfile import load_model, save_model
 
@@ -193,6 +194,17 @@ class TestEval:
                    "--split", "val", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "h accumulator worst case" in capsys.readouterr().err
+
+    def test_tensor_shape_mismatch_is_data_error(self, toy_root, trained, tmp_path, capsys):
+        qm = load_model(trained / "model.lmuq")
+        kernel = qm.layers[0].memory_kernel
+        qm.layers[0].memory_kernel = QuantTensor(kernel.q[:, :-1], kernel.spec)
+        bad = tmp_path / "bad.lmuq"
+        save_model(qm, bad)
+        rc = main(["eval", "--model", str(bad), "--data-root", str(toy_root),
+                   "--split", "val", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "layer0.memory_kernel" in capsys.readouterr().err
 
     def test_missing_model_is_data_error(self, toy_root, tmp_path):
         rc = main(["eval", "--model", str(tmp_path / "none.lmuq"),

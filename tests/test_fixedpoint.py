@@ -13,7 +13,6 @@ from lmukws.fixedpoint import (
     fake_quant,
     pack_nibbles,
     prune_magnitude,
-    qmatvec,
     quantize,
     requantize,
     round_half_even_rshift,
@@ -164,49 +163,51 @@ class TestRounding:
         # Saturation after the move.
         assert requantize(np.array([1000]), 0, -2, spec).tolist() == [127]
 
-
-class TestQmatvec:
-    def test_zero_weights(self):
-        W = QuantTensor(np.zeros((3, 4)), QuantSpec(8, -2))
-        a = QuantTensor(np.arange(4), QuantSpec(7, -4))
-        out = qmatvec(W, a, QuantSpec(7, -4))
-        assert out.q.tolist() == [0, 0, 0]
-
-    def test_one_by_one_scalar_arithmetic(self):
+    def test_requantize_one_by_one_scalar_arithmetic(self):
         # w=3 at e=-2 times a=5 at e=-4: acc 15 at e=-6; to e=-4: rhe(15/4)=4.
-        W = QuantTensor(np.array([[3]]), QuantSpec(8, -2))
-        a = QuantTensor(np.array([5]), QuantSpec(7, -4))
-        out = qmatvec(W, a, QuantSpec(7, -4))
-        assert out.q.tolist() == [4]
+        acc = np.array([[3]]) @ np.array([5])
+        assert requantize(acc, -6, -4, QuantSpec(7, -4)).tolist() == [4]
 
-    def test_against_big_integer_reference(self):
+    def test_requantize_per_row_grids(self):
+        # Row 0 coarsens by 1 bit (5/2 = 2.5 -> 2), row 1 by 2 bits
+        # (-6/4 = -1.5 -> -2), row 2 refines by 1 bit (3 -> 6).
+        acc = np.array([5.0, -6.0, 3.0])
+        got = requantize(acc, np.array([-5, -6, -3]), -4, QuantSpec(7, -4))
+        assert got.dtype == np.int64
+        assert got.tolist() == [2, -2, 6]
+
+    def test_requantize_against_big_integer_reference(self):
+        # Integer matvecs in float64, as the engine's stages form them, then
+        # requantize: equal to round_half_even on Python integers.
         rng = np.random.default_rng(6)
         for trial in range(30):
             m, n = int(rng.integers(1, 8)), int(rng.integers(1, 12))
             wspec = QuantSpec(int(rng.choice([4, 8])), int(rng.integers(-6, 1)))
             aspec = QuantSpec(7, int(rng.integers(-8, -2)))
             ospec = QuantSpec(7, int(rng.integers(-8, 0)))
-            W = QuantTensor(rng.integers(wspec.qmin, wspec.qmax + 1, (m, n)), wspec)
-            a = QuantTensor(rng.integers(aspec.qmin, aspec.qmax + 1, n), aspec)
-            got = qmatvec(W, a, ospec)
+            W = rng.integers(wspec.qmin, wspec.qmax + 1, (m, n))
+            a = rng.integers(aspec.qmin, aspec.qmax + 1, n)
+            acc_exp = wspec.scale_exp + aspec.scale_exp
+            got = requantize(W.astype(np.float64) @ a, acc_exp, ospec.scale_exp, ospec)
             for i in range(m):
-                acc = sum(int(W.q[i, j]) * int(a.q[j]) for j in range(n))
-                shift = ospec.scale_exp - (wspec.scale_exp + aspec.scale_exp)
+                acc = sum(int(W[i, j]) * int(a[j]) for j in range(n))
+                shift = ospec.scale_exp - acc_exp
                 if shift >= 0:
                     ref = _round_half_even_int(acc, shift)
                 else:
                     ref = acc << -shift
                 ref = min(max(ref, ospec.qmin), ospec.qmax)
-                assert got.q[i] == ref
+                assert got[i] == ref
 
-    def test_rejects_bad_operands(self):
-        W = QuantTensor(np.zeros((2, 3)), QuantSpec(8, 0))
-        a = QuantTensor(np.zeros(4), QuantSpec(7, 0))
-        with pytest.raises(ValueError):
-            qmatvec(W, a, QuantSpec(7, 0))
-        a8 = QuantTensor(np.zeros(3), QuantSpec(8, 0))
-        with pytest.raises(ValueError):
-            qmatvec(W, a8, QuantSpec(7, 0))
+    def test_requantize_matches_integer_shift_near_float_limit(self):
+        # Sums up to 2^40 (past the 2^31 the proof allows), every shift the
+        # grids can produce: the float path equals the integer oracle.
+        rng = np.random.default_rng(7)
+        for shift in range(0, 21):
+            spec = QuantSpec(32, shift)
+            acc = rng.integers(-(2**40), 2**40, size=200)
+            ref = np.clip(round_half_even_rshift(acc, shift), spec.qmin, spec.qmax)
+            np.testing.assert_array_equal(requantize(acc, 0, shift, spec), ref)
 
 
 class TestNibblePacking:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmukws.fixedpoint import prune_magnitude, apply_mask
+from lmukws.fixedpoint import (
+    QuantSpec,
+    QuantTensor,
+    apply_mask,
+    prune_magnitude,
+    quantize,
+    round_half_even_rshift,
+)
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.modelfile import ModelFormatError, load_model, save_model
 from lmukws.qmodel import (
@@ -158,6 +165,178 @@ class TestBitExactness:
         )
 
 
+# ---------------------------------------------------------------------------
+# Independent integer reference: the per-term, per-cell int64 engine the
+# compiled float64 stages replaced.  Every sum is aligned term by term with
+# int64 shifts and requantized with the integer shift oracle.
+# ---------------------------------------------------------------------------
+
+def _int_requantize(acc, from_exp, to_exp):
+    """Move to the 7-bit grid 2**to_exp: round-half-even shift, saturate."""
+    if to_exp >= from_exp:
+        out = round_half_even_rshift(acc, to_exp - from_exp)
+    else:
+        out = acc << (from_exp - to_exp)
+    return np.clip(out, -64, 63)
+
+
+def _aligned_sum(terms):
+    """Sum (acc, grid_exp) terms on their common minimum grid, exactly."""
+    gmin = min(g for _, g in terms)
+    total = 0
+    for acc, g in terms:
+        total = total + (acc << (g - gmin))
+    return total, gmin
+
+
+def reference_forward(qm, features, state=None):
+    """Integer-only forward; state is (h per layer, m per layer per cell)."""
+    if state is None:
+        state = (
+            [np.zeros(layer.hidden_dim, dtype=np.int64) for layer in qm.layers],
+            [[np.zeros(c.order, dtype=np.int64) for c in layer.cells] for layer in qm.layers],
+        )
+    h, m = state
+    x_q = quantize(features, QuantSpec(7, qm.input_exp)).q
+    logits = np.empty((len(features), 12), dtype=np.int64)
+    for t in range(len(features)):
+        x, x_exp = x_q[t], qm.input_exp
+        for i, layer in enumerate(qm.layers):
+            acc, g = _aligned_sum([
+                (layer.input_encoder.q @ x, layer.input_encoder.spec.scale_exp + x_exp),
+                (layer.hidden_encoder.q @ h[i], layer.hidden_encoder.spec.scale_exp + layer.h_exp),
+            ])
+            u = _int_requantize(acc, g, layer.u_exp)
+            for k, cell in enumerate(layer.cells):
+                acc, g = _aligned_sum([
+                    (cell.A.q @ m[i][k], cell.A.spec.scale_exp + layer.m_exp),
+                    (cell.B.q * u[k], cell.B.spec.scale_exp + layer.u_exp),
+                ])
+                m[i][k] = _int_requantize(acc, g, layer.m_exp)
+            acc, g = _aligned_sum([
+                (layer.input_kernel.q @ x, layer.input_kernel.spec.scale_exp + x_exp),
+                (layer.memory_kernel.q @ np.concatenate(m[i]),
+                 layer.memory_kernel.spec.scale_exp + layer.m_exp),
+            ])
+            h[i] = _int_requantize(np.maximum(acc + layer.bias.q, 0), g, layer.h_exp)
+            x, x_exp = h[i], layer.h_exp
+        logits[t] = qm.output_weight.q @ x + qm.output_bias.q
+    return logits, state
+
+
+class TestCompiledEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 12), st.lists(st.integers(1, 16), min_size=1, max_size=4)),
+            min_size=1, max_size=2,
+        ),
+        input_dim=st.integers(1, 8),
+        weight_bits=st.sampled_from([4, 8]),
+        cuts=st.lists(st.integers(1, 15), max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_integer_reference(self, topology, input_dim, weight_bits, cuts, seed):
+        # 1-2 layers of 1-4 cells whose windows double from cell to cell, so
+        # each cell's A and B land on their own scales; fed in random chunks
+        # with the state carried, the compiled engine equals the per-term
+        # integer reference integer for integer, logits and state.
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(
+            input_dim=input_dim,
+            layers=tuple(
+                LayerConfig(hidden=hidden, cells=tuple(
+                    CellConfig(order, float(rng.uniform(0.04, 0.06)) * 2**k)
+                    for k, order in enumerate(orders)))
+                for hidden, orders in topology
+            ),
+        )
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.4, 0.4, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        scales = calibrate_activation_scales(model, rng.standard_normal((4, 10, input_dim)))
+        qm = freeze(model, weight_bits, scales)
+        feats = rng.standard_normal((16, input_dim)) * rng.uniform(0.5, 4.0)
+        ref, (ref_h, ref_m) = reference_forward(qm, feats)
+        state = QuantStreamState(qm)
+        parts = []
+        for chunk in np.split(feats, sorted(set(cuts))):
+            out, state = quantized_forward(qm, chunk, state)
+            parts.append(out)
+        np.testing.assert_array_equal(np.concatenate(parts), ref)
+        for i in range(len(qm.layers)):
+            np.testing.assert_array_equal(state.h[i], ref_h[i])
+            np.testing.assert_array_equal(state.m[i], np.concatenate(ref_m[i]))
+
+    def test_h_accumulator_just_below_2_31(self):
+        # Layer 0's input kernel at full 8-bit magnitude (-128), 15 bits
+        # coarser than the h grid, and a bias that fills the rest: the proven
+        # worst case is 2^31 - 1.  Saturated inputs drive it; at step 5 every
+        # input is -64, so one row's input term plus bias alone is
+        # 2^31 - 1 - 64 * (its memory-kernel row sum).
+        _, _, qm, rng = _calibrated(19)
+        layer = qm.layers[0]
+        ker_m = layer.memory_kernel.spec.scale_exp + layer.m_exp
+        layer.input_kernel = QuantTensor(np.full(layer.input_kernel.shape, -128),
+                                         QuantSpec(8, ker_m + 15 - qm.input_exp))
+        row_sums = np.abs(layer.memory_kernel.q).sum(axis=1)
+        row = int(np.argmax(row_sums))
+        worst = (128 * 64 * qm.input_dim << 15) + 64 * int(row_sums[row])
+        bias = rng.integers(-(2**31 - 1 - worst), 0, layer.hidden_dim)
+        bias[row] = 2**31 - 1 - worst
+        layer.bias = QuantTensor(bias, QuantSpec(32, ker_m))
+        assert_accumulator_safe(qm)
+        step = 2.0**qm.input_exp
+        feats = rng.choice([-64.0, 63.0], size=(24, qm.input_dim)) * step
+        feats[5] = -64.0 * step
+        ref, _ = reference_forward(qm, feats)
+        logits, _ = quantized_forward(qm, feats)
+        np.testing.assert_array_equal(logits, ref)
+        layer.bias.q[row] += 1
+        with pytest.raises(ValueError, match="h accumulator"):
+            quantized_forward(qm, feats)
+
+    def test_logit_accumulator_just_below_2_31(self):
+        # The output head is the one stage whose accumulator is returned
+        # unrounded, so a float path that lost low bits near 2^31 shows up
+        # directly in the logits.
+        _, _, qm, rng = _calibrated(27)
+        w = qm.output_weight
+        qm.output_weight = QuantTensor(np.full(w.shape, 127), w.spec)
+        room = 2**31 - 1 - 127 * 64 * w.shape[1]
+        bias = rng.integers(-room, room, 12)
+        bias[:2] = room, -room
+        qm.output_bias = QuantTensor(bias, qm.output_bias.spec)
+        assert_accumulator_safe(qm)
+        feats = rng.choice([-4.0, 4.0], size=(24, qm.input_dim)) * rng.uniform(0.5, 2.0)
+        ref, _ = reference_forward(qm, feats)
+        logits, _ = quantized_forward(qm, feats)
+        np.testing.assert_array_equal(logits, ref)
+        assert np.abs(logits).max() > 2**30
+
+    def test_edit_past_the_proof_raises(self):
+        # The engine re-proves an edited model instead of running stages
+        # that no longer match it.
+        _, _, qm, rng = _calibrated(20)
+        feats = rng.standard_normal((6, 5))
+        quantized_forward(qm, feats)
+        stream = QuantStreamState(qm)
+        qm.layers[0].bias.q[0] = 2**31 - 1
+        with pytest.raises(ValueError, match="h accumulator"):
+            quantized_forward(qm, feats)
+        with pytest.raises(ValueError, match="h accumulator"):
+            QuantStreamState(qm)
+        # A stream made before the edit keeps the stages it started with.
+        quantized_forward(qm, feats, stream)
+
+    def test_state_of_another_model_rejected(self):
+        _, _, qm, rng = _calibrated(21)
+        _, _, other, _ = _calibrated(22)
+        with pytest.raises(ValueError, match="another model"):
+            quantized_forward(qm, rng.standard_normal((2, 5)), QuantStreamState(other))
+
+
 class TestQuantizedForward:
     def test_zero_stream_constant_logits(self):
         # With zero input the only signal is quantized-bias propagation, so
@@ -297,4 +476,45 @@ class TestModelFile:
         path = tmp_path / "model.lmuq"
         save_model(qm, path)
         with pytest.raises(ModelFormatError, match="accumulator"):
+            load_model(path)
+
+    def test_tensor_shape_must_match_topology(self, tmp_path):
+        # Without the check this file loads and fails later inside numpy.
+        _, _, qm, _ = _calibrated(23)
+        kernel = qm.layers[0].memory_kernel
+        qm.layers[0].memory_kernel = QuantTensor(kernel.q[:, :-1], kernel.spec)
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match="memory_kernel"):
+            load_model(path)
+
+    def test_exactly_12_labels(self, tmp_path):
+        _, _, qm, _ = _calibrated(24)
+        qm.label_names = qm.label_names[:11]
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match="labels"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, bits", [
+        ("input_kernel", 4),  # an 8-bit model's weight stored at 4 bits
+        ("bias", 8),
+    ])
+    def test_bit_widths(self, tmp_path, name, bits):
+        _, _, qm, _ = _calibrated(25)
+        old = getattr(qm.layers[0], name)
+        setattr(qm.layers[0], name,
+                QuantTensor(np.clip(old.q, -8, 7), QuantSpec(bits, old.spec.scale_exp)))
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match=f"{name}.*{bits}-bit"):
+            load_model(path)
+
+    def test_memory_matrix_bit_width(self, tmp_path):
+        _, _, qm, _ = _calibrated(26)
+        cell = qm.layers[0].cells[0]
+        cell.B = QuantTensor(np.clip(cell.B.q, -8, 7), QuantSpec(4, cell.B.spec.scale_exp))
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match="cell0.B"):
             load_model(path)
