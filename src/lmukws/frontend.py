@@ -19,6 +19,7 @@ import os
 import re
 import wave
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,17 @@ class FeatureConfig:
         ]
         return hashlib.sha256("\n".join(parts).encode()).digest()
 
+    @cached_property
+    def _kernel(self) -> tuple:
+        """(window, mel bank, norm mean, norm std) as arrays, built once per config."""
+        has_norm = self.norm_mean is not None
+        return (
+            _periodic_hann(self.window_samples),
+            mel_filterbank(self),
+            np.asarray(self.norm_mean) if has_norm else None,
+            np.asarray(self.norm_std) if has_norm else None,
+        )
+
 
 def save_feature_config(config: FeatureConfig, path) -> None:
     """Persist a feature config (with fitted normalization) as an npz sidecar.
@@ -143,60 +155,59 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-class _FrontendKernels:
-    """Per-config cached window and filterbank (pure function of the config)."""
-
-    _cache: dict = {}
-
-    @classmethod
-    def get(cls, config: FeatureConfig):
-        key = (config.sample_rate, config.window_ms, config.mel_bins,
-               config.fft_size, config.f_lo, config.f_hi)
-        if key not in cls._cache:
-            cls._cache[key] = (
-                _periodic_hann(config.window_samples),
-                mel_filterbank(config),
-            )
-        return cls._cache[key]
-
-
 def power_spectrum(windowed: np.ndarray, fft_size: int) -> np.ndarray:
-    """One-sided power spectrum scaled so its sum equals sum(windowed**2)."""
+    """One-sided power spectrum of each row, scaled so a row sums to sum(windowed**2).
+
+    One ``rfft`` over all rows: its rows are bit-identical to one call per row.
+    """
     spec = np.fft.rfft(windowed, n=fft_size)
-    power = (spec.real**2 + spec.imag**2) / fft_size
-    power[1 : (fft_size + 1) // 2] *= 2.0  # fold negative frequencies in
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power /= fft_size
+    power[..., 1 : (fft_size + 1) // 2] *= 2.0  # fold negative frequencies in
     return power
 
 
-def log_mel_frame(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """One feature frame from exactly one window of samples (no normalization)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape != (config.window_samples,):
-        raise ValueError(f"expected {config.window_samples} samples, got {samples.shape}")
-    window, bank = _FrontendKernels.get(config)
-    power = power_spectrum(samples * window, config.fft_size)
-    return np.log(bank @ power + config.log_floor)
+def log_mel_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Normalized log-mel features of windows: (..., window) -> (..., mel_bins).
+
+    Each output row depends on its own window only, bit for bit, so offline,
+    streaming and multi-stream callers agree whatever the batch.  The mel
+    projection is therefore one matrix-vector product per frame (numpy's
+    stacked matmul with a trailing unit axis); a matrix product across frames
+    (``power @ bank.T``) lets BLAS reorder the sums and changes the last bits.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim == 0 or frames.shape[-1] != config.window_samples:
+        raise ValueError(f"expected windows of {config.window_samples} samples, got {frames.shape}")
+    window, bank, mean, std = config._kernel
+    power = power_spectrum(frames * window, config.fft_size)
+    feats = np.matmul(bank, power[..., None])[..., 0] + config.log_floor
+    np.log(feats, out=feats)
+    if mean is not None:
+        feats -= mean
+        feats /= std
+    return feats
 
 
-def apply_normalization(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    if config.norm_mean is None:
-        return frames
-    mean = np.asarray(config.norm_mean)
-    std = np.asarray(config.norm_std)
-    return (frames - mean) / std
+def _windows(samples: np.ndarray, n: int, config: FeatureConfig) -> np.ndarray:
+    """The first n hop-spaced windows of samples, as a strided (n, window) view."""
+    step = samples.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        samples, shape=(n, config.window_samples),
+        strides=(config.hop_samples * step, step), writeable=False,
+    )
 
 
 def featurize_signal(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """All complete frames of an arbitrary-length signal, normalized."""
     samples = np.asarray(samples, dtype=np.float64)
     w, hop = config.window_samples, config.hop_samples
+    if samples.ndim != 1:
+        raise ValueError(f"expected a 1-D signal, got shape {samples.shape}")
     if samples.size < w:
         raise ValueError(f"signal shorter than one window ({samples.size} < {w})")
-    n_frames = (samples.size - w) // hop + 1
-    frames = np.stack(
-        [log_mel_frame(samples[t * hop : t * hop + w], config) for t in range(n_frames)]
-    )
-    return apply_normalization(frames, config)
+    return log_mel_frames(_windows(samples, (samples.size - w) // hop + 1, config), config)
 
 
 def featurize_utterance(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -225,15 +236,15 @@ class StreamFeaturizer:
 
     def push(self, chunk: np.ndarray) -> list:
         """Feed any number of samples; returns the frames completed by them."""
-        self._pending = np.concatenate([self._pending, np.asarray(chunk, dtype=np.float64)])
+        pending = np.concatenate([self._pending, np.asarray(chunk, dtype=np.float64)])
         w, hop = self.config.window_samples, self.config.hop_samples
-        frames = []
-        while self._pending.size >= w:
-            frames.append(
-                apply_normalization(log_mel_frame(self._pending[:w], self.config), self.config)
-            )
-            self._pending = self._pending[hop:]
-        return frames
+        n = (pending.size - w) // hop + 1 if pending.size >= w else 0
+        self._pending = pending[n * hop :]
+        if n == 0:
+            return []
+        if n == 1:  # every hop of a live stream: the 1-D call is the cheaper one
+            return [log_mel_frames(pending[:w], self.config)]
+        return list(log_mel_frames(_windows(pending, n, self.config), self.config))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +266,8 @@ def load_wav(path, expected_rate: int = 16000) -> np.ndarray:
             raw = f.readframes(f.getnframes())
     except wave.Error as exc:
         raise WavFormatError(f"{path}: not a valid WAV file ({exc})") from exc
+    if len(raw) % 2:
+        raise WavFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

@@ -146,9 +146,10 @@ def load_model(path) -> QuantizedModel:
     """Read a model file, verifying magic, version, structure, and CRC.
 
     Every tensor's shape and width must match the stored topology and
-    weight width, and there must be 12 labels.  The model is then compiled,
-    which re-runs the 32-bit accumulator proof that freeze runs, so no file
-    the engine accepts can overflow it.
+    weight width, every pruned slot must hold zero, and there must be 12
+    labels.  The model is then compiled, which re-runs the 32-bit
+    accumulator proof that freeze runs, so no file the engine accepts can
+    overflow it.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -183,6 +184,8 @@ def load_model(path) -> QuantizedModel:
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
         name = r.read(name_len).decode()
+        if name in tensors:
+            raise ModelFormatError(f"tensor {name!r} appears twice")
         bits, scale_exp = r.unpack("<Bh")
         (ndim,) = r.unpack("<B")
         shape = tuple(r.unpack("<I")[0] for _ in range(ndim))
@@ -218,6 +221,11 @@ def load_model(path) -> QuantizedModel:
                 f"tensor {name!r} is {qt.spec.bits}-bit {qt.shape}; the topology "
                 f"needs {bits}-bit {shape}"
             )
+    for name, mask in masks.items():
+        # The size metric skips pruned slots, so a payload there would run
+        # in the engine without being counted.
+        if np.any(tensors[name].q[~mask]):
+            raise ModelFormatError(f"tensor {name!r} has a nonzero payload in a pruned slot")
 
     layers = []
     for i, (hidden, u_exp, m_exp, h_exp, cell_meta) in enumerate(layer_meta):

@@ -258,6 +258,14 @@ class TestStream:
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_wav_ending_mid_sample_is_data_error(self, toy_root, trained, tmp_path, capsys):
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(next((toy_root / "yes").glob("*.wav")).read_bytes()[:-1])
+        rc = main(["stream", "--model", str(trained / "model.lmuq"),
+                   "--wav", str(cut), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "mid-sample" in capsys.readouterr().err
+
     def test_missing_wav_flag_is_usage_error(self, trained, tmp_path):
         rc = main(["stream", "--model", str(trained / "model.lmuq"),
                    "--out-dir", str(tmp_path / "out")])

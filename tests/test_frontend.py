@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmukws.frontend import (
     BACKGROUND_DIR,
@@ -18,7 +19,7 @@ from lmukws.frontend import (
     generate_toy_dataset,
     hz_to_mel,
     load_wav,
-    log_mel_frame,
+    log_mel_frames,
     materialize_features,
     mel_filterbank,
     mel_to_hz,
@@ -30,6 +31,24 @@ from lmukws.frontend import (
 )
 
 CFG = FeatureConfig()
+
+
+def reference_frames(samples, config):
+    """The per-frame loop the batched kernel replaced: one rfft and one
+    filterbank product per window, normalized frame by frame."""
+    w, hop = config.window_samples, config.hop_samples
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(w) / w))
+    bank = mel_filterbank(config)
+    frames = []
+    for t in range((samples.size - w) // hop + 1):
+        spec = np.fft.rfft(samples[t * hop : t * hop + w] * window, n=config.fft_size)
+        power = (spec.real**2 + spec.imag**2) / config.fft_size
+        power[1 : (config.fft_size + 1) // 2] *= 2.0
+        frame = np.log(bank @ power + config.log_floor)
+        if config.norm_mean is not None:
+            frame = (frame - np.asarray(config.norm_mean)) / np.asarray(config.norm_std)
+        frames.append(frame)
+    return np.stack(frames)
 
 
 class TestFeatureConfig:
@@ -71,29 +90,41 @@ class TestMelScale:
 
 class TestLogMelFrame:
     def test_zero_input_hits_log_floor(self):
-        frame = log_mel_frame(np.zeros(640), CFG)
+        frame = log_mel_frames(np.zeros(640), CFG)
+        assert frame.shape == (40,)
         np.testing.assert_allclose(frame, np.log(CFG.log_floor), rtol=0, atol=1e-12)
 
     def test_parseval(self):
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.standard_normal(640)
-            windowed = x * (0.5 * (1 - np.cos(2 * np.pi * np.arange(640) / 640)))
-            power = power_spectrum(windowed, 1024)
-            np.testing.assert_allclose(power.sum(), (windowed**2).sum(), rtol=1e-6)
+        x = rng.standard_normal((5, 640))
+        windowed = x * (0.5 * (1 - np.cos(2 * np.pi * np.arange(640) / 640)))
+        power = power_spectrum(windowed, 1024)
+        assert power.shape == (5, 513)
+        np.testing.assert_allclose(power.sum(axis=1), (windowed**2).sum(axis=1), rtol=1e-6)
 
     def test_pure_tone_lands_in_right_bin(self):
         # 1 kHz sits exactly on FFT bin 64; the hottest mel bin must be the
         # one whose triangle peaks there.
         t = np.arange(640) / 16000
         tone = np.sin(2 * np.pi * 1000.0 * t)
-        frame = log_mel_frame(tone, CFG)
+        frame = log_mel_frames(tone, CFG)
         bank = mel_filterbank(CFG)
         assert frame.argmax() == bank[:, 64].argmax()
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            log_mel_frame(np.zeros(641), CFG)
+        for shape in [(641,), (3, 641), ()]:
+            with pytest.raises(ValueError):
+                log_mel_frames(np.zeros(shape), CFG)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # Any batch shape gives each window exactly its 1-D result.
+        rng = np.random.default_rng(4)
+        windows = rng.uniform(-1.0, 1.0, (2, 3, 640))
+        batched = log_mel_frames(windows, CFG)
+        assert batched.shape == (2, 3, 40)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(batched[i, j], log_mel_frames(windows[i, j], CFG))
 
 
 class TestFeaturize:
@@ -136,6 +167,31 @@ class TestFeaturize:
         np.testing.assert_array_equal(np.stack(frames), featurize_signal(signal, cfg))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(640, 6000),
+    seed=st.integers(0, 2**32 - 1),
+    normalized=st.booleans(),
+    max_chunk=st.sampled_from([1, 320, 700, 5000]),
+)
+def test_stream_offline_and_reference_agree(n, seed, normalized, max_chunk):
+    rng = np.random.default_rng(seed)
+    signal = rng.uniform(-1.0, 1.0, n) * rng.choice([1e-4, 0.1, 1.0])
+    cfg = FeatureConfig(
+        norm_mean=tuple(float(v) for v in rng.standard_normal(40)),
+        norm_std=tuple(float(v) for v in rng.uniform(0.5, 3.0, 40)),
+    ) if normalized else CFG
+    offline = featurize_signal(signal, cfg)
+    assert np.array_equal(offline, reference_frames(signal, cfg))
+    stream = StreamFeaturizer(cfg)
+    frames, pos = [], 0
+    while pos < n:
+        k = int(rng.integers(1, max_chunk + 1))
+        frames.extend(stream.push(signal[pos : pos + k]))
+        pos += k
+    assert np.array_equal(np.stack(frames), offline)
+
+
 class TestWavIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -160,6 +216,13 @@ class TestWavIO:
         path = tmp_path / "not.wav"
         path.write_bytes(b"this is not audio")
         with pytest.raises(WavFormatError):
+            load_wav(path)
+
+    def test_data_ending_mid_sample_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.zeros(100))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(WavFormatError, match="mid-sample"):
             load_wav(path)
 
     def test_pad_or_crop(self):

@@ -428,6 +428,20 @@ class TestModelFile:
         save_model(qm, path)
         assert model_size_kbits(load_model(path)) == model_size_kbits(qm)
 
+    def test_nonzero_payload_in_pruned_slot_rejected(self, tmp_path):
+        # Such a weight would run in the engine but not count in the size metric.
+        model, scales, _, _ = _calibrated(27)
+        mask = prune_magnitude(model, 0.5)
+        apply_mask(model, mask)
+        qm = freeze(model, 4, scales, mask=mask)
+        name = "layer0.memory_kernel"
+        pruned = np.argwhere(~qm.keep_masks[name])[0]
+        qm.layers[0].memory_kernel.q[tuple(pruned)] = 1
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match=f"{name}.*pruned"):
+            load_model(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lmuq"
         path.write_bytes(b"NOPE" + bytes(64))
