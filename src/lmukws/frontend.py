@@ -161,9 +161,7 @@ def power_spectrum(windowed: np.ndarray, fft_size: int) -> np.ndarray:
     One ``rfft`` over all rows: its rows are bit-identical to one call per row.
     """
     spec = np.fft.rfft(windowed, n=fft_size)
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
-    power /= fft_size
+    power = (spec.real**2 + spec.imag**2) / fft_size
     power[..., 1 : (fft_size + 1) // 2] *= 2.0  # fold negative frequencies in
     return power
 
@@ -190,15 +188,6 @@ def log_mel_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return feats
 
 
-def _windows(samples: np.ndarray, n: int, config: FeatureConfig) -> np.ndarray:
-    """The first n hop-spaced windows of samples, as a strided (n, window) view."""
-    step = samples.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        samples, shape=(n, config.window_samples),
-        strides=(config.hop_samples * step, step), writeable=False,
-    )
-
-
 def featurize_signal(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """All complete frames of an arbitrary-length signal, normalized."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -207,7 +196,12 @@ def featurize_signal(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
         raise ValueError(f"expected a 1-D signal, got shape {samples.shape}")
     if samples.size < w:
         raise ValueError(f"signal shorter than one window ({samples.size} < {w})")
-    return log_mel_frames(_windows(samples, (samples.size - w) // hop + 1, config), config)
+    step = samples.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        samples, shape=((samples.size - w) // hop + 1, w),
+        strides=(hop * step, step), writeable=False,
+    )
+    return log_mel_frames(windows, config)
 
 
 def featurize_utterance(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -240,11 +234,7 @@ class StreamFeaturizer:
         w, hop = self.config.window_samples, self.config.hop_samples
         n = (pending.size - w) // hop + 1 if pending.size >= w else 0
         self._pending = pending[n * hop :]
-        if n == 0:
-            return []
-        if n == 1:  # every hop of a live stream: the 1-D call is the cheaper one
-            return [log_mel_frames(pending[:w], self.config)]
-        return list(log_mel_frames(_windows(pending, n, self.config), self.config))
+        return [log_mel_frames(pending[t * hop : t * hop + w], self.config) for t in range(n)]
 
 
 # ---------------------------------------------------------------------------

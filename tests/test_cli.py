@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line surface (in-process, no network)."""
 
 import io
+import struct
 import tarfile
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from lmukws.cli import main
 from lmukws.fixedpoint import QuantTensor
 from lmukws.frontend import write_wav
-from lmukws.modelfile import load_model, save_model
+from lmukws.modelfile import _tensor_record, load_model, save_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -205,6 +207,22 @@ class TestEval:
                    "--split", "val", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "layer0.memory_kernel" in capsys.readouterr().err
+
+    def test_tensor_record_appearing_twice_is_data_error(
+        self, toy_root, trained, tmp_path, capsys
+    ):
+        qm = load_model(trained / "model.lmuq")
+        blob = (trained / "model.lmuq").read_bytes()[:-4]
+        record = _tensor_record("layer0.cell0.A", qm.layers[0].cells[0].A, None)
+        at = blob.index(record)  # the first record, right after the u32 count
+        (count,) = struct.unpack("<I", blob[at - 4 : at])
+        body = blob[: at - 4] + struct.pack("<I", count + 1) + record + blob[at:]
+        bad = tmp_path / "bad.lmuq"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        rc = main(["eval", "--model", str(bad), "--data-root", str(toy_root),
+                   "--split", "val", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "appears twice" in capsys.readouterr().err
 
     def test_missing_model_is_data_error(self, toy_root, tmp_path):
         rc = main(["eval", "--model", str(tmp_path / "none.lmuq"),

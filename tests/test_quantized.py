@@ -1,5 +1,8 @@
 """Tests for calibration, freezing, integer inference, and model files."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,7 @@ from lmukws.fixedpoint import (
     round_half_even_rshift,
 )
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
-from lmukws.modelfile import ModelFormatError, load_model, save_model
+from lmukws.modelfile import ModelFormatError, _tensor_record, load_model, save_model
 from lmukws.qmodel import (
     QuantStreamState,
     assert_accumulator_safe,
@@ -442,6 +445,21 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=f"{name}.*pruned"):
             load_model(path)
 
+    def test_tensor_record_appearing_twice_rejected(self, tmp_path):
+        # Else the second record's payload replaces the first's, unchecked
+        # against the keep-mask that came with the first.
+        _, _, qm, _ = _calibrated(28)
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        blob = path.read_bytes()[:-4]
+        record = _tensor_record("layer0.cell0.A", qm.layers[0].cells[0].A, None)
+        at = blob.index(record)  # the first record, right after the u32 count
+        (count,) = struct.unpack("<I", blob[at - 4 : at])
+        body = blob[: at - 4] + struct.pack("<I", count + 1) + record + blob[at:]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(ModelFormatError, match="layer0.cell0.A.*appears twice"):
+            load_model(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lmuq"
         path.write_bytes(b"NOPE" + bytes(64))
@@ -473,8 +491,6 @@ class TestModelFile:
         save_model(qm, path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99  # version field follows the 4-byte magic
-        import zlib, struct
-
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(ModelFormatError, match="version"):
