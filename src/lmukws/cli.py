@@ -32,7 +32,9 @@ from .frontend import (
     StreamFeaturizer,
     WavFormatError,
     build_dataset,
+    featurize_utterance,
     generate_toy_dataset,
+    load_clip,
     load_feature_config,
     load_wav,
     materialize_features,
@@ -185,6 +187,17 @@ def _quantized_model(cfg: dict):
     return freeze(model, model_cfg.weight_bits, zero, mask=mask)
 
 
+def _sidecar_config(cfg: dict, qm) -> FeatureConfig:
+    """The model's frontend: --frontend, or else frontend.npz next to the model."""
+    path = Path(cfg["frontend"]) if cfg["frontend"] else Path(cfg["model"]).parent / "frontend.npz"
+    if not path.exists():
+        raise DatasetError(f"frontend sidecar not found: {path}")
+    feat_cfg = load_feature_config(path)
+    if feat_cfg.config_hash() != qm.frontend_hash:
+        raise DatasetError(f"frontend sidecar {path} does not match the model's frontend hash")
+    return feat_cfg
+
+
 def _softmax(v: np.ndarray) -> np.ndarray:
     e = np.exp(v - v.max())
     return e / e.sum()
@@ -298,18 +311,14 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _dataset(cfg: dict):
+def cmd_train(cfg: dict) -> int:
+    out = _out_dir(cfg, "train")
+    out.mkdir(parents=True, exist_ok=True)
     root = Path(cfg["data_root"])
     if not root.is_dir():
         raise DatasetError(f"dataset root not found: {root} (run fetch-data first)")
     manifest = build_dataset(root, _words(cfg["keywords"]), seed=int(cfg["seed"]))
-    return materialize_features(manifest, FeatureConfig())
-
-
-def cmd_train(cfg: dict) -> int:
-    out = _out_dir(cfg, "train")
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _dataset(cfg)
+    ds = materialize_features(manifest, FeatureConfig())
     model_cfg = reference_config(str(cfg["model_preset"]))
     overrides = {"label_names": tuple(ds.label_names)}
     if cfg["weight_bits"] is not None:
@@ -389,6 +398,7 @@ def cmd_train(cfg: dict) -> int:
 
 EVAL_DEFAULTS = {
     "model": "runs/train/model.lmuq",
+    "frontend": None,
     "data_root": "data/speech_commands",
     "keywords": "yes,no",
     "split": "test",
@@ -400,34 +410,28 @@ EVAL_DEFAULTS = {
 
 def cmd_eval(cfg: dict) -> int:
     qm = _load_model_checked(cfg["model"])
-    ds = _dataset(cfg)
-    if ds.frontend_hash != qm.frontend_hash:
-        raise DatasetError(
-            "feature configuration mismatch: this model was trained with a "
-            "different frontend (check keywords/data-root/seed)"
-        )
+    feat_cfg = _sidecar_config(cfg, qm)
     split = str(cfg["split"])
-    try:
-        x, y = {"train": (ds.train_x, ds.train_y),
-                "val": (ds.val_x, ds.val_y),
-                "test": (ds.test_x, ds.test_y)}[split]
-    except KeyError:
-        raise UsageError(f"unknown split {split!r}") from None
-    if x.shape[0] == 0:
+    if split not in ("train", "val", "test"):
+        raise UsageError(f"unknown split {split!r}")
+    manifest = build_dataset(cfg["data_root"], _words(cfg["keywords"]), seed=int(cfg["seed"]))
+    if list(manifest.label_names) != list(qm.label_names):
+        raise DatasetError(f"label mismatch: data {manifest.label_names}, model {qm.label_names}")
+    picked = [i for i, e in enumerate(manifest.entries) if e.split == split]
+    if not picked:
         raise DatasetError(f"split {split!r} is empty")
+    x = np.stack([featurize_utterance(load_clip(manifest, i, feat_cfg.sample_rate), feat_cfg)
+                  for i in picked])
+    y = np.array([manifest.entries[i].label for i in picked], dtype=np.int64)
 
     offline = evaluate(qm, x, y)
     lines = [f"split {split}: {x.shape[0]} utterances",
              f"offline accuracy  {offline:.4f}"]
     if str(cfg["mode"]) == "streaming":
-        correct = 0
-        for i in range(x.shape[0]):
-            state = QuantStreamState(qm)
-            logits = None
-            for t in range(x.shape[1]):  # one 20 ms hop at a time
-                logits, state = quantized_forward(qm, x[i, t][None, :], state)
-            correct += int(np.argmax(logits[-1]) == y[i])
-        lines.append(f"streaming accuracy {correct / x.shape[0]:.4f}")
+        state = QuantStreamState(qm, x.shape[:1])
+        for t in range(x.shape[1]):  # every clip advances one 20 ms hop
+            logits, state = quantized_forward(qm, x[:, t : t + 1], state)
+        lines.append(f"streaming accuracy {(logits[:, -1].argmax(axis=1) == y).mean():.4f}")
     lines.append(f"majority baseline {majority_baseline(y):.4f}")
     out = _out_dir(cfg, "eval")
     out.mkdir(parents=True, exist_ok=True)
@@ -457,15 +461,7 @@ def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
     qm = _load_model_checked(cfg["model"])
-    frontend_path = Path(cfg["frontend"]) if cfg["frontend"] else Path(cfg["model"]).parent / "frontend.npz"
-    if not frontend_path.exists():
-        raise DatasetError(f"frontend sidecar not found: {frontend_path}")
-    feat_cfg = load_feature_config(frontend_path)
-    if feat_cfg.config_hash() != qm.frontend_hash:
-        raise DatasetError(
-            f"frontend sidecar {frontend_path} does not match the model's "
-            "feature configuration"
-        )
+    feat_cfg = _sidecar_config(cfg, qm)
     samples = load_wav(cfg["wav"], expected_rate=feat_cfg.sample_rate)
 
     featurizer = StreamFeaturizer(feat_cfg)
@@ -681,6 +677,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="accuracy of a trained model on a split")
     p.add_argument("--model")
+    p.add_argument("--frontend", help="frontend.npz sidecar (default: next to the model)")
     p.add_argument("--data-root", dest="data_root")
     p.add_argument("--keywords")
     p.add_argument("--split", choices=("train", "val", "test"))

@@ -18,6 +18,7 @@ import hashlib
 import os
 import re
 import wave
+import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -116,16 +117,23 @@ def save_feature_config(config: FeatureConfig, path) -> None:
 
 
 def load_feature_config(path) -> FeatureConfig:
-    with np.load(path) as z:
-        has_norm = bool(z["has_norm"])
-        return FeatureConfig(
-            sample_rate=int(z["sample_rate"]), window_ms=int(z["window_ms"]),
-            hop_ms=int(z["hop_ms"]), mel_bins=int(z["mel_bins"]),
-            fft_size=int(z["fft_size"]), log_floor=float(z["log_floor"]),
-            f_lo=float(z["f_lo"]), f_hi=float(z["f_hi"]),
-            norm_mean=tuple(float(v) for v in z["norm_mean"]) if has_norm else None,
-            norm_std=tuple(float(v) for v in z["norm_std"]) if has_norm else None,
-        )
+    """Read a ``save_feature_config`` sidecar; DatasetError if it is not a whole one."""
+    try:
+        with np.load(path) as z:
+            has_norm = bool(z["has_norm"])
+            config = FeatureConfig(
+                sample_rate=int(z["sample_rate"]), window_ms=int(z["window_ms"]),
+                hop_ms=int(z["hop_ms"]), mel_bins=int(z["mel_bins"]),
+                fft_size=int(z["fft_size"]), log_floor=float(z["log_floor"]),
+                f_lo=float(z["f_lo"]), f_hi=float(z["f_hi"]),
+                norm_mean=tuple(float(v) for v in z["norm_mean"]) if has_norm else None,
+                norm_std=tuple(float(v) for v in z["norm_std"]) if has_norm else None,
+            )
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as e:
+        raise DatasetError(f"{path}: not a frontend sidecar ({e})") from None
+    if has_norm and not len(config.norm_mean) == len(config.norm_std) == config.mel_bins:
+        raise DatasetError(f"{path}: normalization length is not mel_bins = {config.mel_bins}")
+    return config
 
 
 def hz_to_mel(f):
@@ -452,23 +460,28 @@ class FeatureDataset:
         return self.config.config_hash()
 
 
+def load_clip(manifest: Manifest, index: int, sample_rate: int) -> np.ndarray:
+    """The one-second clip of ``manifest.entries[index]``; a silence crop's
+    offset hashes the index in the whole manifest, not in the entry's split."""
+    entry = manifest.entries[index]
+    samples = load_wav(os.path.join(manifest.root, entry.path), sample_rate)
+    if entry.label == SILENCE_LABEL:
+        off = _silence_offset(entry.path, index, samples.size, sample_rate)
+        samples = samples[off : off + sample_rate]
+    return pad_or_crop(samples, sample_rate)
+
+
 def materialize_features(manifest: Manifest, config: FeatureConfig) -> FeatureDataset:
     """Load audio, featurize, and fit train-split normalization.
 
     The returned dataset's config carries the fitted per-bin mean/std, so its
     hash pins the complete train-time feature function.
     """
-    clip_len = config.sample_rate
     raw = {"train": [], "val": [], "test": []}
     labels = {"train": [], "val": [], "test": []}
     base = replace(config, norm_mean=None, norm_std=None)
     for i, entry in enumerate(manifest.entries):
-        samples = load_wav(os.path.join(manifest.root, entry.path), config.sample_rate)
-        if entry.label == SILENCE_LABEL:
-            off = _silence_offset(entry.path, i, samples.size, clip_len)
-            samples = pad_or_crop(samples[off : off + clip_len], clip_len)
-        else:
-            samples = pad_or_crop(samples, clip_len)
+        samples = load_clip(manifest, i, config.sample_rate)
         raw[entry.split].append(featurize_utterance(samples, base))
         labels[entry.split].append(entry.label)
     if not raw["train"]:

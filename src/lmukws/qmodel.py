@@ -414,20 +414,22 @@ def _engine(qm: QuantizedModel) -> CompiledModel:
 
 
 class QuantStreamState:
-    """Per-stream integer recurrent state (7-bit h and m per layer).
+    """Integer recurrent state (7-bit h and m per layer) of ``batch`` streams.
 
-    The stream runs the stages of ``qm`` as they are when the state is made
-    (or reset); an edit of ``qm`` after that reaches new states only.
+    Each layer holds ``batch + (n,)`` int64 rows.  The streams run the stages
+    of ``qm`` as they are when the state is made (or reset); an edit of ``qm``
+    after that reaches new states only.
     """
 
-    def __init__(self, qm: QuantizedModel):
+    def __init__(self, qm: QuantizedModel, batch: tuple = ()):
         self._qm = qm
+        self.batch = tuple(batch)
         self.reset()
 
     def reset(self) -> None:
         self.engine = _engine(self._qm)
-        self.h = [np.zeros(layer.H.shape[0], dtype=np.int64) for layer in self.engine.layers]
-        self.m = [np.zeros(layer.M.shape[0], dtype=np.int64) for layer in self.engine.layers]
+        self.h = [np.zeros((*self.batch, st.H.shape[0]), np.int64) for st in self.engine.layers]
+        self.m = [np.zeros((*self.batch, st.M.shape[0]), np.int64) for st in self.engine.layers]
 
 
 def _act_spec(exp: int) -> QuantSpec:
@@ -440,39 +442,44 @@ def quantized_forward(
     state: QuantStreamState | None = None,
     collect_trace: bool = False,
 ):
-    """Integer-only inference over a (T, input_dim) float feature array.
+    """Integer-only inference over (..., T, input_dim) float features.
 
+    Leading axes are independent streams stepped together, each stage one
+    exact matmul over all rows (see ``compile_model``), so a row's integers
+    equal a call on that row alone; a given ``state`` has their shape.
     Features are quantized to the model's input format at the boundary; all
     arithmetic after that is on integers (held exactly in float64 inside a
-    stage).  Logits are returned as int64 on the grid 2**qm.logits_exp
-    (argmax works directly on them).
+    stage).  Logits are int64 (..., T, 12) on the grid 2**qm.logits_exp.
 
     Returns (logits_q, state) or (logits_q, state, trace) with trace holding
     per-step quantized u/m/h per layer when collect_trace is set.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != qm.input_dim:
-        raise ValueError(f"features must be (T, {qm.input_dim}), got {features.shape}")
+    if features.ndim < 2 or features.shape[-1] != qm.input_dim:
+        raise ValueError(f"features must be (..., T, {qm.input_dim}), got {features.shape}")
+    batch = features.shape[:-2]
     if state is None:
-        state = QuantStreamState(qm)
+        state = QuantStreamState(qm, batch)
     elif state._qm is not qm:
         raise ValueError("state was made for another model")
+    elif state.batch != batch:
+        raise ValueError(f"state holds a batch of {state.batch}, features have {batch}")
     engine = state.engine
     x_q_all = quantize(features, engine.x_spec).q
-    T = features.shape[0]
-    logits = np.empty((T, 12), dtype=np.int64)
+    T = features.shape[-2]
+    logits = np.empty(batch + (T, 12), dtype=np.int64)
     trace = {"u": [], "m": [], "h": []} if collect_trace else None
     for t in range(T):
-        x = x_q_all[t]
+        x = x_q_all[..., t, :]
         if collect_trace:
             for steps in trace.values():
                 steps.append([])
         for i, st in enumerate(engine.layers):
-            u = requantize(st.U @ np.concatenate((state.h[i], x)),
+            u = requantize(np.concatenate((state.h[i], x), axis=-1) @ st.U.T,
                            st.u_grid, st.u_spec.scale_exp, st.u_spec)
-            m = requantize(st.M @ np.concatenate((state.m[i], u)),
+            m = requantize(np.concatenate((state.m[i], u), axis=-1) @ st.M.T,
                            st.m_grid, st.m_spec.scale_exp, st.m_spec)
-            acc = st.H @ np.concatenate((x, m))
+            acc = np.concatenate((x, m), axis=-1) @ st.H.T
             acc += st.bias
             np.maximum(acc, 0.0, out=acc)
             x = requantize(acc, st.h_grid, st.h_spec.scale_exp, st.h_spec)
@@ -481,9 +488,9 @@ def quantized_forward(
                 trace["u"][-1].append(u)
                 trace["m"][-1].append(m)
                 trace["h"][-1].append(x)
-        out = engine.out_W @ x
+        out = x @ engine.out_W.T
         out += engine.out_b
-        logits[t] = out
+        logits[..., t, :] = out
     if collect_trace:
         return logits, state, trace
     return logits, state

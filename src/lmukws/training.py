@@ -450,14 +450,11 @@ def evaluate(model, x: np.ndarray, y: np.ndarray, scales=None, weight_bits: int 
     if len(x) == 0:
         raise ValueError("cannot evaluate on zero utterances")
     if isinstance(model, QuantizedModel):
-        correct = 0
-        for i in range(x.shape[0]):
-            logits, _ = quantized_forward(model, x[i])
-            correct += int(np.argmax(logits[-1]) == y[i])
-        return correct / x.shape[0]
-    cache = hat_forward(model, x, quant_on=scales is not None, scales=scales,
-                        weight_bits=weight_bits)
-    return float((cache.logits[:, -1].argmax(axis=1) == y).mean())
+        logits, _ = quantized_forward(model, x)
+    else:
+        logits = hat_forward(model, x, quant_on=scales is not None, scales=scales,
+                             weight_bits=weight_bits).logits
+    return float((logits[:, -1].argmax(axis=1) == y).mean())
 
 
 def majority_baseline(y: np.ndarray) -> float:

@@ -10,8 +10,15 @@ import pytest
 
 from lmukws.cli import main
 from lmukws.fixedpoint import QuantTensor
-from lmukws.frontend import write_wav
+from lmukws.frontend import (
+    FeatureConfig,
+    build_dataset,
+    materialize_features,
+    save_feature_config,
+    write_wav,
+)
 from lmukws.modelfile import _tensor_record, load_model, save_model
+from lmukws.training import evaluate
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -185,6 +192,61 @@ class TestEval:
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_scores_the_materialized_split(self, toy_root, trained, tmp_path, monkeypatch):
+        # The command featurizes only its split, through the sidecar, and
+        # must hand the engine the features training materialized, bit for
+        # bit (silence crops included).
+        import lmukws.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "evaluate",
+                            lambda qm, x, y: seen.append((x, y)) or evaluate(qm, x, y))
+        rc = main(["eval", "--model", str(trained / "model.lmuq"),
+                   "--data-root", str(toy_root), "--split", "val",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        ds = materialize_features(build_dataset(toy_root, ["yes", "no"]), FeatureConfig())
+        (x, y), = seen
+        assert np.array_equal(x, ds.val_x) and np.array_equal(y, ds.val_y)
+
+    def test_missing_sidecar_is_data_error(self, trained, toy_root, tmp_path, capsys):
+        alone = tmp_path / "model.lmuq"
+        alone.write_bytes((trained / "model.lmuq").read_bytes())
+        rc = main(["eval", "--model", str(alone), "--data-root", str(toy_root),
+                   "--split", "val", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sidecar not found" in capsys.readouterr().err
+
+    def test_mismatched_sidecar_is_data_error(self, trained, toy_root, tmp_path, capsys):
+        other = tmp_path / "frontend.npz"
+        save_feature_config(FeatureConfig(), other)
+        rc = main(["eval", "--model", str(trained / "model.lmuq"), "--frontend", str(other),
+                   "--data-root", str(toy_root), "--split", "val",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "does not match" in capsys.readouterr().err
+
+    def test_truncated_sidecar_is_data_error(self, trained, toy_root, tmp_path, capsys):
+        (tmp_path / "model.lmuq").write_bytes((trained / "model.lmuq").read_bytes())
+        (tmp_path / "frontend.npz").write_bytes((trained / "frontend.npz").read_bytes()[:-100])
+        rc = main(["eval", "--model", str(tmp_path / "model.lmuq"),
+                   "--data-root", str(toy_root), "--split", "val",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not a frontend sidecar" in capsys.readouterr().err
+
+    def test_sidecar_in_another_directory(self, trained, toy_root, tmp_path, capsys):
+        (tmp_path / "m").mkdir()
+        (tmp_path / "f").mkdir()
+        (tmp_path / "m" / "model.lmuq").write_bytes((trained / "model.lmuq").read_bytes())
+        (tmp_path / "f" / "frontend.npz").write_bytes((trained / "frontend.npz").read_bytes())
+        argv = ["--data-root", str(toy_root), "--split", "val", "--out-dir", str(tmp_path / "out")]
+        assert main(["eval", "--model", str(trained / "model.lmuq")] + argv) == 0
+        expected = capsys.readouterr().out
+        assert main(["eval", "--model", str(tmp_path / "m" / "model.lmuq"),
+                     "--frontend", str(tmp_path / "f" / "frontend.npz")] + argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_model_failing_accumulator_proof_is_data_error(
         self, toy_root, trained, tmp_path, capsys
     ):
@@ -265,8 +327,6 @@ class TestStream:
         assert "no detections" in capsys.readouterr().out
 
     def test_mismatched_sidecar_is_data_error(self, toy_root, trained, tmp_path, capsys):
-        from lmukws.frontend import FeatureConfig, save_feature_config
-
         other = tmp_path / "frontend.npz"
         save_feature_config(FeatureConfig(), other)
         wav = next((toy_root / "yes").glob("*.wav"))
@@ -275,6 +335,16 @@ class TestStream:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_truncated_sidecar_is_data_error(self, toy_root, trained, tmp_path, capsys):
+        cut = tmp_path / "frontend.npz"
+        cut.write_bytes((trained / "frontend.npz").read_bytes()[:-100])
+        wav = next((toy_root / "yes").glob("*.wav"))
+        rc = main(["stream", "--model", str(trained / "model.lmuq"),
+                   "--wav", str(wav), "--frontend", str(cut),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not a frontend sidecar" in capsys.readouterr().err
 
     def test_wav_ending_mid_sample_is_data_error(self, toy_root, trained, tmp_path, capsys):
         cut = tmp_path / "cut.wav"

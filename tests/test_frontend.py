@@ -18,6 +18,8 @@ from lmukws.frontend import (
     featurize_utterance,
     generate_toy_dataset,
     hz_to_mel,
+    load_clip,
+    load_feature_config,
     load_wav,
     log_mel_frames,
     materialize_features,
@@ -25,6 +27,7 @@ from lmukws.frontend import (
     mel_to_hz,
     pad_or_crop,
     power_spectrum,
+    save_feature_config,
     twelve_label_names,
     which_set,
     write_wav,
@@ -72,6 +75,47 @@ class TestFeatureConfig:
         normed = FeatureConfig(norm_mean=tuple([0.0] * 40), norm_std=tuple([1.0] * 40))
         assert base.config_hash() != normed.config_hash()
         assert len(base.config_hash()) == 32
+
+
+class TestSidecar:
+    NORMED = FeatureConfig(norm_mean=tuple(np.linspace(-3.0, 1.0, 40).tolist()),
+                           norm_std=tuple(np.linspace(0.5, 2.0, 40).tolist()))
+
+    def test_round_trip_keeps_the_hash(self, tmp_path):
+        for config in (CFG, self.NORMED):
+            save_feature_config(config, tmp_path / "frontend.npz")
+            loaded = load_feature_config(tmp_path / "frontend.npz")
+            assert loaded == config
+            assert loaded.config_hash() == config.config_hash()
+
+    def test_truncated_or_not_an_archive_rejected(self, tmp_path):
+        path = tmp_path / "frontend.npz"
+        save_feature_config(self.NORMED, path)
+        blob = path.read_bytes()
+        for bad in (blob[: len(blob) // 2], blob[:-1], b"", b"not a sidecar\n"):
+            path.write_bytes(bad)
+            with pytest.raises(DatasetError, match="not a frontend sidecar"):
+                load_feature_config(path)
+
+    def test_missing_key_rejected(self, tmp_path):
+        path = tmp_path / "frontend.npz"
+        save_feature_config(self.NORMED, path)
+        with np.load(path) as z:
+            fields = {k: z[k] for k in z.files if k != "f_hi"}
+        np.savez(path, **fields)
+        with pytest.raises(DatasetError, match="f_hi"):
+            load_feature_config(path)
+
+    @pytest.mark.parametrize("key", ["norm_mean", "norm_std"])
+    def test_normalization_length_must_be_mel_bins(self, tmp_path, key):
+        path = tmp_path / "frontend.npz"
+        save_feature_config(self.NORMED, path)
+        with np.load(path) as z:
+            fields = {k: z[k] for k in z.files}
+        fields[key] = fields[key][:-1]
+        np.savez(path, **fields)
+        with pytest.raises(DatasetError, match="mel_bins = 40"):
+            load_feature_config(path)
 
 
 class TestMelScale:
@@ -330,6 +374,19 @@ class TestMaterializeFeatures:
         np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-6)
         assert data.config.norm_mean is not None
         assert len(data.frontend_hash) == 32
+
+    def test_one_split_through_its_sidecar_equals_materialized(self, toy_root, tmp_path):
+        # What `lmukws eval` does: each clip of one split on its own, with the
+        # normalization read back from the sidecar, bit for bit.
+        manifest = build_dataset(toy_root, ["yes", "no"])
+        data = materialize_features(manifest, FeatureConfig())
+        save_feature_config(data.config, tmp_path / "frontend.npz")
+        config = load_feature_config(tmp_path / "frontend.npz")
+        picked = [i for i, e in enumerate(manifest.entries) if e.split == "test"]
+        assert any(manifest.entries[i].label == SILENCE_LABEL for i in picked)
+        x = np.stack([featurize_utterance(load_clip(manifest, i, 16000), config)
+                      for i in picked])
+        assert np.array_equal(x, data.test_x)
 
     def test_deterministic(self, toy_root):
         manifest = build_dataset(toy_root, ["yes", "no"])

@@ -1,5 +1,6 @@
 """Tests for calibration, freezing, integer inference, and model files."""
 
+import itertools
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import (
     QuantSpec,
     QuantTensor,
@@ -25,7 +27,7 @@ from lmukws.qmodel import (
     model_size_kbits,
     quantized_forward,
 )
-from lmukws.training import hat_forward_trace
+from lmukws.training import evaluate, hat_forward_trace
 
 
 def _config(input_dim=5):
@@ -237,13 +239,15 @@ class TestCompiledEngine:
         input_dim=st.integers(1, 8),
         weight_bits=st.sampled_from([4, 8]),
         cuts=st.lists(st.integers(1, 15), max_size=5),
+        batch=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_integer_reference(self, topology, input_dim, weight_bits, cuts, seed):
+    def test_equals_integer_reference(self, topology, input_dim, weight_bits, cuts, batch, seed):
         # 1-2 layers of 1-4 cells whose windows double from cell to cell, so
         # each cell's A and B land on their own scales; fed in random chunks
         # with the state carried, the compiled engine equals the per-term
-        # integer reference integer for integer, logits and state.
+        # integer reference integer for integer, logits and state.  So does
+        # a batch of streams, run whole or in the same chunks, row by row.
         rng = np.random.default_rng(seed)
         cfg = ModelConfig(
             input_dim=input_dim,
@@ -260,17 +264,30 @@ class TestCompiledEngine:
             layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
         scales = calibrate_activation_scales(model, rng.standard_normal((4, 10, input_dim)))
         qm = freeze(model, weight_bits, scales)
-        feats = rng.standard_normal((16, input_dim)) * rng.uniform(0.5, 4.0)
-        ref, (ref_h, ref_m) = reference_forward(qm, feats)
-        state = QuantStreamState(qm)
-        parts = []
-        for chunk in np.split(feats, sorted(set(cuts))):
-            out, state = quantized_forward(qm, chunk, state)
-            parts.append(out)
-        np.testing.assert_array_equal(np.concatenate(parts), ref)
-        for i in range(len(qm.layers)):
-            np.testing.assert_array_equal(state.h[i], ref_h[i])
-            np.testing.assert_array_equal(state.m[i], np.concatenate(ref_m[i]))
+        feats = rng.standard_normal((batch, 16, input_dim)) * rng.uniform(0.5, 4.0, (batch, 1, 1))
+
+        def chunked(x, state):
+            parts = []
+            for chunk in np.split(x, sorted(set(cuts)), axis=-2):
+                out, state = quantized_forward(qm, chunk, state)
+                parts.append(out)
+            return np.concatenate(parts, axis=-2), state
+
+        def check(logits, state, ref, row=...):
+            ref_logits, (ref_h, ref_m) = ref
+            np.testing.assert_array_equal(logits, ref_logits)
+            for i in range(len(qm.layers)):
+                np.testing.assert_array_equal(state.h[i][row], ref_h[i])
+                np.testing.assert_array_equal(state.m[i][row], np.concatenate(ref_m[i]))
+
+        refs = [reference_forward(qm, row) for row in feats]
+        check(*chunked(feats[0], QuantStreamState(qm)), refs[0])
+        for row, ref in zip(feats, refs):
+            check(*quantized_forward(qm, row), ref)
+        for logits, state in (quantized_forward(qm, feats),
+                              chunked(feats, QuantStreamState(qm, (batch,)))):
+            for b, ref in enumerate(refs):
+                check(logits[b], state, ref, b)
 
     def test_h_accumulator_just_below_2_31(self):
         # Layer 0's input kernel at full 8-bit magnitude (-128), 15 bits
@@ -333,6 +350,21 @@ class TestCompiledEngine:
         # A stream made before the edit keeps the stages it started with.
         quantized_forward(qm, feats, stream)
 
+    def test_state_of_another_batch_rejected(self):
+        _, _, qm, rng = _calibrated(23)
+        for batch, shape in (((3,), (2, 4, 5)), ((), (2, 4, 5)), ((2,), (4, 5)),
+                             ((2, 3), (3, 2, 4, 5))):
+            with pytest.raises(ValueError, match="batch"):
+                quantized_forward(qm, rng.standard_normal(shape), QuantStreamState(qm, batch))
+
+    def test_two_batch_axes_equal_rows(self):
+        _, _, qm, rng = _calibrated(24)
+        feats = rng.standard_normal((2, 3, 7, 5))
+        logits, state = quantized_forward(qm, feats)
+        assert logits.shape == (2, 3, 7, 12) and state.h[0].shape == (2, 3, 9)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(logits[idx], quantized_forward(qm, feats[idx])[0])
+
     def test_state_of_another_model_rejected(self):
         _, _, qm, rng = _calibrated(21)
         _, _, other, _ = _calibrated(22)
@@ -376,10 +408,47 @@ class TestQuantizedForward:
         for h in state.h:
             assert h.dtype == np.int64 and np.max(np.abs(h)) <= 64
 
+    def test_evaluate_equals_per_clip_count(self):
+        _, _, qm, rng = _calibrated(10)
+        x = rng.standard_normal((9, 6, 5))
+        y = rng.integers(0, 12, 9)
+        y[:4] = [np.argmax(quantized_forward(qm, x[i])[0][-1]) for i in range(4)]
+        correct = sum(int(np.argmax(quantized_forward(qm, x[i])[0][-1]) == y[i])
+                      for i in range(9))
+        assert correct >= 4
+        assert evaluate(qm, x, y) == correct / 9
+
     def test_rejects_bad_shape(self):
         _, _, qm, _ = _calibrated(9)
         with pytest.raises(ValueError):
             quantized_forward(qm, np.zeros((4, 6)))
+        with pytest.raises(ValueError):
+            quantized_forward(qm, np.zeros(5))
+
+    @pytest.mark.parametrize("preset", REFERENCE_NAMES)
+    def test_batch_equals_rows_on_every_preset(self, preset):
+        # The presets' full-size stages, where BLAS blocks a batched product
+        # differently from a matrix-vector one: still the same integers.
+        cfg = reference_config(preset)
+        rng = np.random.default_rng(0)
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.2, 0.2, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        feats = rng.standard_normal((6, 5, cfg.input_dim))
+        qm = freeze(model, cfg.weight_bits, calibrate_activation_scales(model, feats))
+        logits, state = quantized_forward(qm, feats)
+        hops = QuantStreamState(qm, (6,))
+        for t in range(5):
+            hop, hops = quantized_forward(qm, feats[:, t : t + 1], hops)
+            np.testing.assert_array_equal(hop[:, 0], logits[:, t])
+        assert np.unique(logits[:, -1], axis=0).shape[0] > 1
+        for b in range(6):
+            alone, alone_state = quantized_forward(qm, feats[b])
+            np.testing.assert_array_equal(logits[b], alone)
+            for st, i in itertools.product((state, hops), range(len(qm.layers))):
+                np.testing.assert_array_equal(st.h[i][b], alone_state.h[i])
+                np.testing.assert_array_equal(st.m[i][b], alone_state.m[i])
 
 
 class TestSizeMetric:
