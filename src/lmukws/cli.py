@@ -460,21 +460,20 @@ STREAM_DEFAULTS = {
 def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
+    smooth = int(cfg["smooth"])
+    threshold = float(cfg["threshold"])
+    refractory = int(cfg["refractory"])
+    chunk = int(cfg["chunk_samples"])
+    if smooth < 1 or refractory < 0 or not 0.0 < threshold <= 1.0 or chunk < 1:
+        raise UsageError("smooth >= 1, refractory >= 0, 0 < threshold <= 1, chunk-samples >= 1")
     qm = _load_model_checked(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
     samples = load_wav(cfg["wav"], expected_rate=feat_cfg.sample_rate)
 
     featurizer = StreamFeaturizer(feat_cfg)
     state = QuantStreamState(qm)
-    smooth = int(cfg["smooth"])
-    threshold = float(cfg["threshold"])
-    refractory = int(cfg["refractory"])
-    if smooth < 1 or refractory < 0 or not 0.0 < threshold <= 1.0:
-        raise UsageError("smooth >= 1, refractory >= 0, 0 < threshold <= 1")
-
     recent = deque(maxlen=smooth)
     hop_s = feat_cfg.hop_samples / feat_cfg.sample_rate
-    chunk = int(cfg["chunk_samples"])
     hop_index = 0
     cooldown = 0
     detections = []

@@ -75,9 +75,21 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> QuantTensor:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
-    # np.maximum and np.minimum: np.clip costs several times more per call
-    q = np.minimum(np.maximum(np.rint(x / spec.step), spec.qmin), spec.qmax)
+    q = round_saturate(np.asarray(x / spec.step), spec.qmin, spec.qmax)
     return QuantTensor(q=q.astype(np.int64), spec=spec)
+
+
+def round_saturate(a: np.ndarray, lo, hi) -> np.ndarray:
+    """Round float64 ``a`` half to even, then clip it to [lo, hi], in place.
+
+    The one rounding rule of the integer path: ``quantize``, ``requantize``
+    and the compiled engine's stages all round through it.  Returns ``a``.
+    """
+    np.rint(a, out=a)
+    # np.maximum and np.minimum: np.clip costs several times more per call
+    np.maximum(a, lo, out=a)
+    np.minimum(a, hi, out=a)
+    return a
 
 
 def fake_quant(x: np.ndarray, spec: QuantSpec):
@@ -155,8 +167,8 @@ def requantize(acc: np.ndarray, from_exp, to_exp: int, out_spec: QuantSpec) -> n
     """
     if out_spec.scale_exp != to_exp:
         raise ValueError("out_spec scale does not match requested grid")
-    out = np.rint(np.ldexp(np.asarray(acc, dtype=np.float64), from_exp - to_exp))
-    return np.minimum(np.maximum(out, out_spec.qmin), out_spec.qmax).astype(np.int64)
+    out = np.asarray(np.ldexp(np.asarray(acc, dtype=np.float64), from_exp - to_exp))
+    return round_saturate(out, out_spec.qmin, out_spec.qmax).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,25 @@ class FeatureConfig:
         return (self.sample_rate - self.window_samples) // self.hop_samples + 1
 
     def config_hash(self) -> bytes:
-        """SHA-256 digest of every field; guards train/serve feature skew."""
+        """SHA-256 digest of every field; guards train/serve feature skew.
+
+        Float fields hash as Python floats, the type a sidecar loads them
+        as, so a config of numpy floats hashes like its own round trip.
+        """
+        def reprs(values):
+            return None if values is None else [repr(float(v)) for v in values]
+
         parts = [
             f"sample_rate={self.sample_rate}",
             f"window_ms={self.window_ms}",
             f"hop_ms={self.hop_ms}",
             f"mel_bins={self.mel_bins}",
             f"fft_size={self.fft_size}",
-            f"log_floor={self.log_floor!r}",
-            f"f_lo={self.f_lo!r}",
-            f"f_hi={self.f_hi!r}",
-            f"norm_mean={None if self.norm_mean is None else [repr(v) for v in self.norm_mean]}",
-            f"norm_std={None if self.norm_std is None else [repr(v) for v in self.norm_std]}",
+            f"log_floor={float(self.log_floor)!r}",
+            f"f_lo={float(self.f_lo)!r}",
+            f"f_hi={float(self.f_hi)!r}",
+            f"norm_mean={reprs(self.norm_mean)}",
+            f"norm_std={reprs(self.norm_std)}",
         ]
         return hashlib.sha256("\n".join(parts).encode()).digest()
 

@@ -20,6 +20,7 @@ as int8, 32-bit as int32.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -121,6 +122,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
+    def text(self) -> str:
+        """A u16-length-prefixed UTF-8 string."""
+        (n,) = self.unpack("<H")
+        raw = self.read(n)
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"text field {raw!r} is not UTF-8") from None
+
 
 def _expected_tensors(input_dim: int, weight_bits: int, layer_meta) -> dict:
     """name -> (shape, bits) of every tensor the stored topology implies."""
@@ -170,8 +180,7 @@ def load_model(path) -> QuantizedModel:
     (n_labels,) = r.unpack("<H")
     labels = []
     for _ in range(n_labels):
-        (ln,) = r.unpack("<H")
-        labels.append(r.read(ln).decode())
+        labels.append(r.text())
     (n_layers,) = r.unpack("<H")
     layer_meta = []
     for _ in range(n_layers):
@@ -182,25 +191,24 @@ def load_model(path) -> QuantizedModel:
     (n_tensors,) = r.unpack("<I")
     tensors, masks = {}, {}
     for _ in range(n_tensors):
-        (name_len,) = r.unpack("<H")
-        name = r.read(name_len).decode()
+        name = r.text()
         if name in tensors:
             raise ModelFormatError(f"tensor {name!r} appears twice")
         bits, scale_exp = r.unpack("<Bh")
         (ndim,) = r.unpack("<B")
         shape = tuple(r.unpack("<I")[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps past 2^63
         (has_mask,) = r.unpack("<B")
-        if has_mask:
-            mask_bytes = r.read((count + 7) // 8)
-            masks[name] = (
-                np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8))[:count]
-                .astype(bool)
-                .reshape(shape)
-            )
+        mask_bytes = r.read((count + 7) // 8) if has_mask else None
         (payload_len,) = r.unpack("<Q")
         payload = r.read(payload_len)
-        try:
+        try:  # reshape rejects more dimensions than numpy supports
+            if mask_bytes is not None:
+                masks[name] = (
+                    np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8))[:count]
+                    .astype(bool)
+                    .reshape(shape)
+                )
             q = _decode_payload(payload, bits, count).reshape(shape)
             tensors[name] = QuantTensor(q=q, spec=QuantSpec(bits, scale_exp))
         except ValueError as exc:

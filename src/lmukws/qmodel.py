@@ -5,8 +5,9 @@ activations 7-bit, and every step's sums live in a 32-bit accumulator whose
 worst case is proven when a model is compiled.  Multi-term sums are aligned
 by shifting each term to the finest grid among them (always an exact left
 shift, since scales are powers of two), then requantized once.  The engine
-runs each layer as three float64 matmuls over weights pre-shifted onto their
-stage's grid; float64 holds every such sum exactly (see ``compile_model``).
+runs each layer as three float64 matmuls over weights pre-scaled onto their
+stage's output grid; float64 holds every such sum exactly (see
+``compile_model``).
 
 Scale bookkeeping that must match the training graph exactly:
   - weight scales are a pure function of the weight tensor (exact-max rule),
@@ -18,6 +19,7 @@ Scale bookkeeping that must match the training graph exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from .fixedpoint import (
     QuantTensor,
     activation_quant_spec,
     quantize,
-    requantize,
+    requantize,  # noqa: F401  (unused here; perfbench's HOOKS rebind qmodel.requantize)
+    round_saturate,
     weight_quant_spec,
 )
 from .lmu import ModelGraph
@@ -300,30 +303,69 @@ def assert_accumulator_safe(qm: QuantizedModel) -> None:
 # Integer inference: each layer compiled into three exact float64 matmuls
 # ---------------------------------------------------------------------------
 
-def _shifted(qt: QuantTensor, grid: int, stage_grid: int) -> np.ndarray:
-    """qt's integers as float64, moved from grid 2**grid onto 2**stage_grid."""
-    return np.ldexp(qt.q.astype(np.float64), grid - stage_grid)
+def _const(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: a ufunc takes one in under half the
+    time it takes a Python number, whose dtype it must first resolve."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ACT = QuantSpec(ACTIVATION_BITS, 0)  # every activation site's range
+_LO, _HI, _ZERO = _const(_ACT.qmin), _const(_ACT.qmax), _const(0.0)
+# A stage's scale factor 2**k, from its accumulator grid to its output grid,
+# is clamped to these k: below, every sum under 2^31 rounds to 0; above,
+# every nonzero one saturates.  So the outputs are unchanged, and the folded
+# weights stay normal floats for any exponents a model file holds.
+_FOLD_MIN = -32  # |sum| < 2^31, so |sum| * 2^-32 < 1/2
+_FOLD_MAX = ACTIVATION_BITS  # |sum| >= 1, so |sum| * 2^7 > 64
+
+
+def _folded(qt: QuantTensor, grid: int, stage_grid: int, out_exp: int) -> np.ndarray:
+    """qt's integers as float64, moved from grid 2**grid onto 2**stage_grid
+    (an exact left shift), then scaled to the output grid 2**out_exp."""
+    fold = min(max(stage_grid - out_exp, _FOLD_MIN), _FOLD_MAX)
+    return np.ldexp(qt.q.astype(np.float64), grid - stage_grid + fold)
+
+
+class Operands(NamedTuple):
+    """The parts of a layer's operand row [h | x | m | u] each stage uses:
+    slices in ``CompiledLayer.parts``, views of one row in a state."""
+
+    h: slice | np.ndarray
+    x: slice | np.ndarray
+    m: slice | np.ndarray
+    u: slice | np.ndarray
+    hx: slice | np.ndarray  # the u stage's input
+    mu: slice | np.ndarray  # the m stage's input
+    xm: slice | np.ndarray  # the h stage's input
 
 
 @dataclass
 class CompiledLayer:
-    """One layer's u, m and h stages.
+    """One layer's u, m and h stages over its operand row [h | x | m | u].
 
-    The operands are laid out as [h | x] for u, [m | u] for m and [x | m]
-    for h.  The m stage has one grid exponent per row, because each cell's
-    A and B have their own scales.
+    Each stage reads one contiguous slice of the row, u from [h | x], m
+    from [m | u] and h from [x | m], and is one matmul by weights already
+    scaled onto its output grid, then ``round_saturate``.  Each cell's part
+    of M has its own factor, because each cell's A and B have their own
+    scales.
     """
 
-    U: np.ndarray  # (c, nh + nx): [W_eh | W_ex]
-    u_grid: int
-    M: np.ndarray  # (D, D + c): [A block-diagonal | each cell's B in its own column]
-    m_grid: np.ndarray  # (D,)
-    H: np.ndarray  # (nh, nx + D): [W_x | W_m]
-    bias: np.ndarray  # (nh,), on h_grid
-    h_grid: int
-    u_spec: QuantSpec
-    m_spec: QuantSpec
-    h_spec: QuantSpec
+    U: np.ndarray  # (nh + nx, c): [W_eh | W_ex].T
+    M: np.ndarray  # (D + c, D): [A block-diagonal | each cell's B in its own column].T
+    H: np.ndarray  # (nx + D, nh): [W_x | W_m].T
+    bias: np.ndarray  # (nh,), on the output grid
+
+    def __post_init__(self):
+        nh, D = self.H.shape[1], self.M.shape[1]
+        nx = self.H.shape[0] - D
+        self.width = nh + nx + D + self.U.shape[1]
+        self.parts = Operands(
+            h=slice(0, nh), x=slice(nh, nh + nx), m=slice(nh + nx, nh + nx + D),
+            u=slice(nh + nx + D, None), hx=slice(0, nh + nx), mu=slice(nh + nx, None),
+            xm=slice(nh, nh + nx + D),
+        )
 
 
 @dataclass
@@ -331,9 +373,9 @@ class CompiledModel:
     """Every layer's stages and the output head, with what they were built
     from, so that an edited model is recompiled and re-proved."""
 
-    x_spec: QuantSpec  # the input features' format
+    x_step: np.ndarray  # the input features' grid step, 2**qm.input_exp
     layers: list
-    out_W: np.ndarray  # (12, nh), on the logits grid
+    out_W: np.ndarray  # (nh, 12), on the logits grid
     out_b: np.ndarray  # (12,)
     source: tuple  # _source(qm) at compile time
 
@@ -352,12 +394,14 @@ def _source(qm: "QuantizedModel") -> tuple:
 def compile_model(qm: QuantizedModel) -> CompiledModel:
     """Prove qm's accumulators safe, then build its float64 stages.
 
-    A stage is one matmul whose weights are pre-shifted onto the stage's
-    finest grid, so the product is the aligned integer sum, followed by one
-    requantize.  Float64 computes it exactly: the proof bounds every aligned
-    sum, bias included, by a sum of magnitudes below 2^31, and any partial
-    sum BLAS forms, in any order, is bounded by the same sum, far below the
-    2^53 up to which float64 holds every integer.
+    A stage's aligned integer sum lives on its finest grid; its weights are
+    those integers times the power of two 2**k that moves the sum onto the
+    output grid, so the product is the scaled sum and the stage only rounds
+    and clips it.  Float64 computes it exactly: the proof bounds every
+    aligned sum, bias included, by a sum of magnitudes below 2^31; any
+    partial sum BLAS forms, in any order, is 2**k times an integer bounded
+    by the same sum, and scaling by a power of two is exact, so it stays far
+    inside the 53 bits float64 holds exactly.
     """
     assert_accumulator_safe(qm)
     layers = []
@@ -367,40 +411,37 @@ def compile_model(qm: QuantizedModel) -> CompiledModel:
         enc_h = layer.hidden_encoder.spec.scale_exp + layer.h_exp
         u_grid = min(enc_x, enc_h)
         U = np.concatenate(
-            [_shifted(layer.hidden_encoder, enc_h, u_grid),
-             _shifted(layer.input_encoder, enc_x, u_grid)], axis=1)
+            [_folded(layer.hidden_encoder, enc_h, u_grid, layer.u_exp),
+             _folded(layer.input_encoder, enc_x, u_grid, layer.u_exp)], axis=1)
 
         D, c = sum(cell.order for cell in layer.cells), len(layer.cells)
         M = np.zeros((D, D + c))
-        m_grid = np.empty(D, dtype=np.int64)
         lo = 0
         for k, cell in enumerate(layer.cells):
             hi = lo + cell.order
             a_grid = cell.A.spec.scale_exp + layer.m_exp
             b_grid = cell.B.spec.scale_exp + layer.u_exp
             g = min(a_grid, b_grid)
-            M[lo:hi, lo:hi] = _shifted(cell.A, a_grid, g)
-            M[lo:hi, D + k] = _shifted(cell.B, b_grid, g)
-            m_grid[lo:hi] = g
+            M[lo:hi, lo:hi] = _folded(cell.A, a_grid, g, layer.m_exp)
+            M[lo:hi, D + k] = _folded(cell.B, b_grid, g, layer.m_exp)
             lo = hi
 
         ker_x = layer.input_kernel.spec.scale_exp + x_exp
         ker_m = layer.memory_kernel.spec.scale_exp + layer.m_exp
         h_grid = layer.bias.spec.scale_exp  # the proof checked it is min(ker_x, ker_m)
         H = np.concatenate(
-            [_shifted(layer.input_kernel, ker_x, h_grid),
-             _shifted(layer.memory_kernel, ker_m, h_grid)], axis=1)
+            [_folded(layer.input_kernel, ker_x, h_grid, layer.h_exp),
+             _folded(layer.memory_kernel, ker_m, h_grid, layer.h_exp)], axis=1)
         layers.append(CompiledLayer(
-            U=U, u_grid=u_grid, M=M, m_grid=m_grid, H=H,
-            bias=layer.bias.q.astype(np.float64), h_grid=h_grid,
-            u_spec=_act_spec(layer.u_exp), m_spec=_act_spec(layer.m_exp),
-            h_spec=_act_spec(layer.h_exp),
+            U=np.ascontiguousarray(U.T), M=np.ascontiguousarray(M.T),
+            H=np.ascontiguousarray(H.T),
+            bias=_folded(layer.bias, h_grid, h_grid, layer.h_exp),
         ))
         x_exp = layer.h_exp
     return CompiledModel(
-        x_spec=_act_spec(qm.input_exp),
+        x_step=_const(2.0**qm.input_exp),
         layers=layers,
-        out_W=qm.output_weight.q.astype(np.float64),
+        out_W=np.ascontiguousarray(qm.output_weight.q.T, dtype=np.float64),
         out_b=qm.output_bias.q.astype(np.float64),
         source=_source(qm),
     )
@@ -416,9 +457,11 @@ def _engine(qm: QuantizedModel) -> CompiledModel:
 class QuantStreamState:
     """Integer recurrent state (7-bit h and m per layer) of ``batch`` streams.
 
-    Each layer holds ``batch + (n,)`` int64 rows.  The streams run the stages
-    of ``qm`` as they are when the state is made (or reset); an edit of ``qm``
-    after that reaches new states only.
+    Each layer's state lives in its operand row, ``batch + (n,)`` float64
+    holding integers laid out [h | x | m | u] (see ``CompiledLayer``), which
+    the engine steps in place; ``h`` and ``m`` are int64 read-outs of their
+    slices.  The streams run the stages of ``qm`` as they are when the state
+    is made (or reset); an edit of ``qm`` after that reaches new states only.
     """
 
     def __init__(self, qm: QuantizedModel, batch: tuple = ()):
@@ -428,12 +471,23 @@ class QuantStreamState:
 
     def reset(self) -> None:
         self.engine = _engine(self._qm)
-        self.h = [np.zeros((*self.batch, st.H.shape[0]), np.int64) for st in self.engine.layers]
-        self.m = [np.zeros((*self.batch, st.M.shape[0]), np.int64) for st in self.engine.layers]
+        self.rows = []
+        for st in self.engine.layers:
+            row = np.zeros((*self.batch, st.width))
+            self.rows.append(Operands(*(row[..., part] for part in st.parts)))
+        # The m stage reads the m it replaces, so it writes here first.
+        self.m_next = [np.zeros(row.m.shape) for row in self.rows]
+        # The step's quantized input: the first layer's x, or its own row
+        # in a model without layers.
+        self.x_q = self.rows[0].x if self.rows else np.zeros((*self.batch, self._qm.input_dim))
 
+    @property
+    def h(self) -> list:
+        return [row.h.astype(np.int64) for row in self.rows]
 
-def _act_spec(exp: int) -> QuantSpec:
-    return QuantSpec(ACTIVATION_BITS, exp)
+    @property
+    def m(self) -> list:
+        return [row.m.astype(np.int64) for row in self.rows]
 
 
 def quantized_forward(
@@ -447,9 +501,10 @@ def quantized_forward(
     Leading axes are independent streams stepped together, each stage one
     exact matmul over all rows (see ``compile_model``), so a row's integers
     equal a call on that row alone; a given ``state`` has their shape.
-    Features are quantized to the model's input format at the boundary; all
-    arithmetic after that is on integers (held exactly in float64 inside a
-    stage).  Logits are int64 (..., T, 12) on the grid 2**qm.logits_exp.
+    Features are quantized to the model's input format at the boundary,
+    straight into the first layer's operand row; all arithmetic after that
+    is on integers (held exactly in float64).  Logits are int64
+    (..., T, 12) on the grid 2**qm.logits_exp.
 
     Returns (logits_q, state) or (logits_q, state, trace) with trace holding
     per-step quantized u/m/h per layer when collect_trace is set.
@@ -464,33 +519,34 @@ def quantized_forward(
         raise ValueError("state was made for another model")
     elif state.batch != batch:
         raise ValueError(f"state holds a batch of {state.batch}, features have {batch}")
+    if not np.isfinite(features).all():
+        raise ValueError("cannot quantize non-finite values")
     engine = state.engine
-    x_q_all = quantize(features, engine.x_spec).q
     T = features.shape[-2]
-    logits = np.empty(batch + (T, 12), dtype=np.int64)
+    h_out = np.empty(batch + (T, engine.out_W.shape[0]))  # the head's input per step
     trace = {"u": [], "m": [], "h": []} if collect_trace else None
     for t in range(T):
-        x = x_q_all[..., t, :]
+        h = np.divide(features[..., t, :], engine.x_step, out=state.x_q)
+        round_saturate(h, _LO, _HI)
         if collect_trace:
             for steps in trace.values():
                 steps.append([])
-        for i, st in enumerate(engine.layers):
-            u = requantize(np.concatenate((state.h[i], x), axis=-1) @ st.U.T,
-                           st.u_grid, st.u_spec.scale_exp, st.u_spec)
-            m = requantize(np.concatenate((state.m[i], u), axis=-1) @ st.M.T,
-                           st.m_grid, st.m_spec.scale_exp, st.m_spec)
-            acc = np.concatenate((x, m), axis=-1) @ st.H.T
-            acc += st.bias
-            np.maximum(acc, 0.0, out=acc)
-            x = requantize(acc, st.h_grid, st.h_spec.scale_exp, st.h_spec)
-            state.m[i], state.h[i] = m, x
+        for i, (st, row, m) in enumerate(zip(engine.layers, state.rows, state.m_next)):
+            if i:
+                row.x[...] = h
+            round_saturate(np.matmul(row.hx, st.U, out=row.u), _LO, _HI)
+            round_saturate(np.matmul(row.mu, st.M, out=m), _LO, _HI)
+            row.m[...] = m
+            h = np.matmul(row.xm, st.H, out=row.h)
+            h += st.bias
+            round_saturate(h, _ZERO, _HI)  # the relu: its lower bound is 0
             if collect_trace:
-                trace["u"][-1].append(u)
-                trace["m"][-1].append(m)
-                trace["h"][-1].append(x)
-        out = x @ engine.out_W.T
-        out += engine.out_b
-        logits[..., t, :] = out
+                for name, v in (("u", row.u), ("m", m), ("h", h)):
+                    trace[name][-1].append(v.astype(np.int64))
+        h_out[..., t, :] = h
+    out = h_out @ engine.out_W
+    out += engine.out_b
+    logits = out.astype(np.int64)
     if collect_trace:
         return logits, state, trace
     return logits, state

@@ -359,6 +359,18 @@ class TestStream:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
 
+    @pytest.mark.parametrize("chunk", ["0", "-5"])
+    def test_chunk_samples_below_one_is_usage_error(self, toy_root, trained, tmp_path,
+                                                    capsys, chunk):
+        # At 0 the chunk loop raised (exit 3); at -5 it ran no hop (exit 0).
+        wav = next((toy_root / "yes").glob("*.wav"))
+        out = tmp_path / "out"
+        rc = main(["stream", "--model", str(trained / "model.lmuq"), "--wav", str(wav),
+                   "--chunk-samples", chunk, "--out-dir", str(out)])
+        assert rc == 1
+        assert "chunk-samples >= 1" in capsys.readouterr().err
+        assert not (out / "posteriors.csv").exists()
+
 
 class TestSizeReport:
     def test_shipped_presets(self, capsys):

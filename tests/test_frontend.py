@@ -75,6 +75,9 @@ class TestFeatureConfig:
         normed = FeatureConfig(norm_mean=tuple([0.0] * 40), norm_std=tuple([1.0] * 40))
         assert base.config_hash() != normed.config_hash()
         assert len(base.config_hash()) == 32
+        # Model files store this digest: it must not drift between versions.
+        assert base.config_hash().hex() == (
+            "87a44df8266814ef7bf8e553c86549ede5e78357c8e31b6c251aa76db0e31a19")
 
 
 class TestSidecar:
@@ -82,11 +85,17 @@ class TestSidecar:
                            norm_std=tuple(np.linspace(0.5, 2.0, 40).tolist()))
 
     def test_round_trip_keeps_the_hash(self, tmp_path):
-        for config in (CFG, self.NORMED):
+        # The last config holds numpy floats, which the sidecar loads back
+        # as Python floats.
+        numpy_floats = FeatureConfig(f_hi=np.float64(7600.0),
+                                     norm_mean=tuple(np.linspace(-3.0, 1.0, 40)),
+                                     norm_std=tuple(np.linspace(0.5, 2.0, 40)))
+        for config in (CFG, self.NORMED, numpy_floats):
             save_feature_config(config, tmp_path / "frontend.npz")
             loaded = load_feature_config(tmp_path / "frontend.npz")
             assert loaded == config
             assert loaded.config_hash() == config.config_hash()
+        assert numpy_floats.config_hash() == self.NORMED.config_hash()
 
     def test_truncated_or_not_an_archive_rejected(self, tmp_path):
         path = tmp_path / "frontend.npz"

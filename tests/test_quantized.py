@@ -310,9 +310,17 @@ class TestCompiledEngine:
         step = 2.0**qm.input_exp
         feats = rng.choice([-64.0, 63.0], size=(24, qm.input_dim)) * step
         feats[5] = -64.0 * step
-        ref, _ = reference_forward(qm, feats)
-        logits, _ = quantized_forward(qm, feats)
+        ref, (ref_h, ref_m) = reference_forward(qm, feats)
+        logits, state, trace = quantized_forward(qm, feats, collect_trace=True)
         np.testing.assert_array_equal(logits, ref)
+        # These inputs saturate u, m and h in every layer; the state's
+        # read-outs still equal the reference's state.
+        for i in range(len(qm.layers)):
+            np.testing.assert_array_equal(state.h[i], ref_h[i])
+            np.testing.assert_array_equal(state.m[i], np.concatenate(ref_m[i]))
+            for site, bounds in (("u", (-64, 63)), ("m", (-64, 63)), ("h", (63,))):
+                steps = np.array([step[i] for step in trace[site]])
+                assert all((steps == b).any() for b in bounds), (site, i)
         layer.bias.q[row] += 1
         with pytest.raises(ValueError, match="h accumulator"):
             quantized_forward(qm, feats)
@@ -334,6 +342,27 @@ class TestCompiledEngine:
         logits, _ = quantized_forward(qm, feats)
         np.testing.assert_array_equal(logits, ref)
         assert np.abs(logits).max() > 2**30
+
+    def test_output_grid_far_finer_than_its_sum(self):
+        # A model file may put a stage's output grid any distance below its
+        # accumulator's.  With both encoders of the last layer zero, u is 0
+        # and the proof holds for any h grid.  Every positive preactivation
+        # saturates at 2^7 times finer already (|sum| >= 1 becomes >= 128),
+        # so 2^-5000 must give the same integers, not the NaNs of weights
+        # scaled past float64's range.
+        _, _, qm, rng = _calibrated(29)
+        layer = qm.layers[-1]
+        for name in ("input_encoder", "hidden_encoder"):
+            old = getattr(layer, name)
+            setattr(layer, name, QuantTensor(np.zeros_like(old.q), old.spec))
+        feats = rng.standard_normal((8, 5))
+        layer.h_exp = layer.bias.spec.scale_exp - 7
+        near, near_state = quantized_forward(qm, feats)
+        assert set(np.unique(near_state.h[-1])) == {0, 63}
+        layer.h_exp = -5000
+        far, far_state = quantized_forward(qm, feats)
+        np.testing.assert_array_equal(far, near)
+        np.testing.assert_array_equal(far_state.h[-1], near_state.h[-1])
 
     def test_edit_past_the_proof_raises(self):
         # The engine re-proves an edited model instead of running stages
@@ -408,6 +437,16 @@ class TestQuantizedForward:
         for h in state.h:
             assert h.dtype == np.int64 and np.max(np.abs(h)) <= 64
 
+    def test_model_without_layers(self):
+        # The output head straight on the quantized input, alone and batched.
+        rng = np.random.default_rng(12)
+        model = build_model(ModelConfig(input_dim=5, layers=()), rng)
+        feats = rng.standard_normal((2, 7, 5))
+        qm = freeze(model, 8, calibrate_activation_scales(model, feats))
+        logits, _ = quantized_forward(qm, feats)
+        for b in range(2):
+            np.testing.assert_array_equal(logits[b], reference_forward(qm, feats[b])[0])
+
     def test_evaluate_equals_per_clip_count(self):
         _, _, qm, rng = _calibrated(10)
         x = rng.standard_normal((9, 6, 5))
@@ -424,6 +463,20 @@ class TestQuantizedForward:
             quantized_forward(qm, np.zeros((4, 6)))
         with pytest.raises(ValueError):
             quantized_forward(qm, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_value_in_one_row(self, bad):
+        # Checked before any step, so the state is left as it was.
+        _, _, qm, rng = _calibrated(11)
+        state = QuantStreamState(qm, (3,))
+        quantized_forward(qm, rng.standard_normal((3, 4, 5)), state)
+        before = state.h + state.m
+        feats = rng.standard_normal((3, 4, 5))
+        feats[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quantized_forward(qm, feats, state)
+        for a, b in zip(before, state.h + state.m):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("preset", REFERENCE_NAMES)
     def test_batch_equals_rows_on_every_preset(self, preset):
@@ -478,7 +531,77 @@ class TestSizeMetric:
         assert base == per_tensor * qm.weight_bits / 1000
 
 
+def _with_crc(path, body: bytes) -> None:
+    """Write a model file body followed by its valid CRC."""
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+@pytest.fixture(scope="module")
+def small_model_files(tmp_path_factory):
+    """Two small model files: a pruned one-layer model whose hidden encoder
+    is still all zero, as build_model leaves it, and a two-layer one."""
+    rng = np.random.default_rng(31)
+    cfg = ModelConfig(input_dim=3, layers=(
+        LayerConfig(hidden=3, cells=(CellConfig(2, 0.1), CellConfig(1, 0.2))),))
+    model = build_model(cfg, rng)
+    model.layers[0].bias[:] = rng.uniform(-0.3, 0.3, 3)
+    mask = prune_magnitude(model, 0.3)
+    apply_mask(model, mask)
+    scales = calibrate_activation_scales(model, rng.standard_normal((4, 8, 3)))
+    pruned = freeze(model, 8, scales, mask=mask)
+    _, _, two_layer, _ = _calibrated(32, weight_bits=4)
+    paths = []
+    for k, qm in enumerate((pruned, two_layer)):
+        paths.append(tmp_path_factory.mktemp("small-models") / f"model{k}.lmuq")
+        save_model(qm, paths[-1])
+    return paths
+
+
 class TestModelFile:
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.integers(0, 1), at=st.floats(0, 1, exclude_max=True),
+           edit=st.binary(min_size=1, max_size=8))
+    def test_edit_with_valid_crc_fails_cleanly_or_runs(self, small_model_files, which, at, edit):
+        # Any bytes of the file overwritten and the CRC recomputed: the file
+        # is rejected as malformed, or it loads, passes the accumulator
+        # proof and runs with every activation in range.
+        body = small_model_files[which].read_bytes()[:-4]
+        pos = int(at * len(body))
+        path = small_model_files[which].with_name("edited.lmuq")
+        _with_crc(path, body[:pos] + edit + body[pos + len(edit):])
+        try:
+            qm = load_model(path)
+        except ModelFormatError:
+            return
+        assert_accumulator_safe(qm)
+        feats = np.random.default_rng(0).standard_normal((2, 6, qm.input_dim)) * 4
+        logits, state = quantized_forward(qm, feats)
+        assert logits.shape == (2, 6, 12) and np.abs(logits).max() < 2**31
+        for h, m in zip(state.h, state.m):
+            assert 0 <= h.min() and h.max() <= 63 and -64 <= m.min() and m.max() <= 63
+
+    @pytest.mark.parametrize("field", ["label", "tensor name"])
+    def test_text_that_is_not_utf8_rejected(self, small_model_files, tmp_path, field):
+        body = small_model_files[1].read_bytes()[:-4]
+        text = b"label0" if field == "label" else b"layer0.cell0.A"
+        at = body.index(struct.pack("<H", len(text)) + text) + 2
+        _with_crc(tmp_path / "m.lmuq", body[:at] + b"\xff" + body[at + 1:])
+        with pytest.raises(ModelFormatError, match="UTF-8"):
+            load_model(tmp_path / "m.lmuq")
+
+    def test_more_dimensions_than_numpy_supports_rejected(self, small_model_files, tmp_path):
+        # output.weight (12, 3) with a keep-mask, restated as 65-dimensional
+        # (12, 3, 1, ..., 1): the same count, so only the reshape can fail.
+        body = small_model_files[0].read_bytes()[:-4]
+        name = b"output.weight"
+        at = body.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 3
+        assert body[at] == 2  # ndim
+        dims = body[at + 1 : at + 9]
+        new = struct.pack("<B", 65) + dims + struct.pack("<I", 1) * 63
+        _with_crc(tmp_path / "m.lmuq", body[:at] + new + body[at + 9:])
+        with pytest.raises(ModelFormatError, match="output.weight"):
+            load_model(tmp_path / "m.lmuq")
+
     def test_round_trip_preserves_inference(self, tmp_path):
         _, _, qm, rng = _calibrated(13, weight_bits=4)
         feats = rng.standard_normal((9, 5))
