@@ -60,7 +60,14 @@ from .qmodel import (
     model_size_kbits,
     quantized_forward,
 )
-from .training import TrainConfig, TrainingError, evaluate, majority_baseline, train
+from .training import (
+    TrainConfig,
+    TrainingError,
+    check_prune_steps,
+    evaluate,
+    majority_baseline,
+    train,
+)
 
 DATA_URL = "http://download.tensorflow.org/data/speech_commands_v0.02.tar.gz"
 # published digest of the v0.02 archive
@@ -117,8 +124,48 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def resolve_config(args, defaults: dict) -> dict:
-    """Merge run settings; reject unknown config-file keys."""
+@dataclasses.dataclass(frozen=True)
+class Limit:
+    """The declared type and range of one setting, checked by ``resolve_config``.
+
+    ``kind`` is int, float or bool; a float setting also takes an int.  The
+    bounds are inclusive unless marked open; nan fails every bound.
+    ``optional`` allows None, which leaves the setting unset.
+    """
+    kind: type
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+    choices: tuple = ()
+    optional: bool = False
+
+    def check(self, key: str, value) -> None:
+        if value is None and self.optional:
+            return
+        ok = isinstance(value, (int, float) if self.kind is float else self.kind)
+        ok = ok and (self.kind is bool or not isinstance(value, bool))
+        ok = ok and (self.lo is None or (value > self.lo if self.lo_open else value >= self.lo))
+        ok = ok and (self.hi is None or (value < self.hi if self.hi_open else value <= self.hi))
+        ok = ok and (not self.choices or value in self.choices)
+        if not ok:
+            raise UsageError(f"{self.describe(key.replace('_', '-'))}, got {value!r}")
+
+    def describe(self, name: str) -> str:
+        kind = {int: "an integer", float: "a number", bool: "true or false"}[self.kind]
+        if self.choices:
+            kind += f" in {{{', '.join(map(str, self.choices))}}}"
+        elif self.lo is not None and self.hi is not None:
+            kind += (f" with {self.lo:g} {'<' if self.lo_open else '<='} {name} "
+                     f"{'<' if self.hi_open else '<='} {self.hi:g}")
+        elif self.lo is not None:
+            kind += f" with {name} {'>' if self.lo_open else '>='} {self.lo:g}"
+        return f"{name}: expected {'none or ' if self.optional else ''}{kind}"
+
+
+def resolve_config(args, defaults: dict, limits: dict) -> dict:
+    """Merge run settings; reject unknown config-file keys and any setting
+    outside its declared ``Limit``."""
     resolved = dict(defaults)
     if args.config is not None:
         file_vals = _read_config_file(args.config)
@@ -132,6 +179,8 @@ def resolve_config(args, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
+    for key, limit in limits.items():
+        limit.check(key, resolved[key])
     return resolved
 
 
@@ -310,43 +359,63 @@ TRAIN_DEFAULTS = {
     "out_dir": None,
 }
 
+TRAIN_LIMITS = {
+    "steps": Limit(int, lo=1),
+    "batch_size": Limit(int, lo=1),
+    # Adam moves each weight by about the learning rate per step.
+    "learning_rate": Limit(float, lo=0.0, hi=1.0, lo_open=True),
+    "weight_bits": Limit(int, choices=(4, 8), optional=True),
+    "target_sparsity": Limit(float, lo=0.0, hi=1.0, hi_open=True, optional=True),
+    "hat": Limit(bool),
+    "quant_on_step": Limit(int, lo=0, optional=True),
+    "prune_start": Limit(int, lo=0, optional=True),
+    "prune_end": Limit(int, lo=0, optional=True),
+    "calibration_sequences": Limit(int, lo=1),
+    "log_every": Limit(int, lo=1),
+    "seed": Limit(int, lo=0),
+}
+
 
 def cmd_train(cfg: dict) -> int:
+    prune_start, prune_end = cfg["prune_start"], cfg["prune_end"]
+    try:
+        check_prune_steps(prune_start, prune_end)
+    except ValueError as exc:
+        raise UsageError(f"prune-start and prune-end: {exc}") from None
     out = _out_dir(cfg, "train")
     out.mkdir(parents=True, exist_ok=True)
     root = Path(cfg["data_root"])
     if not root.is_dir():
         raise DatasetError(f"dataset root not found: {root} (run fetch-data first)")
-    manifest = build_dataset(root, _words(cfg["keywords"]), seed=int(cfg["seed"]))
+    manifest = build_dataset(root, _words(cfg["keywords"]), seed=cfg["seed"])
     ds = materialize_features(manifest, FeatureConfig())
     model_cfg = reference_config(str(cfg["model_preset"]))
     overrides = {"label_names": tuple(ds.label_names)}
     if cfg["weight_bits"] is not None:
-        overrides["weight_bits"] = int(cfg["weight_bits"])
+        overrides["weight_bits"] = cfg["weight_bits"]
     if cfg["target_sparsity"] is not None:
         overrides["target_sparsity"] = float(cfg["target_sparsity"])
     model_cfg = dataclasses.replace(model_cfg, **overrides)
 
-    steps = int(cfg["steps"])
+    steps = cfg["steps"]
     quant_on = None
     if cfg["hat"]:
-        quant_on = int(cfg["quant_on_step"]) if cfg["quant_on_step"] is not None else steps // 2
-    prune_start, prune_end = cfg["prune_start"], cfg["prune_end"]
-    if model_cfg.target_sparsity > 0.0 and prune_start is None and prune_end is None:
+        quant_on = cfg["quant_on_step"] if cfg["quant_on_step"] is not None else steps // 2
+    if model_cfg.target_sparsity > 0.0 and prune_start is None:
         prune_start, prune_end = steps // 4, (3 * steps) // 4
 
     train_cfg = TrainConfig(
         model=model_cfg,
         learning_rate=float(cfg["learning_rate"]),
-        batch_size=int(cfg["batch_size"]),
+        batch_size=cfg["batch_size"],
         steps=steps,
         quant_on_step=quant_on,
-        prune_start=None if prune_start is None else int(prune_start),
-        prune_end=None if prune_end is None else int(prune_end),
+        prune_start=prune_start,
+        prune_end=prune_end,
         target_sparsity=model_cfg.target_sparsity,
-        calibration_sequences=int(cfg["calibration_sequences"]),
-        seed=int(cfg["seed"]),
-        log_every=int(cfg["log_every"]),
+        calibration_sequences=cfg["calibration_sequences"],
+        seed=cfg["seed"],
+        log_every=cfg["log_every"],
     )
 
     init_tensors = None
@@ -456,16 +525,20 @@ STREAM_DEFAULTS = {
     "out_dir": None,
 }
 
+STREAM_LIMITS = {
+    "smooth": Limit(int, lo=1),
+    "threshold": Limit(float, lo=0.0, hi=1.0, lo_open=True),
+    "refractory": Limit(int, lo=0),
+    "chunk_samples": Limit(int, lo=1),
+    "seed": Limit(int, lo=0),
+}
+
 
 def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
-    smooth = int(cfg["smooth"])
-    threshold = float(cfg["threshold"])
-    refractory = int(cfg["refractory"])
-    chunk = int(cfg["chunk_samples"])
-    if smooth < 1 or refractory < 0 or not 0.0 < threshold <= 1.0 or chunk < 1:
-        raise UsageError("smooth >= 1, refractory >= 0, 0 < threshold <= 1, chunk-samples >= 1")
+    smooth, threshold = cfg["smooth"], cfg["threshold"]
+    refractory, chunk = cfg["refractory"], cfg["chunk_samples"]
     qm = _load_model_checked(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
     samples = load_wav(cfg["wav"], expected_rate=feat_cfg.sample_rate)
@@ -725,13 +798,13 @@ def build_parser() -> _Parser:
 
 
 _HANDLERS = {
-    "fetch-data": (cmd_fetch_data, FETCH_DEFAULTS),
-    "train": (cmd_train, TRAIN_DEFAULTS),
-    "eval": (cmd_eval, EVAL_DEFAULTS),
-    "stream": (cmd_stream, STREAM_DEFAULTS),
-    "size-report": (cmd_size_report, SIZE_DEFAULTS),
-    "hw-report": (cmd_hw_report, HW_REPORT_DEFAULTS),
-    "hw-sweep": (cmd_hw_sweep, HW_SWEEP_DEFAULTS),
+    "fetch-data": (cmd_fetch_data, FETCH_DEFAULTS, {}),
+    "train": (cmd_train, TRAIN_DEFAULTS, TRAIN_LIMITS),
+    "eval": (cmd_eval, EVAL_DEFAULTS, {}),
+    "stream": (cmd_stream, STREAM_DEFAULTS, STREAM_LIMITS),
+    "size-report": (cmd_size_report, SIZE_DEFAULTS, {}),
+    "hw-report": (cmd_hw_report, HW_REPORT_DEFAULTS, {}),
+    "hw-sweep": (cmd_hw_sweep, HW_SWEEP_DEFAULTS, {}),
 }
 
 
@@ -741,9 +814,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    handler, defaults = _HANDLERS[args.cmd]
+    handler, defaults, limits = _HANDLERS[args.cmd]
     try:
-        cfg = resolve_config(args, defaults)
+        cfg = resolve_config(args, defaults, limits)
         _write_resolved(cfg, _out_dir(cfg, args.cmd), args.cmd)
         return handler(cfg)
     except UsageError as e:

@@ -20,7 +20,7 @@ import re
 import wave
 import zipfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +55,10 @@ class FeatureConfig:
             raise ValueError(
                 f"fft_size {self.fft_size} < window of {self.window_samples} samples"
             )
+        if self.fft_size & (self.fft_size - 1):
+            # The kernel folds the power spectrum's 1/fft_size into the mel
+            # bank, which is exact only for a power of two.
+            raise ValueError(f"fft_size {self.fft_size} is not a power of two")
         if not 0 < self.f_lo < self.f_hi <= self.sample_rate / 2:
             raise ValueError("mel band must satisfy 0 < f_lo < f_hi <= Nyquist")
 
@@ -95,11 +99,12 @@ class FeatureConfig:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """(window, mel bank, norm mean, norm std) as arrays, built once per config."""
+        """(window, scaled mel bank, norm mean, norm std) as arrays, built once
+        per config; the bank carries the power spectrum's per-bin scale."""
         has_norm = self.norm_mean is not None
         return (
             _periodic_hann(self.window_samples),
-            mel_filterbank(self),
+            mel_filterbank(self) * power_scale(self.fft_size),
             np.asarray(self.norm_mean) if has_norm else None,
             np.asarray(self.norm_std) if has_norm else None,
         )
@@ -170,15 +175,13 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def power_spectrum(windowed: np.ndarray, fft_size: int) -> np.ndarray:
-    """One-sided power spectrum of each row, scaled so a row sums to sum(windowed**2).
-
-    One ``rfft`` over all rows: its rows are bit-identical to one call per row.
-    """
-    spec = np.fft.rfft(windowed, n=fft_size)
-    power = (spec.real**2 + spec.imag**2) / fft_size
-    power[..., 1 : (fft_size + 1) // 2] *= 2.0  # fold negative frequencies in
-    return power
+def power_scale(fft_size: int) -> np.ndarray:
+    """Per-bin factor turning |rfft|^2 into the one-sided power spectrum,
+    scaled so a window's bins sum to the sum of its squared samples:
+    1/fft_size, doubled for the bins whose negative frequency folds in."""
+    scale = np.full(fft_size // 2 + 1, 1.0 / fft_size)
+    scale[1 : (fft_size + 1) // 2] *= 2.0
+    return scale
 
 
 def log_mel_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -189,13 +192,21 @@ def log_mel_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     projection is therefore one matrix-vector product per frame (numpy's
     stacked matmul with a trailing unit axis); a matrix product across frames
     (``power @ bank.T``) lets BLAS reorder the sums and changes the last bits.
+
+    The power spectrum's scale is folded into the mel bank (README, "The
+    frontend kernel", says why that is exact), and the projection writes
+    straight into the output.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim == 0 or frames.shape[-1] != config.window_samples:
         raise ValueError(f"expected windows of {config.window_samples} samples, got {frames.shape}")
     window, bank, mean, std = config._kernel
-    power = power_spectrum(frames * window, config.fft_size)
-    feats = np.matmul(bank, power[..., None])[..., 0] + config.log_floor
+    spec = np.fft.rfft(frames * window, n=config.fft_size)
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    feats = np.empty(frames.shape[:-1] + (config.mel_bins,))  # a fresh array, no base
+    np.matmul(bank, power[..., None], out=feats[..., None])
+    feats += config.log_floor
     np.log(feats, out=feats)
     if mean is not None:
         feats -= mean
@@ -273,7 +284,9 @@ def load_wav(path, expected_rate: int = 16000) -> np.ndarray:
         raise WavFormatError(f"{path}: not a valid WAV file ({exc})") from exc
     if len(raw) % 2:
         raise WavFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    # k * 2^-15 is exact in float64: the same values as astype, then / 32768.
+    # dtype= keeps float64 under numpy 1.x's value-based casting, too.
+    return np.multiply(np.frombuffer(raw, dtype="<i2"), 2.0**-15, dtype=np.float64)
 
 
 def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:
@@ -308,14 +321,20 @@ def which_set(filename: str, val_pct: float = 10.0, test_pct: float = 10.0) -> s
     base = os.path.basename(filename)
     if "_nohash_" not in base:
         raise ValueError(f"{filename!r} has no '_nohash_' speaker separator")
-    speaker = re.sub(r"_nohash_.*$", "", base)
-    digest = hashlib.sha1(speaker.encode("utf-8")).hexdigest()
-    pct = (int(digest, 16) % (MAX_WAVS_PER_SPEAKER + 1)) * (100.0 / MAX_WAVS_PER_SPEAKER)
+    pct = _speaker_pct(re.sub(r"_nohash_.*$", "", base))
     if pct < val_pct:
         return "val"
     if pct < val_pct + test_pct:
         return "test"
     return "train"
+
+
+@lru_cache(maxsize=1 << 14)
+def _speaker_pct(speaker: str) -> float:
+    """The speaker's hash bucket as a percentage; cached because every take
+    of a speaker, in every word folder, shares it."""
+    digest = hashlib.sha1(speaker.encode("utf-8")).hexdigest()
+    return (int(digest, 16) % (MAX_WAVS_PER_SPEAKER + 1)) * (100.0 / MAX_WAVS_PER_SPEAKER)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 """End-to-end tests of the command-line surface (in-process, no network)."""
 
+import contextlib
 import io
+import re
 import struct
 import tarfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from lmukws.cli import main
+from lmukws.cli import STREAM_LIMITS, TRAIN_LIMITS, main
 from lmukws.fixedpoint import QuantTensor
 from lmukws.frontend import (
     FeatureConfig,
     build_dataset,
+    generate_toy_dataset,
     materialize_features,
     save_feature_config,
     write_wav,
@@ -170,6 +174,140 @@ class TestTrain:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "fetch-data" in capsys.readouterr().err
+
+
+def _config_file(path, values: dict):
+    """A config file holding ``values``; each reads back as the same value."""
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    return path
+
+
+# What a config-file value can read back as: none, a bool, an int, a float
+# (nan and the infinities included) or a string.
+ANY_SETTING = st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
+                        st.floats(), st.sampled_from(["", "fast"]))
+
+
+def _within(limit, top: int = 40):
+    """Values inside a declared ``Limit``; integers at most ``top``."""
+    if limit.kind is bool:
+        values = st.booleans()
+    elif limit.choices:
+        values = st.sampled_from(limit.choices)
+    elif limit.kind is int:
+        values = st.integers(limit.lo, top)
+    else:
+        values = st.floats(limit.lo, limit.hi, exclude_min=limit.lo_open,
+                           exclude_max=limit.hi_open, allow_nan=False, allow_infinity=False)
+    return values | st.none() if limit.optional else values
+
+
+def _settings(limits: dict, caps: dict):
+    """Config-file values for the keys of ``limits``: either every key inside
+    its limit, or any subset of keys, each inside its limit or anything.
+    A key in ``caps`` is always set, and never to an integer above its cap."""
+    within = {key: _within(limit, caps.get(key, 40)) for key, limit in limits.items()}
+    anything = {key: within[key] | ANY_SETTING.filter(
+        lambda v, cap=caps.get(key, 40): type(v) is not int or v <= cap) for key in limits}
+    return (st.fixed_dictionaries(within)
+            | st.fixed_dictionaries({key: anything[key] for key in caps}, optional={
+                key: values for key, values in anything.items() if key not in caps}))
+
+
+class TestSettingLimits:
+    @pytest.mark.parametrize("line, name", [
+        ("batch_size = -3", "batch-size"),       # numpy "negative dimensions", exit 3
+        ("learning_rate = nan", "learning-rate"),  # exit 3
+        ("log_every = 0", "log-every"),          # modulo by zero, exit 3
+        ("steps = -1", "steps"),                 # exit 0, a model with "final loss nan"
+        ("weight_bits = 5", "weight-bits"),      # exit 3 in freeze, after training
+        ("prune_start = 3", "prune-end"),        # exit 3 in TrainConfig
+    ])
+    def test_train_setting_outside_its_limit_is_usage_error(
+            self, toy_root, tmp_path, capsys, line, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = main(["train", "--data-root", str(toy_root), "--config", str(cfg),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not (out / "model.lmuq").exists()
+
+    @pytest.mark.parametrize("line, name", [
+        ("smooth = 2.5", "smooth"),               # ran, as smooth = 2
+        ("threshold = nan", "threshold"),
+        ("refractory = true", "refractory"),      # ran, as refractory = 1
+        ("chunk_samples = none", "chunk-samples"),  # uncaught TypeError
+    ])
+    def test_stream_setting_outside_its_limit_is_usage_error(
+            self, toy_root, trained, tmp_path, capsys, line, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        wav = next((toy_root / "yes").glob("*.wav"))
+        out = tmp_path / "out"
+        rc = main(["stream", "--model", str(trained / "model.lmuq"), "--wav", str(wav),
+                   "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not (out / "posteriors.csv").exists()
+
+    def test_limits_are_checked_before_data_is_read(self, tmp_path, capsys):
+        rc = main(["train", "--data-root", str(tmp_path / "nope"), "--batch-size", "0",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "batch-size: expected an integer with batch-size >= 1, got 0" in (
+            capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def tiny_root(tmp_path_factory):
+    # Three speakers, one take: spk0002 hashes to val, the other two to train.
+    root = tmp_path_factory.mktemp("tiny")
+    generate_toy_dataset(root, speakers=3, takes=1, seed=0)
+    return root
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_settings(TRAIN_LIMITS, caps={"steps": 2}))  # each run stays short
+@example(values={"steps": 2, "quant_on_step": 1, "target_sparsity": 0.5})
+@example(values={"steps": 1, "hat": False, "prune_start": 0, "prune_end": 0})
+def test_random_train_settings_run_or_are_usage_errors(tiny_root, tmp_path_factory, values):
+    tmp = tmp_path_factory.mktemp("train-settings")
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--data-root", str(tiny_root), "--model-preset", "toy",
+                   "--config", str(_config_file(tmp / "run.cfg", values)),
+                   "--out-dir", str(out)])
+    event(f"exit {rc}")
+    if rc == 3:
+        # A known defect, not an allowed outcome: at learning rates of about
+        # 0.2 and up, freeze can meet an activation whose calibrated grid is
+        # so fine that the 32-bit accumulator proof fails (mostly at u, also
+        # at h).  ROADMAP item 3, "freeze refuses models trained at high
+        # learning rates", tracks it; delete this branch when that lands, so
+        # every run exits 0 or 1.
+        assert re.search(r"accumulator worst case \d+ >= 2\^31", err.getvalue())
+    else:
+        assert rc in (0, 1), err.getvalue()
+    assert (out / "model.lmuq").exists() == (rc == 0)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_settings(STREAM_LIMITS, caps={}))
+def test_random_stream_settings_run_or_are_usage_errors(
+        toy_root, trained, tmp_path_factory, values):
+    tmp = tmp_path_factory.mktemp("stream-settings")
+    out = tmp / "out"
+    rc = main(["stream", "--model", str(trained / "model.lmuq"),
+               "--wav", str(next((toy_root / "yes").glob("*.wav"))),
+               "--config", str(_config_file(tmp / "run.cfg", values)), "--out-dir", str(out)])
+    event(f"exit {rc}")
+    assert rc in (0, 1)
+    assert (out / "posteriors.csv").exists() == (rc == 0)
 
 
 class TestEval:

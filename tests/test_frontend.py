@@ -1,11 +1,16 @@
 """Tests for WAV I/O, log-mel features, streaming equality, and datasets."""
 
+import hashlib
+import os
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lmukws.frontend import (
     BACKGROUND_DIR,
+    MAX_WAVS_PER_SPEAKER,
     DatasetError,
     FeatureConfig,
     Manifest,
@@ -26,11 +31,12 @@ from lmukws.frontend import (
     mel_filterbank,
     mel_to_hz,
     pad_or_crop,
-    power_spectrum,
+    power_scale,
     save_feature_config,
     twelve_label_names,
     which_set,
     write_wav,
+    _speaker_pct,
 )
 
 CFG = FeatureConfig()
@@ -67,6 +73,8 @@ class TestFeatureConfig:
             FeatureConfig(sample_rate=44100, window_ms=33)
         with pytest.raises(ValueError):
             FeatureConfig(f_lo=0.0)
+        with pytest.raises(ValueError, match="power of two"):
+            FeatureConfig(fft_size=1000)  # 1/1000 cannot fold into the bank exactly
 
     def test_hash_tracks_every_field(self):
         base = FeatureConfig()
@@ -151,7 +159,7 @@ class TestLogMelFrame:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 640))
         windowed = x * (0.5 * (1 - np.cos(2 * np.pi * np.arange(640) / 640)))
-        power = power_spectrum(windowed, 1024)
+        power = np.abs(np.fft.rfft(windowed, n=1024)) ** 2 * power_scale(1024)
         assert power.shape == (5, 513)
         np.testing.assert_allclose(power.sum(axis=1), (windowed**2).sum(axis=1), rtol=1e-6)
 
@@ -245,6 +253,40 @@ def test_stream_offline_and_reference_agree(n, seed, normalized, max_chunk):
     assert np.array_equal(np.stack(frames), offline)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 193),  # past a 1 s clip's 49 windows and a 3 s signal's 149
+    seed=st.integers(0, 2**32 - 1),
+    normalized=st.booleans(),
+    split=st.sampled_from(["flat", "one", "two"]),
+)
+def test_kernel_rows_exact_at_any_batch_size(n, seed, normalized, split):
+    # Every window gets its own amplitude, so tiny and loud rows share a batch.
+    rng = np.random.default_rng(seed)
+    amps = rng.choice([0.0, 1e-160, 1e-4, 1.0], size=(n, 1))
+    windows = rng.uniform(-1.0, 1.0, (n, 640)) * amps
+    cfg = FeatureConfig(
+        norm_mean=tuple(float(v) for v in rng.standard_normal(40)),
+        norm_std=tuple(float(v) for v in rng.uniform(0.5, 3.0, 40)),
+    ) if normalized else CFG
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    lead = {"flat": (n,), "one": (1, n),
+            "two": (int(rng.choice(divisors)), -1)}[split]
+    batched = log_mel_frames(windows.reshape(lead + (640,)), cfg).reshape(n, 40)
+    for i in range(n):
+        assert np.array_equal(batched[i], log_mel_frames(windows[i], cfg))
+        assert np.array_equal(batched[i], reference_frames(windows[i], cfg)[0])
+
+
+def test_three_second_signal_equals_reference():
+    # 149 frames, three times the windows of the 1 s clips eval featurizes.
+    rng = np.random.default_rng(7)
+    signal = rng.uniform(-0.5, 0.5, 3 * 16000)
+    feats = featurize_signal(signal, CFG)
+    assert feats.shape == (149, 40)
+    assert np.array_equal(feats, reference_frames(signal, CFG))
+
+
 class TestWavIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -270,6 +312,14 @@ class TestWavIO:
         path.write_bytes(b"this is not audio")
         with pytest.raises(WavFormatError):
             load_wav(path)
+
+    def test_every_pcm_value_converts_exactly(self, tmp_path):
+        pcm = np.arange(-32768, 32768, dtype=np.int16)
+        path = tmp_path / "all.wav"
+        write_wav(path, pcm / 32768.0)
+        back = load_wav(path)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, pcm.astype(np.float64) / 32768)
 
     def test_data_ending_mid_sample_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"
@@ -311,6 +361,44 @@ class TestWhichSet:
         assert abs(counts["train"] / n - 0.80) < 0.015
         assert abs(counts["val"] / n - 0.10) < 0.015
         assert abs(counts["test"] / n - 0.10) < 0.015
+
+
+def speaker_pct_formula(filename):
+    """The split rule's percentage, hashed on every call, as the cache must
+    reproduce it."""
+    speaker = re.sub(r"_nohash_.*$", "", os.path.basename(filename))
+    digest = hashlib.sha1(speaker.encode("utf-8")).hexdigest()
+    return (int(digest, 16) % (MAX_WAVS_PER_SPEAKER + 1)) * (100.0 / MAX_WAVS_PER_SPEAKER)
+
+
+NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\x00"),
+                    max_size=4)
+SPEAKER_PIECES = st.sampled_from(
+    [".", "*", "+", "?", "$", "^", "|", "\\", "(", ")", "[", "]", "{", "}",
+     "_nohash_", "\n", "ü", "字", "🎤"]) | NAME_TEXT
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(SPEAKER_PIECES, max_size=6), take=NAME_TEXT)
+# "." stops at a newline, so these two keep "_nohash_" in the speaker id.
+@example(pieces=["a", "_nohash_", "\n", "b"], take="0")
+@example(pieces=["spk"], take="\n")
+def test_which_set_cache_equals_the_formula(pieces, take):
+    name = f"word/{''.join(pieces)}_nohash_{take}.wav"
+    pct = speaker_pct_formula(name)
+    for _ in range(2):  # the second round reads the cache
+        # Split boundaries at pct and just above it pin the percentage exactly.
+        assert which_set(name, val_pct=pct, test_pct=0.0) == "train"
+        assert which_set(name, val_pct=np.nextafter(pct, np.inf), test_pct=0.0) == "val"
+        assert which_set(name) == ("val" if pct < 10.0 else "test" if pct < 20.0 else "train")
+
+
+def test_which_set_cache_is_bounded():
+    size = _speaker_pct.cache_info().maxsize
+    assert size is not None
+    for i in range(size + 10):
+        which_set(f"bounded{i}_nohash_0.wav")
+    assert _speaker_pct.cache_info().currsize == size
 
 
 @pytest.fixture(scope="module")
