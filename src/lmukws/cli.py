@@ -128,8 +128,8 @@ def _read_config_file(path) -> dict:
 class Limit:
     """The declared type and range of one setting, checked by ``resolve_config``.
 
-    ``kind`` is int, float or bool; a float setting also takes an int.  The
-    bounds are inclusive unless marked open; nan fails every bound.
+    ``kind`` is int, float or bool; a float setting also takes an int and
+    must be finite.  The bounds are inclusive unless marked open.
     ``optional`` allows None, which leaves the setting unset.
     """
     kind: type
@@ -145,6 +145,8 @@ class Limit:
             return
         ok = isinstance(value, (int, float) if self.kind is float else self.kind)
         ok = ok and (self.kind is bool or not isinstance(value, bool))
+        # finite, and for an int, within the float range
+        ok = ok and (self.kind is not float or abs(value) <= sys.float_info.max)
         ok = ok and (self.lo is None or (value > self.lo if self.lo_open else value >= self.lo))
         ok = ok and (self.hi is None or (value < self.hi if self.hi_open else value <= self.hi))
         ok = ok and (not self.choices or value in self.choices)
@@ -152,7 +154,7 @@ class Limit:
             raise UsageError(f"{self.describe(key.replace('_', '-'))}, got {value!r}")
 
     def describe(self, name: str) -> str:
-        kind = {int: "an integer", float: "a number", bool: "true or false"}[self.kind]
+        kind = {int: "an integer", float: "a finite number", bool: "true or false"}[self.kind]
         if self.choices:
             kind += f" in {{{', '.join(map(str, self.choices))}}}"
         elif self.lo is not None and self.hi is not None:
@@ -229,7 +231,7 @@ def _quantized_model(cfg: dict):
     if cfg["model"]:
         return _load_model_checked(cfg["model"])
     model_cfg = reference_config(str(cfg["model_preset"]))
-    model = build_model(model_cfg, np.random.default_rng(int(cfg["seed"])))
+    model = build_model(model_cfg, np.random.default_rng(cfg["seed"]))
     mask = (prune_magnitude(model, model_cfg.target_sparsity)
             if model_cfg.target_sparsity > 0.0 else None)
     zero = calibrate_activation_scales(model, np.zeros((1, 2, model_cfg.input_dim)))
@@ -294,6 +296,14 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
     return count
 
 
+FETCH_LIMITS = {
+    "toy": Limit(bool),
+    "speakers": Limit(int, lo=1),
+    "takes": Limit(int, lo=1),
+    "seed": Limit(int, lo=0),
+}
+
+
 def cmd_fetch_data(cfg: dict) -> int:
     root = Path(cfg["root"])
     marker = root / COMPLETE_MARKER
@@ -305,9 +315,9 @@ def cmd_fetch_data(cfg: dict) -> int:
             root,
             keywords=_words(cfg["keywords"]),
             unknown_words=_words(cfg["unknown_words"]),
-            speakers=int(cfg["speakers"]),
-            takes=int(cfg["takes"]),
-            seed=int(cfg["seed"]),
+            speakers=cfg["speakers"],
+            takes=cfg["takes"],
+            seed=cfg["seed"],
         )
         marker.write_text("toy\n")
         print(f"generated synthetic dataset under {root}")
@@ -388,6 +398,9 @@ def cmd_train(cfg: dict) -> int:
     if not root.is_dir():
         raise DatasetError(f"dataset root not found: {root} (run fetch-data first)")
     manifest = build_dataset(root, _words(cfg["keywords"]), seed=cfg["seed"])
+    for split in ("train", "val"):  # training needs one, the report the other
+        if not any(e.split == split for e in manifest.entries):
+            raise DatasetError(f"the {split} split of {root} is empty")
     ds = materialize_features(manifest, FeatureConfig())
     model_cfg = reference_config(str(cfg["model_preset"]))
     overrides = {"label_names": tuple(ds.label_names)}
@@ -477,13 +490,16 @@ EVAL_DEFAULTS = {
 }
 
 
+EVAL_LIMITS = {"seed": Limit(int, lo=0)}
+
+
 def cmd_eval(cfg: dict) -> int:
     qm = _load_model_checked(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
     split = str(cfg["split"])
     if split not in ("train", "val", "test"):
         raise UsageError(f"unknown split {split!r}")
-    manifest = build_dataset(cfg["data_root"], _words(cfg["keywords"]), seed=int(cfg["seed"]))
+    manifest = build_dataset(cfg["data_root"], _words(cfg["keywords"]), seed=cfg["seed"])
     if list(manifest.label_names) != list(qm.label_names):
         raise DatasetError(f"label mismatch: data {manifest.label_names}, model {qm.label_names}")
     picked = [i for i, e in enumerate(manifest.entries) if e.split == split]
@@ -590,6 +606,9 @@ SIZE_DEFAULTS = {
 }
 
 
+SIZE_LIMITS = {"seed": Limit(int, lo=0)}
+
+
 def cmd_size_report(cfg: dict) -> int:
     if bool(cfg["model"]) == bool(cfg["model_preset"]):
         raise UsageError("give exactly one of --model / --model-preset")
@@ -625,14 +644,24 @@ HW_REPORT_DEFAULTS = {
 }
 
 
+HW_REPORT_LIMITS = {
+    "clock_hz": Limit(float, lo=0.0, lo_open=True),
+    "lanes": Limit(int, lo=1),
+    "sram_width_bits": Limit(int, lo=1),
+    "overhead_cycles": Limit(int, lo=0),
+    "mcu_cycles_per_s": Limit(float, lo=0.0),
+    "seed": Limit(int, lo=0),
+}
+
+
 def cmd_hw_report(cfg: dict) -> int:
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
     dp = DesignPoint(
         clock_hz=float(cfg["clock_hz"]),
-        lanes=int(cfg["lanes"]),
-        sram_width_bits=int(cfg["sram_width_bits"]),
-        overhead_cycles=int(cfg["overhead_cycles"]),
+        lanes=cfg["lanes"],
+        sram_width_bits=cfg["sram_width_bits"],
+        overhead_cycles=cfg["overhead_cycles"],
     )
     pb = estimate_power(w, dp, coeffs)
     mcu = float(cfg["mcu_cycles_per_s"])
@@ -675,16 +704,26 @@ HW_SWEEP_DEFAULTS = {
 }
 
 
+HW_SWEEP_LIMITS = {
+    "clock_min": Limit(float, lo=0.0, lo_open=True),
+    "clock_max": Limit(float, lo=0.0, lo_open=True),
+    "clock_points": Limit(int, lo=1),
+    "sram_width_bits": Limit(int, lo=1),
+    "overhead_cycles": Limit(int, lo=0),
+    "seed": Limit(int, lo=0),
+}
+
+
 def cmd_hw_sweep(cfg: dict) -> int:
+    if cfg["clock_max"] < cfg["clock_min"]:
+        raise UsageError("need clock-min <= clock-max")
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
-    if float(cfg["clock_min"]) <= 0 or float(cfg["clock_max"]) < float(cfg["clock_min"]):
-        raise UsageError("need 0 < clock-min <= clock-max")
     clocks = np.geomspace(float(cfg["clock_min"]), float(cfg["clock_max"]),
-                          int(cfg["clock_points"]))
+                          cfg["clock_points"])
     records = sweep(w, clocks, _positive_int_list(cfg["lanes"]), coeffs,
-                    sram_width_bits=int(cfg["sram_width_bits"]),
-                    overhead_cycles=int(cfg["overhead_cycles"]))
+                    sram_width_bits=cfg["sram_width_bits"],
+                    overhead_cycles=cfg["overhead_cycles"])
     out = _out_dir(cfg, "hw-sweep")
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
@@ -798,13 +837,13 @@ def build_parser() -> _Parser:
 
 
 _HANDLERS = {
-    "fetch-data": (cmd_fetch_data, FETCH_DEFAULTS, {}),
+    "fetch-data": (cmd_fetch_data, FETCH_DEFAULTS, FETCH_LIMITS),
     "train": (cmd_train, TRAIN_DEFAULTS, TRAIN_LIMITS),
-    "eval": (cmd_eval, EVAL_DEFAULTS, {}),
+    "eval": (cmd_eval, EVAL_DEFAULTS, EVAL_LIMITS),
     "stream": (cmd_stream, STREAM_DEFAULTS, STREAM_LIMITS),
-    "size-report": (cmd_size_report, SIZE_DEFAULTS, {}),
-    "hw-report": (cmd_hw_report, HW_REPORT_DEFAULTS, {}),
-    "hw-sweep": (cmd_hw_sweep, HW_SWEEP_DEFAULTS, {}),
+    "size-report": (cmd_size_report, SIZE_DEFAULTS, SIZE_LIMITS),
+    "hw-report": (cmd_hw_report, HW_REPORT_DEFAULTS, HW_REPORT_LIMITS),
+    "hw-sweep": (cmd_hw_sweep, HW_SWEEP_DEFAULTS, HW_SWEEP_LIMITS),
 }
 
 

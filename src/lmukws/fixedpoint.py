@@ -100,7 +100,17 @@ def fake_quant(x: np.ndarray, spec: QuantSpec):
     range) and False where saturation clipped it.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = quantize(x, spec).dequantize()
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize non-finite values")
+    # One pass, equal bit for bit to quantize(x, spec).dequantize().  While
+    # 2**-e is a normal float, x * 2**-e is the correctly rounded x / 2**e;
+    # outside that range divide.  ``+ 0.0`` turns the -0 that rint gives
+    # small negatives into the +0 of the int64 round trip.
+    e = spec.scale_exp
+    y = np.asarray(x * 2.0**-e if -1023 <= e <= 1022 else x / spec.step)
+    round_saturate(y, spec.qmin, spec.qmax)
+    y *= spec.step
+    y += 0.0
     lo = spec.qmin * spec.step
     hi = spec.qmax * spec.step
     return y, (x >= lo) & (x <= hi)
@@ -133,7 +143,9 @@ def activation_quant_spec(samples: np.ndarray, percentile: float = 99.9) -> Quan
     trades rare clipping for one extra bit of resolution everywhere else.
     """
     samples = np.abs(np.asarray(samples, dtype=np.float64).ravel())
-    target = float(np.percentile(samples, percentile)) if samples.size else 0.0
+    # np.abs made a copy of its own, so the percentile may reorder it in place
+    target = (float(np.percentile(samples, percentile, overwrite_input=True))
+              if samples.size else 0.0)
     return QuantSpec(bits=ACTIVATION_BITS, scale_exp=scale_exp_for_max(target, ACTIVATION_BITS))
 
 
@@ -230,18 +242,22 @@ def prune_magnitude(model, sparsity: float) -> PruneMask:
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity!r}")
     tensors = list(model.trainable_tensors())
-    masks = {name: np.ones(t.shape, dtype=bool) for name, t in tensors}
     mags = np.concatenate([np.abs(t).ravel() for _, t in tensors])
     k = int(sparsity * mags.size)
+    drop = np.zeros(mags.size, dtype=bool)
     if k:
-        order = np.argsort(mags, kind="stable")
-        drop = np.zeros(mags.size, dtype=bool)
-        drop[order[:k]] = True
-        offset = 0
-        for name, t in tensors:
-            sel = drop[offset : offset + t.size].reshape(t.shape)
-            masks[name] &= ~sel
-            offset += t.size
+        # The k smallest in the order of a stable sort, found in linear time:
+        # every magnitude below the k-th smallest, then ties at it by index.
+        kth = np.partition(mags, k - 1)[k - 1]
+        if np.isnan(kth):  # NaN sorts last; the tie rule below cannot see it
+            drop[np.argsort(mags, kind="stable")[:k]] = True
+        else:
+            np.less(mags, kth, out=drop)
+            drop[np.flatnonzero(mags == kth)[: k - np.count_nonzero(drop)]] = True
+    masks, offset = {}, 0
+    for name, t in tensors:
+        masks[name] = ~drop[offset : offset + t.size].reshape(t.shape)
+        offset += t.size
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 

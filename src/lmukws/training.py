@@ -99,11 +99,14 @@ class _LayerCache:
     u: np.ndarray  # (B, T, c) post fake-quant
     m: np.ndarray  # (B, T, D) post fake-quant, cells concatenated
     h: np.ndarray  # (B, T, h) post relu and fake-quant
-    mask_u: np.ndarray
-    mask_m: np.ndarray
-    mask_h: np.ndarray  # relu and fake-quant masks combined
+    # Straight-through masks; None where every entry would be True.  Without
+    # fake-quant the u and m masks and every weight mask are all True, and
+    # the h mask is the relu's, h > 0.
+    mask_u: np.ndarray | None
+    mask_m: np.ndarray | None
+    mask_h: np.ndarray | None  # relu and fake-quant masks combined
     w_fq: dict  # fake-quantized weights used
-    w_mask: dict  # straight-through masks for the weights
+    w_mask: dict  # straight-through masks for the weights, or None each
     A: np.ndarray  # (D, D) block-diagonal memory matrix used
     B: np.ndarray  # (c, D) input matrix used: row k holds cell k's B_d in its block
 
@@ -114,7 +117,7 @@ class ForwardCache:
     logits: np.ndarray  # (B, T, 12)
     out_w_fq: np.ndarray
     out_b_fq: np.ndarray
-    out_w_mask: np.ndarray
+    out_w_mask: np.ndarray | None
     logits_exp: int | None  # grid of the logits when quant_on, else None
 
 
@@ -170,7 +173,7 @@ def hat_forward(
 
     def act_fq(x, exp):
         if not quant_on:
-            return x, np.ones(x.shape, dtype=bool)
+            return x, None
         return fake_quant(x, QuantSpec(ACTIVATION_BITS, exp))
 
     x, _ = act_fq(feats, scales.input_exp if quant_on else 0)
@@ -185,15 +188,14 @@ def hat_forward(
             if quant_on:
                 w_fq[name], w_mask[name], w_exp[name] = _fq_weight(w, weight_bits)
             else:
-                w_fq[name] = w
-                w_mask[name] = np.ones(w.shape, dtype=bool)
+                w_fq[name], w_mask[name] = w, None
         if quant_on:
             pre_exp = preactivation_exp(
                 w_exp["input_kernel"], x_exp, w_exp["memory_kernel"], m_exp
             )
             bias_fq, bias_mask = fake_quant(layer.bias, QuantSpec(32, pre_exp))
         else:
-            bias_fq, bias_mask = layer.bias, np.ones(layer.bias.shape, dtype=bool)
+            bias_fq, bias_mask = layer.bias, None
         w_fq["bias"], w_mask["bias"] = bias_fq, bias_mask
         A, B_in = _memory_matrices(layer, quant_on)
 
@@ -201,21 +203,39 @@ def hat_forward(
         U = np.empty((B, T, c_dim))
         M = np.empty((B, T, D))
         H = np.empty((B, T, h_dim))
-        mask_u = np.empty((B, T, c_dim), dtype=bool)
-        mask_m = np.empty((B, T, D), dtype=bool)
-        mask_h = np.empty((B, T, h_dim), dtype=bool)
+        mask_u = mask_m = mask_h = None
+        if quant_on:
+            mask_u = np.empty((B, T, c_dim), dtype=bool)
+            mask_m = np.empty((B, T, D), dtype=bool)
+            mask_h = np.empty((B, T, h_dim), dtype=bool)
         h_prev = np.zeros((B, h_dim))
         m_prev = np.zeros((B, D))
+        # Each product goes into a buffer made once per layer and is summed
+        # in the order the expressions (a @ b + c @ d) + bias would sum it.
+        # m alternates between two buffers, so m_prev is never the output.
+        u_pre, u_h = np.empty((B, c_dim)), np.empty((B, c_dim))
+        m_bufs, m_u = (np.empty((B, D)), np.empty((B, D))), np.empty((B, D))
+        pre, pre_m, relu = np.empty((B, h_dim)), np.empty((B, h_dim)), np.empty((B, h_dim))
+        WexT, WehT = w_fq["input_encoder"].T, w_fq["hidden_encoder"].T
+        WkT, WmT, AT = w_fq["input_kernel"].T, w_fq["memory_kernel"].T, A.T
         for t in range(T):
-            u_pre = x[:, t] @ w_fq["input_encoder"].T + h_prev @ w_fq["hidden_encoder"].T
+            x_t = x[:, t]
+            np.matmul(x_t, WexT, out=u_pre)
+            u_pre += np.matmul(h_prev, WehT, out=u_h)
             u, mu = act_fq(u_pre, u_exp if quant_on else 0)
-            m, mm = act_fq(m_prev @ A.T + u @ B_in, m_exp if quant_on else 0)
-            pre = x[:, t] @ w_fq["input_kernel"].T + m @ w_fq["memory_kernel"].T + bias_fq
-            relu = np.maximum(pre, 0.0)
+            m_pre = m_bufs[t % 2]
+            np.matmul(m_prev, AT, out=m_pre)
+            m_pre += np.matmul(u, B_in, out=m_u)
+            m, mm = act_fq(m_pre, m_exp if quant_on else 0)
+            np.matmul(x_t, WkT, out=pre)
+            pre += np.matmul(m, WmT, out=pre_m)
+            pre += bias_fq
+            np.maximum(pre, 0.0, out=relu)
             h, mh = act_fq(relu, h_exp if quant_on else 0)
             U[:, t], M[:, t], H[:, t] = u, m, h
-            mask_u[:, t], mask_m[:, t] = mu, mm
-            mask_h[:, t] = mh & (pre > 0.0)
+            if quant_on:
+                mask_u[:, t], mask_m[:, t] = mu, mm
+                np.logical_and(mh, pre > 0.0, out=mask_h[:, t])
             h_prev, m_prev = h, m
         caches.append(
             _LayerCache(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
@@ -230,7 +250,7 @@ def hat_forward(
         logits_exp = out_exp + x_exp
         out_b, _ = fake_quant(model.output_bias, QuantSpec(32, logits_exp))
     else:
-        out_w, out_mask = model.output_weight, np.ones(model.output_weight.shape, dtype=bool)
+        out_w, out_mask = model.output_weight, None
         out_b, logits_exp = model.output_bias, None
     logits = x @ out_w.T + out_b
     return ForwardCache(
@@ -302,47 +322,76 @@ def forward_backward(
         )
 
     grads = {}
-    B, T, _ = cache.logits.shape
     h_last = cache.layers[-1].h[:, -1]
-    grads["output.weight"] = (dz.T @ h_last) * cache.out_w_mask
+    grads["output.weight"] = _masked(dz.T @ h_last, cache.out_w_mask)
     grads["output.bias"] = dz.sum(axis=0)
 
-    # External dh per layer and step; the top layer receives the loss path.
-    dh_ext = np.zeros_like(cache.layers[-1].h)
-    dh_ext[:, -1] = dz @ cache.out_w_fq
+    # External dh per step, time-major; the top layer receives the loss path.
+    B, T, _ = cache.logits.shape
+    dh_ext = np.zeros((T,) + h_last.shape)
+    dh_ext[-1] = dz @ cache.out_w_fq
     for li in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[li]
         lc = cache.layers[li]
-        w = lc.w_fq
-        dWex = np.zeros_like(layer.input_encoder)
-        dWeh = np.zeros_like(layer.hidden_encoder)
-        dWx = np.zeros_like(layer.input_kernel)
-        dWm = np.zeros_like(layer.memory_kernel)
-        db = np.zeros_like(layer.bias)
-        dX = np.zeros_like(lc.x)
-        dh_carry = np.zeros((B, layer.hidden_dim))
-        dm_carry = np.zeros((B, layer.memory_dim))
-        for t in range(T - 1, -1, -1):
-            dh = (dh_ext[:, t] + dh_carry) * lc.mask_h[:, t]
-            db += dh.sum(axis=0)
-            dWx += dh.T @ lc.x[:, t]
-            dWm += dh.T @ lc.m[:, t]
-            dX[:, t] += dh @ w["input_kernel"]
-            dm = (dh @ w["memory_kernel"] + dm_carry) * lc.mask_m[:, t]
-            du = (dm @ lc.B.T) * lc.mask_u[:, t]
-            dm_carry = dm @ lc.A
-            dWex += du.T @ lc.x[:, t]
-            h_prev = lc.h[:, t - 1] if t > 0 else np.zeros((B, layer.hidden_dim))
-            dWeh += du.T @ h_prev
-            dX[:, t] += du @ w["input_encoder"]
-            dh_carry = du @ w["hidden_encoder"]
-        grads[f"layer{li}.input_encoder"] = dWex * lc.w_mask["input_encoder"]
-        grads[f"layer{li}.hidden_encoder"] = dWeh * lc.w_mask["hidden_encoder"]
-        grads[f"layer{li}.input_kernel"] = dWx * lc.w_mask["input_kernel"]
-        grads[f"layer{li}.memory_kernel"] = dWm * lc.w_mask["memory_kernel"]
-        grads[f"layer{li}.bias"] = db * lc.w_mask["bias"]
-        dh_ext = dX
+        grad, dh_ext = _layer_backward(lc, dh_ext, need_dx=li > 0)
+        for name, g in grad.items():
+            grads[f"layer{li}.{name}"] = _masked(g, lc.w_mask[name])
     return loss, GradientSet(tensors=grads)
+
+
+def _masked(g: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return g if mask is None else g * mask
+
+
+def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
+    """One layer's reverse pass through all T steps, latest first.
+
+    ``dh_ext`` is (T, B, h): the gradient its outputs receive from above.
+    Returns the unmasked weight gradients and, when ``need_dx``, the (T, B, n)
+    gradient with respect to the layer input (else None).  Every product is
+    the same BLAS call on the same operands, in the same t order, as a loop
+    that allocates each one; it writes into a buffer made once per call.
+    The only skipped work is exact: multiplies by all-True masks, adding the
+    zero products of the zero state before t = 0, and carries nothing reads.
+    The input gradient is P + Q where that loop forms (0 + P) + Q, so the two
+    differ at most in the sign of a zero.  No weight gradient can see that:
+    each is a sum that starts at +0.
+    """
+    w = lc.w_fq
+    B, T, n = lc.x.shape
+    h_dim, c_dim, D = lc.h.shape[2], lc.u.shape[2], lc.m.shape[2]
+    grad = {name: np.zeros_like(w[name]) for name in
+            ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")}
+    dWex, dWeh = grad["input_encoder"], grad["hidden_encoder"]
+    dWx, dWm, db = grad["input_kernel"], grad["memory_kernel"], grad["bias"]
+    prod = {name: np.empty_like(g) for name, g in grad.items() if name != "bias"}
+    dh, dh_carry = np.empty((B, h_dim)), np.zeros((B, h_dim))
+    dm, dm_carry = np.empty((B, D)), np.zeros((B, D))
+    du = np.empty((B, c_dim))
+    dX = np.empty((T, B, n)) if need_dx else None
+    dx_u = np.empty((B, n)) if need_dx else None
+    for t in range(T - 1, -1, -1):
+        x_t = lc.x[:, t]
+        np.add(dh_ext[t], dh_carry, out=dh)
+        dh *= lc.h[:, t] > 0.0 if lc.mask_h is None else lc.mask_h[:, t]
+        db += dh.sum(axis=0)
+        dWx += np.matmul(dh.T, x_t, out=prod["input_kernel"])
+        dWm += np.matmul(dh.T, lc.m[:, t], out=prod["memory_kernel"])
+        np.matmul(dh, w["memory_kernel"], out=dm)
+        dm += dm_carry
+        if lc.mask_m is not None:
+            dm *= lc.mask_m[:, t]
+        np.matmul(dm, lc.B.T, out=du)
+        if lc.mask_u is not None:
+            du *= lc.mask_u[:, t]
+        dWex += np.matmul(du.T, x_t, out=prod["input_encoder"])
+        if need_dx:
+            np.matmul(dh, w["input_kernel"], out=dX[t])
+            dX[t] += np.matmul(du, w["input_encoder"], out=dx_u)
+        if t > 0:
+            dWeh += np.matmul(du.T, lc.h[:, t - 1], out=prod["hidden_encoder"])
+            np.matmul(dm, lc.A, out=dm_carry)
+            np.matmul(du, w["hidden_encoder"], out=dh_carry)
+    return grad, dX
 
 
 # ---------------------------------------------------------------------------

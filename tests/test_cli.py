@@ -175,6 +175,17 @@ class TestTrain:
         assert rc == 2
         assert "fetch-data" in capsys.readouterr().err
 
+    def test_empty_val_split_is_data_error_before_training(self, tmp_path, capsys):
+        # Both speakers hash to train.  This trained, wrote model.lmuq, then
+        # exited 3 with "cannot evaluate on zero utterances".
+        root = tmp_path / "data"
+        generate_toy_dataset(root, speakers=2, takes=1)
+        out = tmp_path / "out"
+        rc = main(["train", "--data-root", str(root), "--steps", "1", "--out-dir", str(out)])
+        assert rc == 2
+        assert "val split" in capsys.readouterr().err
+        assert not (out / "model.lmuq").exists()
+
 
 def _config_file(path, values: dict):
     """A config file holding ``values``; each reads back as the same value."""
@@ -251,6 +262,20 @@ class TestSettingLimits:
         assert rc == 1
         assert name in capsys.readouterr().err
         assert not (out / "posteriors.csv").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["fetch-data", "--toy", "--root", "data", "--speakers", "-1"], "speakers"),  # exit 0
+        (["eval", "--seed", "-1"], "seed"),                          # numpy's error, exit 3
+        (["hw-report", "--model-preset", "toy", "--clock-hz", "inf"], "clock-hz"),  # exit 0
+        (["hw-sweep", "--model-preset", "toy", "--clock-points", "0"], "clock-points"),  # 3
+        (["size-report", "--model-preset", "toy", "--seed", "-1"], "seed"),  # exit 3
+    ])
+    def test_other_command_setting_outside_its_limit_is_usage_error(
+            self, tmp_path, capsys, argv, name):
+        rc = main(argv + ["--out-dir", "out"])  # the working directory is tmp_path
+        assert rc == 1
+        assert f"{name}: expected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_limits_are_checked_before_data_is_read(self, tmp_path, capsys):
         rc = main(["train", "--data-root", str(tmp_path / "nope"), "--batch-size", "0",
