@@ -9,11 +9,13 @@ integer, at every timestep.
 This script builds a random model, calibrates activation scales, freezes
 the integer model, and then diffs every intermediate (the cell inputs u,
 memory states m, hidden activations h) plus the logits across the two
-paths.  It also round-trips the deployable model file.
+paths.  It also round-trips the deployable model file.  It exits 1 if any
+integer differs.
 
 Run: python demos/03_bit_exact_inference.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,8 +23,8 @@ import numpy as np
 
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.modelfile import load_model, save_model
-from lmukws.qmodel import calibrate_activation_scales, freeze, quantized_forward
-from lmukws.training import hat_forward_trace
+from lmukws.qmodel import QuantStreamState, calibrate_activation_scales, freeze, quantized_forward
+from lmukws.training import hat_forward
 
 CONFIG = ModelConfig(
     input_dim=8,
@@ -52,20 +54,25 @@ def main():
     # 2. freeze: weights quantized, worst-case accumulators proven safe
     qm = freeze(model, CONFIG.weight_bits, scales)
 
-    # 3. diff the two implementations over fresh sequences
-    checked = mismatched = 0
-    for _ in range(50):
-        feats = rng.standard_normal((30, 8)) * rng.uniform(0.5, 2.0)
-        logits_q, _, trace_q = quantized_forward(qm, feats, collect_trace=True)
-        logits_t, trace_t = hat_forward_trace(model, feats, scales, CONFIG.weight_bits)
-        same = np.array_equal(logits_q, logits_t)
-        for t in range(feats.shape[0]):
-            for li in range(len(qm.layers)):
-                for key in ("u", "m", "h"):
-                    same &= np.array_equal(trace_q[key][t][li], trace_t[key][t][li])
-        checked += 1
-        mismatched += 0 if same else 1
-    print(f"\n{checked} random sequences diffed at full intermediate depth: "
+    # 3. diff the two implementations over 50 fresh sequences, as one batch:
+    # the engine stepped one hop at a time, its u, m and h read from each
+    # layer's operand row, against the training graph's values divided by
+    # their grid steps
+    feats = np.stack([rng.standard_normal((30, 8)) * rng.uniform(0.5, 2.0) for _ in range(50)])
+    cache = hat_forward(model, feats, quant_on=True, scales=scales,
+                        weight_bits=CONFIG.weight_bits)
+    same = np.ones(len(feats), dtype=bool)
+    state = QuantStreamState(qm, (len(feats),))
+    for t in range(feats.shape[1]):
+        logits, state = quantized_forward(qm, feats[:, t : t + 1], state)
+        hat_logits = np.rint(cache.logits[:, t] / 2.0**cache.logits_exp)
+        same &= (logits[:, 0] == hat_logits).all(axis=1)
+        for row, lc, exps in zip(state.rows, cache.layers, scales.layer_exps):
+            for site, exp in zip("umh", exps):
+                hat = np.rint(getattr(lc, site)[:, t] / 2.0**exp)
+                same &= (getattr(row, site) == hat).all(axis=1)
+    mismatched = int((~same).sum())
+    print(f"\n{len(feats)} random sequences diffed at full intermediate depth: "
           f"{mismatched} mismatches")
 
     # 4. the serialized model preserves the arithmetic exactly
@@ -76,12 +83,16 @@ def main():
         feats = rng.standard_normal((40, 8))
         a, _ = quantized_forward(qm, feats)
         b, _ = quantized_forward(reloaded, feats)
+        reloaded_same = np.array_equal(a, b)
         print(f"saved model is {path.stat().st_size} bytes; "
-              f"reloaded logits identical: {np.array_equal(a, b)}")
+              f"reloaded logits identical: {reloaded_same}")
+    if mismatched or not reloaded_same:
+        return 1
 
     print("\naccuracy measured on this training graph IS deployed accuracy --")
     print("there is no quantization gap left to discover on the device.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -224,13 +224,6 @@ class PruneMask:
     def pruned_count(self) -> int:
         return sum(int((~m).sum()) for m in self.masks.values())
 
-    def total_count(self) -> int:
-        return sum(m.size for m in self.masks.values())
-
-    def achieved_sparsity(self) -> float:
-        total = self.total_count()
-        return self.pruned_count() / total if total else 0.0
-
 
 def prune_magnitude(model, sparsity: float) -> PruneMask:
     """Mask out the smallest-magnitude trainable weights, across all tensors.

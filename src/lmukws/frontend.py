@@ -251,9 +251,6 @@ class StreamFeaturizer:
         self.config = config
         self._pending = np.zeros(0)
 
-    def reset(self) -> None:
-        self._pending = np.zeros(0)
-
     def push(self, chunk: np.ndarray) -> list:
         """Feed any number of samples; returns the frames completed by them."""
         pending = np.concatenate([self._pending, np.asarray(chunk, dtype=np.float64)])
@@ -349,33 +346,6 @@ class Manifest:
     root: str
     label_names: list
     entries: list = field(default_factory=list)
-
-    def split_entries(self, split: str) -> list:
-        return [e for e in self.entries if e.split == split]
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("# labels: " + ",".join(self.label_names) + "\n")
-            for e in self.entries:
-                f.write(f"{e.path}\t{e.label}\t{e.split}\n")
-
-    @classmethod
-    def load(cls, path, root) -> "Manifest":
-        labels = None
-        entries = []
-        with open(path) as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if line.startswith("# labels: "):
-                    labels = line[len("# labels: ") :].split(",")
-                    continue
-                if not line or line.startswith("#"):
-                    continue
-                p, label, split = line.split("\t")
-                entries.append(ManifestEntry(path=p, label=int(label), split=split))
-        if labels is None or len(labels) != 12:
-            raise DatasetError(f"{path}: manifest missing its 12-name label header")
-        return cls(root=str(root), label_names=labels, entries=entries)
 
 
 def twelve_label_names(keywords) -> list:

@@ -4,7 +4,8 @@ The deployed arithmetic is integer: weights are 4- or 8-bit integers,
 activations 7-bit, and every step's sums live in a 32-bit accumulator whose
 worst case is proven when a model is compiled.  Multi-term sums are aligned
 by shifting each term to the finest grid among them (always an exact left
-shift, since scales are powers of two), then requantized once.  The engine
+shift, since scales are powers of two), then requantized once; ``stages``
+lists every such sum, and the proof and the compiler both read it.  The engine
 runs each layer as three float64 matmuls over weights pre-scaled onto their
 stage's output grid; float64 holds every such sum exactly (see
 ``compile_model``).
@@ -236,67 +237,78 @@ def freeze(
     return qm
 
 
-def assert_accumulator_safe(qm: QuantizedModel) -> None:
-    """Prove no 32-bit accumulator can overflow, for any input whatsoever.
+class Stage(NamedTuple):
+    """One accumulator of the engine.
 
-    Uses the exact worst case: every 7-bit activation at magnitude 64, every
-    weight at its stored magnitude, including the alignment shifts.
+    Its terms are (integer weights, grid exponent of their products), in the
+    order of the operand row the stage reads; each weight row is one output.
+    The terms are aligned on the finest of their grids (an exact left shift
+    of each coarser one), the bias is added on that grid, and the sum is
+    requantized onto 2**out_exp (the head's sum is the logits, unrounded).
     """
-    act_max = 1 << (ACTIVATION_BITS - 1)
 
-    def worst(termspecs):
-        # termspecs: (|W| row sums, grid exponent) per term; returns worst
-        # |sum| on the common (minimum) grid.
-        gmin = min(g for _, g in termspecs)
-        return sum(int(np.max(rows)) << (g - gmin) for rows, g in termspecs), gmin
+    name: str  # the prefix of the proof's messages
+    terms: list
+    out_exp: int
+    bias: QuantTensor | None = None
 
+    @property
+    def grid(self) -> int:
+        """The exponent of the aligned sum."""
+        return min(g for _, g in self.terms)
+
+    def aligned(self):
+        """(weights, left shift onto ``grid``) per term."""
+        return [(q, g - self.grid) for q, g in self.terms]
+
+    def worst_case(self) -> int:
+        """The largest |sum| any input can reach: every 7-bit activation at
+        magnitude 64, every weight at its stored magnitude, bias included."""
+        act_max = 1 << (ACTIVATION_BITS - 1)
+        peak = sum(int(np.max(np.abs(q).sum(axis=1))) * act_max << shift
+                   for q, shift in self.aligned())
+        if self.bias is not None:
+            peak += int(np.max(np.abs(self.bias.q), initial=0))
+        return peak
+
+
+def stages(qm: QuantizedModel) -> list:
+    """Every stage the engine runs, in order: per layer u over [h | x], one
+    m per cell over [its m | its u] and h over [x | m]; then the head."""
+    def term(qt, act_exp):
+        return qt.q, qt.spec.scale_exp + act_exp
+
+    out = []
     x_exp = qm.input_exp
     for i, layer in enumerate(qm.layers):
-        for name, qt in (
-            (f"layer{i}.input_encoder", layer.input_encoder),
-            (f"layer{i}.hidden_encoder", layer.hidden_encoder),
-            (f"layer{i}.input_kernel", layer.input_kernel),
-            (f"layer{i}.memory_kernel", layer.memory_kernel),
-        ):
-            if qt.shape[1] > MAX_FAN_IN:
-                raise ValueError(f"{name}: fan-in {qt.shape[1]} exceeds {MAX_FAN_IN}")
-        u_terms = [
-            (np.abs(layer.input_encoder.q).sum(axis=1) * act_max,
-             layer.input_encoder.spec.scale_exp + x_exp),
-            (np.abs(layer.hidden_encoder.q).sum(axis=1) * act_max,
-             layer.hidden_encoder.spec.scale_exp + layer.h_exp),
-        ]
-        peak, _ = worst(u_terms)
-        if peak >= ACC_LIMIT:
-            raise ValueError(f"layer{i}: u accumulator worst case {peak} >= 2^31")
+        out.append(Stage(f"layer{i}: u", [term(layer.hidden_encoder, layer.h_exp),
+                                          term(layer.input_encoder, x_exp)], layer.u_exp))
         for k, cell in enumerate(layer.cells):
-            m_terms = [
-                (np.abs(cell.A.q).sum(axis=1) * act_max, cell.A.spec.scale_exp + layer.m_exp),
-                (np.abs(cell.B.q) * act_max, cell.B.spec.scale_exp + layer.u_exp),
-            ]
-            peak, _ = worst(m_terms)
-            if peak >= ACC_LIMIT:
-                raise ValueError(f"layer{i}.cell{k}: m accumulator worst case {peak} >= 2^31")
-        h_terms = [
-            (np.abs(layer.input_kernel.q).sum(axis=1) * act_max,
-             layer.input_kernel.spec.scale_exp + x_exp),
-            (np.abs(layer.memory_kernel.q).sum(axis=1) * act_max,
-             layer.memory_kernel.spec.scale_exp + layer.m_exp),
-        ]
-        peak, gmin = worst(h_terms)
-        if gmin != layer.bias.spec.scale_exp:
-            raise ValueError(
-                f"layer{i}: bias grid 2^{layer.bias.spec.scale_exp} != "
-                f"preactivation grid 2^{gmin}"
-            )
-        peak += int(np.max(np.abs(layer.bias.q), initial=0))
-        if peak >= ACC_LIMIT:
-            raise ValueError(f"layer{i}: h accumulator worst case {peak} >= 2^31")
+            b_q, b_grid = term(cell.B, layer.u_exp)  # (d,): one column, over the cell's u
+            out.append(Stage(f"layer{i}.cell{k}: m", [term(cell.A, layer.m_exp),
+                                                      (b_q[:, None], b_grid)], layer.m_exp))
+        out.append(Stage(f"layer{i}: h", [term(layer.input_kernel, x_exp),
+                                          term(layer.memory_kernel, layer.m_exp)],
+                         layer.h_exp, layer.bias))
         x_exp = layer.h_exp
-    peak = int(np.max(np.abs(qm.output_weight.q).sum(axis=1))) * act_max
-    peak += int(np.max(np.abs(qm.output_bias.q), initial=0))
-    if peak >= ACC_LIMIT:
-        raise ValueError(f"output accumulator worst case {peak} >= 2^31")
+    w_q, w_grid = term(qm.output_weight, x_exp)
+    return out + [Stage("output", [(w_q, w_grid)], w_grid, qm.output_bias)]
+
+
+def assert_accumulator_safe(qm: QuantizedModel) -> None:
+    """Prove no 32-bit accumulator can overflow, for any input whatsoever,
+    and that every bias lies on its stage's grid."""
+    for st in stages(qm):
+        for q, _ in st.terms:
+            if q.shape[1] > MAX_FAN_IN:
+                raise ValueError(f"{st.name} fan-in {q.shape[1]} exceeds {MAX_FAN_IN}")
+        if st.bias is not None and st.bias.spec.scale_exp != st.grid:
+            raise ValueError(
+                f"{st.name} bias grid 2^{st.bias.spec.scale_exp} != accumulator grid 2^{st.grid}"
+            )
+        peak = st.worst_case()
+        if peak >= ACC_LIMIT:
+            raise ValueError(f"{st.name} accumulator worst case {peak} >= 2^31")
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +333,15 @@ _FOLD_MIN = -32  # |sum| < 2^31, so |sum| * 2^-32 < 1/2
 _FOLD_MAX = ACTIVATION_BITS  # |sum| >= 1, so |sum| * 2^7 > 64
 
 
-def _folded(qt: QuantTensor, grid: int, stage_grid: int, out_exp: int) -> np.ndarray:
-    """qt's integers as float64, moved from grid 2**grid onto 2**stage_grid
-    (an exact left shift), then scaled to the output grid 2**out_exp."""
-    fold = min(max(stage_grid - out_exp, _FOLD_MIN), _FOLD_MAX)
-    return np.ldexp(qt.q.astype(np.float64), grid - stage_grid + fold)
+def _folded(st: Stage) -> tuple:
+    """The stage's weights side by side, one row per output, and its bias
+    (or None), as float64 integers moved onto the stage's grid, then scaled
+    to its output grid 2**out_exp."""
+    fold = min(max(st.grid - st.out_exp, _FOLD_MIN), _FOLD_MAX)
+    W = np.concatenate([np.ldexp(q.astype(np.float64), shift + fold)
+                        for q, shift in st.aligned()], axis=1)
+    bias = None if st.bias is None else np.ldexp(st.bias.q.astype(np.float64), fold)
+    return W, bias
 
 
 class Operands(NamedTuple):
@@ -404,45 +420,29 @@ def compile_model(qm: QuantizedModel) -> CompiledModel:
     inside the 53 bits float64 holds exactly.
     """
     assert_accumulator_safe(qm)
+    folded = map(_folded, stages(qm))
     layers = []
-    x_exp = qm.input_exp
     for layer in qm.layers:
-        enc_x = layer.input_encoder.spec.scale_exp + x_exp
-        enc_h = layer.hidden_encoder.spec.scale_exp + layer.h_exp
-        u_grid = min(enc_x, enc_h)
-        U = np.concatenate(
-            [_folded(layer.hidden_encoder, enc_h, u_grid, layer.u_exp),
-             _folded(layer.input_encoder, enc_x, u_grid, layer.u_exp)], axis=1)
-
+        U, _ = next(folded)
         D, c = sum(cell.order for cell in layer.cells), len(layer.cells)
         M = np.zeros((D, D + c))
         lo = 0
         for k, cell in enumerate(layer.cells):
             hi = lo + cell.order
-            a_grid = cell.A.spec.scale_exp + layer.m_exp
-            b_grid = cell.B.spec.scale_exp + layer.u_exp
-            g = min(a_grid, b_grid)
-            M[lo:hi, lo:hi] = _folded(cell.A, a_grid, g, layer.m_exp)
-            M[lo:hi, D + k] = _folded(cell.B, b_grid, g, layer.m_exp)
+            AB, _ = next(folded)  # [A | B]: the cell's m, then its u
+            M[lo:hi, lo:hi], M[lo:hi, D + k] = AB[:, :-1], AB[:, -1]
             lo = hi
-
-        ker_x = layer.input_kernel.spec.scale_exp + x_exp
-        ker_m = layer.memory_kernel.spec.scale_exp + layer.m_exp
-        h_grid = layer.bias.spec.scale_exp  # the proof checked it is min(ker_x, ker_m)
-        H = np.concatenate(
-            [_folded(layer.input_kernel, ker_x, h_grid, layer.h_exp),
-             _folded(layer.memory_kernel, ker_m, h_grid, layer.h_exp)], axis=1)
+        H, bias = next(folded)
         layers.append(CompiledLayer(
             U=np.ascontiguousarray(U.T), M=np.ascontiguousarray(M.T),
-            H=np.ascontiguousarray(H.T),
-            bias=_folded(layer.bias, h_grid, h_grid, layer.h_exp),
+            H=np.ascontiguousarray(H.T), bias=bias,
         ))
-        x_exp = layer.h_exp
+    out_W, out_b = next(folded)
     return CompiledModel(
         x_step=_const(2.0**qm.input_exp),
         layers=layers,
-        out_W=np.ascontiguousarray(qm.output_weight.q.T, dtype=np.float64),
-        out_b=qm.output_bias.q.astype(np.float64),
+        out_W=np.ascontiguousarray(out_W.T),
+        out_b=out_b,
         source=_source(qm),
     )
 
@@ -461,16 +461,13 @@ class QuantStreamState:
     holding integers laid out [h | x | m | u] (see ``CompiledLayer``), which
     the engine steps in place; ``h`` and ``m`` are int64 read-outs of their
     slices.  The streams run the stages of ``qm`` as they are when the state
-    is made (or reset); an edit of ``qm`` after that reaches new states only.
+    is made; an edit of ``qm`` after that reaches new states only.
     """
 
     def __init__(self, qm: QuantizedModel, batch: tuple = ()):
         self._qm = qm
         self.batch = tuple(batch)
-        self.reset()
-
-    def reset(self) -> None:
-        self.engine = _engine(self._qm)
+        self.engine = _engine(qm)
         self.rows = []
         for st in self.engine.layers:
             row = np.zeros((*self.batch, st.width))
@@ -479,7 +476,7 @@ class QuantStreamState:
         self.m_next = [np.zeros(row.m.shape) for row in self.rows]
         # The step's quantized input: the first layer's x, or its own row
         # in a model without layers.
-        self.x_q = self.rows[0].x if self.rows else np.zeros((*self.batch, self._qm.input_dim))
+        self.x_q = self.rows[0].x if self.rows else np.zeros((*self.batch, qm.input_dim))
 
     @property
     def h(self) -> list:
@@ -494,7 +491,6 @@ def quantized_forward(
     qm: QuantizedModel,
     features: np.ndarray,
     state: QuantStreamState | None = None,
-    collect_trace: bool = False,
 ):
     """Integer-only inference over (..., T, input_dim) float features.
 
@@ -504,10 +500,7 @@ def quantized_forward(
     Features are quantized to the model's input format at the boundary,
     straight into the first layer's operand row; all arithmetic after that
     is on integers (held exactly in float64).  Logits are int64
-    (..., T, 12) on the grid 2**qm.logits_exp.
-
-    Returns (logits_q, state) or (logits_q, state, trace) with trace holding
-    per-step quantized u/m/h per layer when collect_trace is set.
+    (..., T, 12) on the grid 2**qm.logits_exp.  Returns (logits_q, state).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim < 2 or features.shape[-1] != qm.input_dim:
@@ -524,13 +517,9 @@ def quantized_forward(
     engine = state.engine
     T = features.shape[-2]
     h_out = np.empty(batch + (T, engine.out_W.shape[0]))  # the head's input per step
-    trace = {"u": [], "m": [], "h": []} if collect_trace else None
     for t in range(T):
         h = np.divide(features[..., t, :], engine.x_step, out=state.x_q)
         round_saturate(h, _LO, _HI)
-        if collect_trace:
-            for steps in trace.values():
-                steps.append([])
         for i, (st, row, m) in enumerate(zip(engine.layers, state.rows, state.m_next)):
             if i:
                 row.x[...] = h
@@ -540,13 +529,7 @@ def quantized_forward(
             h = np.matmul(row.xm, st.H, out=row.h)
             h += st.bias
             round_saturate(h, _ZERO, _HI)  # the relu: its lower bound is 0
-            if collect_trace:
-                for name, v in (("u", row.u), ("m", m), ("h", h)):
-                    trace[name][-1].append(v.astype(np.int64))
         h_out[..., t, :] = h
     out = h_out @ engine.out_W
     out += engine.out_b
-    logits = out.astype(np.int64)
-    if collect_trace:
-        return logits, state, trace
-    return logits, state
+    return out.astype(np.int64), state

@@ -259,29 +259,6 @@ def hat_forward(
     )
 
 
-def hat_forward_trace(model, feats, scales, weight_bits):
-    """Single-sequence quantized-graph forward, reported on the integer grid.
-
-    Returns (logits_q, trace) shaped exactly like quantized_forward's
-    collect_trace output, for direct integer comparison against deployment.
-    """
-    cache = hat_forward(model, feats[None], quant_on=True, scales=scales,
-                        weight_bits=weight_bits)
-    T = feats.shape[0]
-    trace = {"u": [], "m": [], "h": []}
-    for t in range(T):
-        trace["u"].append([])
-        trace["m"].append([])
-        trace["h"].append([])
-        for li, lc in enumerate(cache.layers):
-            u_exp, m_exp, h_exp = scales.layer_exps[li]
-            trace["u"][t].append(np.rint(lc.u[0, t] / 2.0**u_exp).astype(np.int64))
-            trace["m"][t].append(np.rint(lc.m[0, t] / 2.0**m_exp).astype(np.int64))
-            trace["h"][t].append(np.rint(lc.h[0, t] / 2.0**h_exp).astype(np.int64))
-    logits_q = np.rint(cache.logits[0] / 2.0**cache.logits_exp).astype(np.int64)
-    return logits_q, trace
-
-
 # ---------------------------------------------------------------------------
 # Loss and backward
 # ---------------------------------------------------------------------------

@@ -37,11 +37,12 @@ from lmukws.training import (
     evaluate,
     forward_backward,
     hat_forward,
-    hat_forward_trace,
     majority_baseline,
     softmax_cross_entropy,
     train,
 )
+
+from stepwise import engine_steps, hat_steps
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -79,23 +80,21 @@ def _calibrated(seed: int, weight_bits: int):
 def test_criterion_1_hat_bit_exactness():
     # Deployed integer inference vs the training-time fake-quant graph:
     # identical logits and identical quantized u/m/h at every step, over
-    # 1000 random sequences spread across 5 random model configs.
+    # 1000 random sequences spread across 5 random model configs, each
+    # config's 200 sequences run as one batch.
     sequences = 0
     mismatches = 0
     for k in range(5):
         weight_bits = 4 if k % 2 == 0 else 8
         cfg, model, scales, qm, rng = _calibrated(100 + k, weight_bits)
-        for _ in range(200):
-            feats = rng.standard_normal((20, cfg.input_dim)) * rng.uniform(0.5, 2.0)
-            logits_q, _, trace_q = quantized_forward(qm, feats, collect_trace=True)
-            logits_t, trace_t = hat_forward_trace(model, feats, scales, weight_bits)
-            same = np.array_equal(logits_q, logits_t)
-            for t in range(feats.shape[0]):
-                for li in range(len(qm.layers)):
-                    for key in ("u", "m", "h"):
-                        same &= np.array_equal(trace_q[key][t][li], trace_t[key][t][li])
-            sequences += 1
-            mismatches += 0 if same else 1
+        feats = np.stack([rng.standard_normal((20, cfg.input_dim)) * rng.uniform(0.5, 2.0)
+                          for _ in range(200)])
+        engine, hat = engine_steps(qm, feats), hat_steps(model, scales, weight_bits, feats)
+        same = np.ones(len(feats), dtype=bool)
+        for name in hat:
+            same &= (engine[name] == hat[name]).all(axis=(1, 2))
+        sequences += len(feats)
+        mismatches += int((~same).sum())
     _report(1, "HAT bit-exactness", sequences == 1000 and mismatches == 0,
             f"{sequences} sequences, {mismatches} mismatches (tolerance: exact)")
 

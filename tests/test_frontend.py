@@ -13,7 +13,6 @@ from lmukws.frontend import (
     MAX_WAVS_PER_SPEAKER,
     DatasetError,
     FeatureConfig,
-    Manifest,
     SILENCE_LABEL,
     StreamFeaturizer,
     UNKNOWN_LABEL,
@@ -444,14 +443,6 @@ class TestBuildDataset:
     def test_missing_root(self, tmp_path):
         with pytest.raises(DatasetError):
             build_dataset(tmp_path / "nope", ["yes"])
-
-    def test_manifest_round_trip(self, toy_root, tmp_path):
-        manifest = build_dataset(toy_root, ["yes", "no"])
-        path = tmp_path / "manifest.tsv"
-        manifest.save(path)
-        back = Manifest.load(path, toy_root)
-        assert back.label_names == manifest.label_names
-        assert back.entries == manifest.entries
 
     def test_label_name_padding(self):
         names = twelve_label_names(["yes", "no"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.hwmodel import (
     CoefficientTable,
     DesignPoint,
@@ -22,7 +23,7 @@ from lmukws.hwmodel import (
     sweep_to_csv,
 )
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
-from lmukws.qmodel import ActivationScales, freeze
+from lmukws.qmodel import ActivationScales, freeze, stages
 
 
 def _model(layers, input_dim=40, weight_bits=8):
@@ -121,6 +122,16 @@ class TestWorkloadProfile:
         w_f = profile_workload(model, weight_bits=4)
         assert w_q.macs_per_frame == w_f.macs_per_frame
         assert w_q.parameter_bits == w_f.parameter_bits
+
+    @pytest.mark.parametrize("preset", REFERENCE_NAMES)
+    def test_engine_stages_run_the_profiled_macs(self, preset):
+        # One MAC per integer weight of a stage's terms and per bias entry.
+        cfg = reference_config(preset)
+        scales = ActivationScales(input_exp=-6, layer_exps=((-6, -6, -6),) * len(cfg.layers))
+        qm = freeze(build_model(cfg, np.random.default_rng(0)), cfg.weight_bits, scales)
+        macs = sum(q.size for st in stages(qm) for q, _ in st.terms)
+        macs += sum(st.bias.q.size for st in stages(qm) if st.bias is not None)
+        assert macs == profile_workload(qm).macs_per_frame
 
     def test_frame_timing_defaults(self):
         w = profile_workload(_model([(4, [4])], input_dim=3), weight_bits=8)

@@ -27,7 +27,9 @@ from lmukws.qmodel import (
     model_size_kbits,
     quantized_forward,
 )
-from lmukws.training import evaluate, hat_forward_trace
+from lmukws.training import evaluate
+
+from stepwise import engine_steps, hat_steps
 
 
 def _config(input_dim=5):
@@ -108,16 +110,11 @@ class TestBitExactness:
         # intermediate activation must agree exactly.
         model, scales, qm, rng = _calibrated(3, weight_bits)
         for _ in range(5):
-            feats = rng.standard_normal((12, 5)) * rng.uniform(0.5, 2.0)
-            logits_q, _, trace_q = quantized_forward(qm, feats, collect_trace=True)
-            logits_t, trace_t = hat_forward_trace(model, feats, scales, weight_bits)
-            np.testing.assert_array_equal(logits_q, logits_t)
-            for t in range(12):
-                for li in range(len(qm.layers)):
-                    for key in ("u", "m", "h"):
-                        np.testing.assert_array_equal(
-                            trace_q[key][t][li], trace_t[key][t][li]
-                        )
+            feats = (rng.standard_normal((12, 5)) * rng.uniform(0.5, 2.0))[None]
+            engine, hat = engine_steps(qm, feats), hat_steps(model, scales, weight_bits, feats)
+            for name in hat:
+                np.testing.assert_array_equal(engine[name], hat[name], err_msg=name)
+            np.testing.assert_array_equal(quantized_forward(qm, feats)[0], hat["logits"])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -147,14 +144,11 @@ class TestBitExactness:
             layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
         scales = calibrate_activation_scales(model, rng.standard_normal((4, 10, input_dim)))
         qm = freeze(model, weight_bits, scales)
-        feats = rng.standard_normal((10, input_dim)) * rng.uniform(0.5, 2.0)
-        logits_q, _, trace_q = quantized_forward(qm, feats, collect_trace=True)
-        logits_t, trace_t = hat_forward_trace(model, feats, scales, weight_bits)
-        np.testing.assert_array_equal(logits_q, logits_t)
-        for key in ("u", "m", "h"):
-            for step_q, step_t in zip(trace_q[key], trace_t[key]):
-                for a, b in zip(step_q, step_t):
-                    np.testing.assert_array_equal(a, b)
+        feats = (rng.standard_normal((10, input_dim)) * rng.uniform(0.5, 2.0))[None]
+        engine, hat = engine_steps(qm, feats), hat_steps(model, scales, weight_bits, feats)
+        for name in hat:
+            np.testing.assert_array_equal(engine[name], hat[name], err_msg=name)
+        np.testing.assert_array_equal(quantized_forward(qm, feats)[0], hat["logits"])
 
     def test_logits_grid_consistency(self):
         # Integer logits times their grid step equal the float-graph logits.
@@ -311,16 +305,16 @@ class TestCompiledEngine:
         feats = rng.choice([-64.0, 63.0], size=(24, qm.input_dim)) * step
         feats[5] = -64.0 * step
         ref, (ref_h, ref_m) = reference_forward(qm, feats)
-        logits, state, trace = quantized_forward(qm, feats, collect_trace=True)
+        logits, state = quantized_forward(qm, feats)
         np.testing.assert_array_equal(logits, ref)
+        steps = engine_steps(qm, feats)
         # These inputs saturate u, m and h in every layer; the state's
         # read-outs still equal the reference's state.
         for i in range(len(qm.layers)):
             np.testing.assert_array_equal(state.h[i], ref_h[i])
             np.testing.assert_array_equal(state.m[i], np.concatenate(ref_m[i]))
             for site, bounds in (("u", (-64, 63)), ("m", (-64, 63)), ("h", (63,))):
-                steps = np.array([step[i] for step in trace[site]])
-                assert all((steps == b).any() for b in bounds), (site, i)
+                assert all((steps[f"layer{i}.{site}"] == b).any() for b in bounds), (site, i)
         layer.bias.q[row] += 1
         with pytest.raises(ValueError, match="h accumulator"):
             quantized_forward(qm, feats)
@@ -356,10 +350,17 @@ class TestCompiledEngine:
             old = getattr(layer, name)
             setattr(layer, name, QuantTensor(np.zeros_like(old.q), old.spec))
         feats = rng.standard_normal((8, 5))
-        layer.h_exp = layer.bias.spec.scale_exp - 7
+        out_bias = qm.output_bias.q  # moved with h onto the head's grid
+
+        def move_h_grid(h_exp):
+            layer.h_exp = h_exp
+            grid = qm.output_weight.spec.scale_exp + h_exp
+            qm.output_bias = QuantTensor(out_bias, QuantSpec(32, grid))
+
+        move_h_grid(layer.bias.spec.scale_exp - 7)
         near, near_state = quantized_forward(qm, feats)
         assert set(np.unique(near_state.h[-1])) == {0, 63}
-        layer.h_exp = -5000
+        move_h_grid(-5000)
         far, far_state = quantized_forward(qm, feats)
         np.testing.assert_array_equal(far, near)
         np.testing.assert_array_equal(far_state.h[-1], near_state.h[-1])
@@ -698,6 +699,19 @@ class TestModelFile:
         path = tmp_path / "model.lmuq"
         save_model(qm, path)
         with pytest.raises(ModelFormatError, match="accumulator"):
+            load_model(path)
+
+    def test_output_bias_off_its_grid_rejected(self, tmp_path):
+        # The head adds its bias to the product sum on the sum's grid; a bias
+        # stored 5 steps finer would be added as integers of another grid.
+        _, _, qm, _ = _calibrated(33)
+        bias = qm.output_bias
+        qm.output_bias = QuantTensor(bias.q, QuantSpec(32, bias.spec.scale_exp - 5))
+        with pytest.raises(ValueError, match="output bias grid"):
+            assert_accumulator_safe(qm)
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match="output bias grid"):
             load_model(path)
 
     def test_tensor_shape_must_match_topology(self, tmp_path):
