@@ -1,10 +1,12 @@
 """Command-line surface for the keyword-spotting pipeline.
 
 Subcommands: fetch-data, train, eval, stream, size-report, hw-report,
-hw-sweep.  Every subcommand accepts --config (a "key = value" text file
-merged under explicit flags), --seed, and --out-dir; the fully resolved
-configuration is written next to the run's outputs so results are
-reproducible from the artifacts alone.
+hw-sweep.  Each declares its settings once, in a table of key -> default,
+``Limit`` and help; the flags, the defaults and the checks all come from it.
+Every subcommand accepts --config (a "key = value" text file merged under
+explicit flags), --seed, and --out-dir; the fully resolved configuration is
+written next to the run's outputs so results are reproducible from the
+artifacts alone.
 
 Exit codes: 0 success, 1 usage error, 2 data/artifact error, 3 runtime error.
 """
@@ -20,6 +22,7 @@ import tarfile
 import urllib.request
 from collections import deque
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from .hwmodel import (
     sweep_to_csv,
 )
 from .lmu import build_model
-from .fixedpoint import prune_magnitude
+from .fixedpoint import apply_mask, prune_magnitude
 from .modelfile import ModelFormatError, load_model, save_model
 from .qmodel import (
     QuantStreamState,
@@ -89,25 +92,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig: defaults < config file < explicit flags
+# Settings: one table per command; defaults < config file < explicit flags
 # ---------------------------------------------------------------------------
 
-def _coerce(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null"):
-        return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _read_config_file(path) -> dict:
+    """The ``key = value`` lines of a config file, each value as its text."""
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -120,7 +109,7 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = _coerce(val)
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -128,9 +117,10 @@ def _read_config_file(path) -> dict:
 class Limit:
     """The declared type and range of one setting, checked by ``resolve_config``.
 
-    ``kind`` is int, float or bool; a float setting also takes an int and
+    ``kind`` is int, float, bool or str; a float setting also takes an int and
     must be finite.  The bounds are inclusive unless marked open.
-    ``optional`` allows None, which leaves the setting unset.
+    ``choices``, when given, lists every allowed value.  ``optional`` allows
+    None, which leaves the setting unset.
     """
     kind: type
     lo: float | None = None
@@ -139,6 +129,24 @@ class Limit:
     hi_open: bool = False
     choices: tuple = ()
     optional: bool = False
+
+    def parse(self, text: str):
+        """A config-file value.  A str setting keeps its text; ``none`` or
+        ``null`` unsets an optional one.  Any other setting reads the text as
+        none, a bool, an int or a float, or else keeps it (and fails ``check``)."""
+        low = text.lower()
+        if low in ("none", "null") and (self.optional or self.kind is not str):
+            return None
+        if self.kind is str:
+            return text
+        if low in ("true", "false"):
+            return low == "true"
+        for cast in (int, float):
+            try:
+                return cast(text)
+            except ValueError:
+                continue
+        return text
 
     def check(self, key: str, value) -> None:
         if value is None and self.optional:
@@ -154,7 +162,8 @@ class Limit:
             raise UsageError(f"{self.describe(key.replace('_', '-'))}, got {value!r}")
 
     def describe(self, name: str) -> str:
-        kind = {int: "an integer", float: "a finite number", bool: "true or false"}[self.kind]
+        kind = {int: "an integer", float: "a finite number", bool: "true or false",
+                str: "text"}[self.kind]
         if self.choices:
             kind += f" in {{{', '.join(map(str, self.choices))}}}"
         elif self.lo is not None and self.hi is not None:
@@ -165,24 +174,41 @@ class Limit:
         return f"{name}: expected {'none or ' if self.optional else ''}{kind}"
 
 
-def resolve_config(args, defaults: dict, limits: dict) -> dict:
+class Setting(NamedTuple):
+    """One row of a command's table: the flag is ``--`` plus the key, dashed."""
+    default: object
+    limit: Limit
+    help: str | None = None
+
+
+TEXT = Limit(str)
+TEXT_OR_NONE = Limit(str, optional=True)
+
+# The settings every command takes.
+COMMON = {
+    "seed": Setting(0, Limit(int, lo=0)),
+    "out_dir": Setting(None, TEXT_OR_NONE),
+}
+
+
+def resolve_config(args, settings: dict) -> dict:
     """Merge run settings; reject unknown config-file keys and any setting
-    outside its declared ``Limit``."""
-    resolved = dict(defaults)
+    outside its declared ``Limit``, whether it came from a flag or a file."""
+    resolved = {key: setting.default for key, setting in settings.items()}
     if args.config is not None:
         file_vals = _read_config_file(args.config)
-        unknown = sorted(set(file_vals) - set(defaults))
+        unknown = sorted(set(file_vals) - set(settings))
         if unknown:
             raise UsageError(
                 f"unknown config keys for '{args.cmd}': {', '.join(unknown)}"
             )
-        resolved.update(file_vals)
-    for key in defaults:
-        flag = getattr(args, key, None)
+        for key, text in file_vals.items():
+            resolved[key] = settings[key].limit.parse(text)
+    for key, setting in settings.items():
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
-    for key, limit in limits.items():
-        limit.check(key, resolved[key])
+        setting.limit.check(key, resolved[key])
     return resolved
 
 
@@ -194,20 +220,20 @@ def _write_resolved(cfg: dict, out_dir: Path, cmd: str) -> None:
 
 
 def _out_dir(cfg: dict, cmd: str) -> Path:
-    base = cfg.get("out_dir")
+    base = cfg["out_dir"]
     return Path(base) if base else Path("runs") / cmd
 
 
-def _words(text) -> tuple:
-    items = tuple(w.strip() for w in str(text).split(",") if w.strip())
+def _words(text: str) -> tuple:
+    items = tuple(w.strip() for w in text.split(",") if w.strip())
     if not items:
         raise UsageError("expected a comma-separated word list")
     return items
 
 
-def _positive_int_list(text) -> tuple:
+def _positive_int_list(text: str) -> tuple:
     try:
-        items = tuple(int(v) for v in str(text).split(",") if v.strip())
+        items = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
     if not items or any(v < 1 for v in items):
@@ -216,7 +242,7 @@ def _positive_int_list(text) -> tuple:
 
 
 def _coefficients(cfg: dict) -> CoefficientTable:
-    path = cfg.get("coefficients")
+    path = cfg["coefficients"]
     return CoefficientTable.from_file(path) if path else CoefficientTable.default()
 
 
@@ -230,10 +256,12 @@ def _quantized_model(cfg: dict):
     """--model loaded, or else --model-preset frozen from seeded random weights."""
     if cfg["model"]:
         return _load_model_checked(cfg["model"])
-    model_cfg = reference_config(str(cfg["model_preset"]))
+    model_cfg = reference_config(cfg["model_preset"])
     model = build_model(model_cfg, np.random.default_rng(cfg["seed"]))
-    mask = (prune_magnitude(model, model_cfg.target_sparsity)
-            if model_cfg.target_sparsity > 0.0 else None)
+    mask = None
+    if model_cfg.target_sparsity > 0.0:
+        mask = prune_magnitude(model, model_cfg.target_sparsity)
+        apply_mask(model, mask)
     zero = calibrate_activation_scales(model, np.zeros((1, 2, model_cfg.input_dim)))
     return freeze(model, model_cfg.weight_bits, zero, mask=mask)
 
@@ -258,17 +286,16 @@ def _softmax(v: np.ndarray) -> np.ndarray:
 # fetch-data
 # ---------------------------------------------------------------------------
 
-FETCH_DEFAULTS = {
-    "root": "data/speech_commands",
-    "url": DATA_URL,
-    "checksum": DATA_SHA256,
-    "toy": False,
-    "keywords": "yes,no",
-    "unknown_words": "wow,zero",
-    "speakers": 40,
-    "takes": 3,
-    "seed": 0,
-    "out_dir": None,
+FETCH_SETTINGS = {
+    "root": Setting("data/speech_commands", TEXT),
+    "url": Setting(DATA_URL, TEXT),
+    "checksum": Setting(DATA_SHA256, TEXT_OR_NONE),
+    "toy": Setting(False, Limit(bool), "generate a synthetic corpus instead of downloading"),
+    "keywords": Setting("yes,no", TEXT),
+    "unknown_words": Setting("wow,zero", TEXT),
+    "speakers": Setting(40, Limit(int, lo=1)),
+    "takes": Setting(3, Limit(int, lo=1)),
+    **COMMON,
 }
 
 
@@ -296,14 +323,6 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
     return count
 
 
-FETCH_LIMITS = {
-    "toy": Limit(bool),
-    "speakers": Limit(int, lo=1),
-    "takes": Limit(int, lo=1),
-    "seed": Limit(int, lo=0),
-}
-
-
 def cmd_fetch_data(cfg: dict) -> int:
     root = Path(cfg["root"])
     marker = root / COMPLETE_MARKER
@@ -323,7 +342,7 @@ def cmd_fetch_data(cfg: dict) -> int:
         print(f"generated synthetic dataset under {root}")
         return 0
     root.mkdir(parents=True, exist_ok=True)
-    archive = root / Path(str(cfg["url"])).name
+    archive = root / Path(cfg["url"]).name
     if not archive.exists():
         print(f"downloading {cfg['url']}")
         try:
@@ -333,7 +352,7 @@ def cmd_fetch_data(cfg: dict) -> int:
             raise DatasetError(f"download failed: {e}") from None
     if cfg["checksum"]:
         actual = _sha256_file(archive)
-        if actual != str(cfg["checksum"]).lower():
+        if actual != cfg["checksum"].lower():
             archive.unlink()
             raise DatasetError(
                 f"checksum mismatch for {archive.name}: got {actual}; partial file removed"
@@ -349,40 +368,24 @@ def cmd_fetch_data(cfg: dict) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "data_root": "data/speech_commands",
-    "keywords": "yes,no",
-    "model_preset": "toy",
-    "steps": 200,
-    "batch_size": 32,
-    "learning_rate": 1e-2,
-    "weight_bits": None,
-    "target_sparsity": None,
-    "hat": True,
-    "quant_on_step": None,
-    "prune_start": None,
-    "prune_end": None,
-    "calibration_sequences": 256,
-    "resume": None,
-    "log_every": 20,
-    "seed": 0,
-    "out_dir": None,
-}
-
-TRAIN_LIMITS = {
-    "steps": Limit(int, lo=1),
-    "batch_size": Limit(int, lo=1),
+TRAIN_SETTINGS = {
+    "data_root": Setting("data/speech_commands", TEXT),
+    "keywords": Setting("yes,no", TEXT),
+    "model_preset": Setting("toy", Limit(str, choices=REFERENCE_NAMES)),
+    "steps": Setting(200, Limit(int, lo=1)),
+    "batch_size": Setting(32, Limit(int, lo=1)),
     # Adam moves each weight by about the learning rate per step.
-    "learning_rate": Limit(float, lo=0.0, hi=1.0, lo_open=True),
-    "weight_bits": Limit(int, choices=(4, 8), optional=True),
-    "target_sparsity": Limit(float, lo=0.0, hi=1.0, hi_open=True, optional=True),
-    "hat": Limit(bool),
-    "quant_on_step": Limit(int, lo=0, optional=True),
-    "prune_start": Limit(int, lo=0, optional=True),
-    "prune_end": Limit(int, lo=0, optional=True),
-    "calibration_sequences": Limit(int, lo=1),
-    "log_every": Limit(int, lo=1),
-    "seed": Limit(int, lo=0),
+    "learning_rate": Setting(1e-2, Limit(float, lo=0.0, hi=1.0, lo_open=True)),
+    "weight_bits": Setting(None, Limit(int, choices=(4, 8), optional=True)),
+    "target_sparsity": Setting(None, Limit(float, lo=0.0, hi=1.0, hi_open=True, optional=True)),
+    "hat": Setting(True, Limit(bool), "train against the deployed integer arithmetic"),
+    "quant_on_step": Setting(None, Limit(int, lo=0, optional=True)),
+    "prune_start": Setting(None, Limit(int, lo=0, optional=True)),
+    "prune_end": Setting(None, Limit(int, lo=0, optional=True)),
+    "calibration_sequences": Setting(256, Limit(int, lo=1)),
+    "resume": Setting(None, TEXT_OR_NONE, "checkpoint.npz to initialize weights from"),
+    "log_every": Setting(20, Limit(int, lo=1)),
+    **COMMON,
 }
 
 
@@ -402,7 +405,7 @@ def cmd_train(cfg: dict) -> int:
         if not any(e.split == split for e in manifest.entries):
             raise DatasetError(f"the {split} split of {root} is empty")
     ds = materialize_features(manifest, FeatureConfig())
-    model_cfg = reference_config(str(cfg["model_preset"]))
+    model_cfg = reference_config(cfg["model_preset"])
     overrides = {"label_names": tuple(ds.label_names)}
     if cfg["weight_bits"] is not None:
         overrides["weight_bits"] = cfg["weight_bits"]
@@ -478,27 +481,23 @@ def cmd_train(cfg: dict) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-EVAL_DEFAULTS = {
-    "model": "runs/train/model.lmuq",
-    "frontend": None,
-    "data_root": "data/speech_commands",
-    "keywords": "yes,no",
-    "split": "test",
-    "mode": "offline",
-    "seed": 0,
-    "out_dir": None,
+FRONTEND_HELP = "frontend.npz sidecar (default: next to the model)"
+
+EVAL_SETTINGS = {
+    "model": Setting("runs/train/model.lmuq", TEXT),
+    "frontend": Setting(None, TEXT_OR_NONE, FRONTEND_HELP),
+    "data_root": Setting("data/speech_commands", TEXT),
+    "keywords": Setting("yes,no", TEXT),
+    "split": Setting("test", Limit(str, choices=("train", "val", "test"))),
+    "mode": Setting("offline", Limit(str, choices=("offline", "streaming"))),
+    **COMMON,
 }
-
-
-EVAL_LIMITS = {"seed": Limit(int, lo=0)}
 
 
 def cmd_eval(cfg: dict) -> int:
     qm = _load_model_checked(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
-    split = str(cfg["split"])
-    if split not in ("train", "val", "test"):
-        raise UsageError(f"unknown split {split!r}")
+    split = cfg["split"]
     manifest = build_dataset(cfg["data_root"], _words(cfg["keywords"]), seed=cfg["seed"])
     if list(manifest.label_names) != list(qm.label_names):
         raise DatasetError(f"label mismatch: data {manifest.label_names}, model {qm.label_names}")
@@ -512,7 +511,7 @@ def cmd_eval(cfg: dict) -> int:
     offline = evaluate(qm, x, y)
     lines = [f"split {split}: {x.shape[0]} utterances",
              f"offline accuracy  {offline:.4f}"]
-    if str(cfg["mode"]) == "streaming":
+    if cfg["mode"] == "streaming":
         state = QuantStreamState(qm, x.shape[:1])
         for t in range(x.shape[1]):  # every clip advances one 20 ms hop
             logits, state = quantized_forward(qm, x[:, t : t + 1], state)
@@ -529,24 +528,15 @@ def cmd_eval(cfg: dict) -> int:
 # stream
 # ---------------------------------------------------------------------------
 
-STREAM_DEFAULTS = {
-    "model": "runs/train/model.lmuq",
-    "frontend": None,
-    "wav": None,
-    "smooth": 5,
-    "threshold": 0.7,
-    "refractory": 10,
-    "chunk_samples": 320,
-    "seed": 0,
-    "out_dir": None,
-}
-
-STREAM_LIMITS = {
-    "smooth": Limit(int, lo=1),
-    "threshold": Limit(float, lo=0.0, hi=1.0, lo_open=True),
-    "refractory": Limit(int, lo=0),
-    "chunk_samples": Limit(int, lo=1),
-    "seed": Limit(int, lo=0),
+STREAM_SETTINGS = {
+    "model": Setting("runs/train/model.lmuq", TEXT),
+    "frontend": Setting(None, TEXT_OR_NONE, FRONTEND_HELP),
+    "wav": Setting(None, TEXT_OR_NONE),
+    "smooth": Setting(5, Limit(int, lo=1), "posterior moving-average window in hops"),
+    "threshold": Setting(0.7, Limit(float, lo=0.0, hi=1.0, lo_open=True)),
+    "refractory": Setting(10, Limit(int, lo=0), "hops to suppress after a detection"),
+    "chunk_samples": Setting(320, Limit(int, lo=1)),
+    **COMMON,
 }
 
 
@@ -598,21 +588,17 @@ def cmd_stream(cfg: dict) -> int:
 # size-report
 # ---------------------------------------------------------------------------
 
-SIZE_DEFAULTS = {
-    "model": None,
-    "model_preset": None,
-    "seed": 0,
-    "out_dir": None,
+SIZE_SETTINGS = {
+    "model": Setting(None, TEXT_OR_NONE),
+    "model_preset": Setting(None, Limit(str, choices=REFERENCE_NAMES, optional=True)),
+    **COMMON,
 }
-
-
-SIZE_LIMITS = {"seed": Limit(int, lo=0)}
 
 
 def cmd_size_report(cfg: dict) -> int:
     if bool(cfg["model"]) == bool(cfg["model_preset"]):
         raise UsageError("give exactly one of --model / --model-preset")
-    name = Path(cfg["model"]).name if cfg["model"] else str(cfg["model_preset"])
+    name = Path(cfg["model"]).name if cfg["model"] else cfg["model_preset"]
     qm = _quantized_model(cfg)
     total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
     nonzero = (int(sum(m.sum() for m in qm.keep_masks.values()))
@@ -630,27 +616,18 @@ def cmd_size_report(cfg: dict) -> int:
 # hw-report and hw-sweep
 # ---------------------------------------------------------------------------
 
-HW_REPORT_DEFAULTS = {
-    "model": None,
-    "model_preset": "lmu2",
-    "coefficients": None,
-    "clock_hz": 92000.0,
-    "lanes": 128,
-    "sram_width_bits": 4096,
-    "overhead_cycles": 64,
-    "mcu_cycles_per_s": 17.24e6,
-    "seed": 0,
-    "out_dir": None,
-}
+COEFFICIENTS_HELP = "coefficient table file (default: shipped)"
 
-
-HW_REPORT_LIMITS = {
-    "clock_hz": Limit(float, lo=0.0, lo_open=True),
-    "lanes": Limit(int, lo=1),
-    "sram_width_bits": Limit(int, lo=1),
-    "overhead_cycles": Limit(int, lo=0),
-    "mcu_cycles_per_s": Limit(float, lo=0.0),
-    "seed": Limit(int, lo=0),
+HW_REPORT_SETTINGS = {
+    "model": Setting(None, TEXT_OR_NONE),
+    "model_preset": Setting("lmu2", Limit(str, choices=REFERENCE_NAMES)),
+    "coefficients": Setting(None, TEXT_OR_NONE, COEFFICIENTS_HELP),
+    "clock_hz": Setting(92000.0, Limit(float, lo=0.0, lo_open=True)),
+    "lanes": Setting(128, Limit(int, lo=1)),
+    "sram_width_bits": Setting(4096, Limit(int, lo=1)),
+    "overhead_cycles": Setting(64, Limit(int, lo=0)),
+    "mcu_cycles_per_s": Setting(17.24e6, Limit(float, lo=0.0)),
+    **COMMON,
 }
 
 
@@ -689,28 +666,17 @@ def cmd_hw_report(cfg: dict) -> int:
     return 0
 
 
-HW_SWEEP_DEFAULTS = {
-    "model": None,
-    "model_preset": "lmu2",
-    "coefficients": None,
-    "clock_min": 1e4,
-    "clock_max": 1e7,
-    "clock_points": 25,
-    "lanes": "1,2,4,8,16,32,64,128,256,512",
-    "sram_width_bits": 4096,
-    "overhead_cycles": 64,
-    "seed": 0,
-    "out_dir": None,
-}
-
-
-HW_SWEEP_LIMITS = {
-    "clock_min": Limit(float, lo=0.0, lo_open=True),
-    "clock_max": Limit(float, lo=0.0, lo_open=True),
-    "clock_points": Limit(int, lo=1),
-    "sram_width_bits": Limit(int, lo=1),
-    "overhead_cycles": Limit(int, lo=0),
-    "seed": Limit(int, lo=0),
+HW_SWEEP_SETTINGS = {
+    "model": Setting(None, TEXT_OR_NONE),
+    "model_preset": Setting("lmu2", Limit(str, choices=REFERENCE_NAMES)),
+    "coefficients": Setting(None, TEXT_OR_NONE, COEFFICIENTS_HELP),
+    "clock_min": Setting(1e4, Limit(float, lo=0.0, lo_open=True)),
+    "clock_max": Setting(1e7, Limit(float, lo=0.0, lo_open=True)),
+    "clock_points": Setting(25, Limit(int, lo=1)),
+    "lanes": Setting("1,2,4,8,16,32,64,128,256,512", TEXT),
+    "sram_width_bits": Setting(4096, Limit(int, lo=1)),
+    "overhead_cycles": Setting(64, Limit(int, lo=0)),
+    **COMMON,
 }
 
 
@@ -743,108 +709,45 @@ def cmd_hw_sweep(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# commands and the parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key = value file merged under explicit flags")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out-dir", dest="out_dir")
+class Command(NamedTuple):
+    """A subcommand: what runs it, its one-line help and its settings table."""
+    handler: Callable[[dict], int]
+    help: str
+    settings: dict
+
+
+COMMANDS = {
+    "fetch-data": Command(cmd_fetch_data, "download or synthesize the dataset", FETCH_SETTINGS),
+    "train": Command(cmd_train, "train, quantize, prune, and export a model", TRAIN_SETTINGS),
+    "eval": Command(cmd_eval, "accuracy of a trained model on a split", EVAL_SETTINGS),
+    "stream": Command(cmd_stream, "run hop-by-hop detection over a wav file", STREAM_SETTINGS),
+    "size-report": Command(cmd_size_report, "parameter/kbits summary of a model", SIZE_SETTINGS),
+    "hw-report": Command(cmd_hw_report, "power/area estimate for one design point",
+                         HW_REPORT_SETTINGS),
+    "hw-sweep": Command(cmd_hw_sweep, "clock x lanes design-space sweep to CSV",
+                        HW_SWEEP_SETTINGS),
+}
 
 
 def build_parser() -> _Parser:
+    """Every flag from the command tables; ``resolve_config`` checks the values."""
     parser = _Parser(prog="lmukws", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
-    bool_act = argparse.BooleanOptionalAction
-
-    p = sub.add_parser("fetch-data", help="download or synthesize the dataset")
-    p.add_argument("--root")
-    p.add_argument("--url")
-    p.add_argument("--checksum")
-    p.add_argument("--toy", action=bool_act, help="generate a synthetic corpus instead of downloading")
-    p.add_argument("--keywords")
-    p.add_argument("--unknown-words", dest="unknown_words")
-    p.add_argument("--speakers", type=int)
-    p.add_argument("--takes", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("train", help="train, quantize, prune, and export a model")
-    p.add_argument("--data-root", dest="data_root")
-    p.add_argument("--keywords")
-    p.add_argument("--model-preset", dest="model_preset", choices=REFERENCE_NAMES)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--weight-bits", dest="weight_bits", type=int, choices=(4, 8))
-    p.add_argument("--target-sparsity", dest="target_sparsity", type=float)
-    p.add_argument("--hat", action=bool_act, help="train against the deployed integer arithmetic")
-    p.add_argument("--quant-on-step", dest="quant_on_step", type=int)
-    p.add_argument("--prune-start", dest="prune_start", type=int)
-    p.add_argument("--prune-end", dest="prune_end", type=int)
-    p.add_argument("--calibration-sequences", dest="calibration_sequences", type=int)
-    p.add_argument("--resume", help="checkpoint.npz to initialize weights from")
-    p.add_argument("--log-every", dest="log_every", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="accuracy of a trained model on a split")
-    p.add_argument("--model")
-    p.add_argument("--frontend", help="frontend.npz sidecar (default: next to the model)")
-    p.add_argument("--data-root", dest="data_root")
-    p.add_argument("--keywords")
-    p.add_argument("--split", choices=("train", "val", "test"))
-    p.add_argument("--mode", choices=("offline", "streaming"))
-    _add_common(p)
-
-    p = sub.add_parser("stream", help="run hop-by-hop detection over a wav file")
-    p.add_argument("--model")
-    p.add_argument("--frontend", help="frontend.npz sidecar (default: next to the model)")
-    p.add_argument("--wav")
-    p.add_argument("--smooth", type=int, help="posterior moving-average window in hops")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--refractory", type=int, help="hops to suppress after a detection")
-    p.add_argument("--chunk-samples", dest="chunk_samples", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("size-report", help="parameter/kbits summary of a model")
-    p.add_argument("--model")
-    p.add_argument("--model-preset", dest="model_preset", choices=REFERENCE_NAMES)
-    _add_common(p)
-
-    p = sub.add_parser("hw-report", help="power/area estimate for one design point")
-    p.add_argument("--model")
-    p.add_argument("--model-preset", dest="model_preset", choices=REFERENCE_NAMES)
-    p.add_argument("--coefficients", help="coefficient table file (default: shipped)")
-    p.add_argument("--clock-hz", dest="clock_hz", type=float)
-    p.add_argument("--lanes", type=int)
-    p.add_argument("--sram-width-bits", dest="sram_width_bits", type=int)
-    p.add_argument("--overhead-cycles", dest="overhead_cycles", type=int)
-    p.add_argument("--mcu-cycles-per-s", dest="mcu_cycles_per_s", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("hw-sweep", help="clock x lanes design-space sweep to CSV")
-    p.add_argument("--model")
-    p.add_argument("--model-preset", dest="model_preset", choices=REFERENCE_NAMES)
-    p.add_argument("--coefficients")
-    p.add_argument("--clock-min", dest="clock_min", type=float)
-    p.add_argument("--clock-max", dest="clock_max", type=float)
-    p.add_argument("--clock-points", dest="clock_points", type=int)
-    p.add_argument("--lanes")
-    p.add_argument("--sram-width-bits", dest="sram_width_bits", type=int)
-    p.add_argument("--overhead-cycles", dest="overhead_cycles", type=int)
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, (_, limit, help_text) in command.settings.items():
+            if limit.kind is bool:
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:
+                kind = {"type": limit.kind}
+            if limit.choices:
+                kind["metavar"] = "{" + ",".join(map(str, limit.choices)) + "}"
+            p.add_argument("--" + key.replace("_", "-"), help=help_text, **kind)
+        p.add_argument("--config", help="key = value file merged under explicit flags")
     return parser
-
-
-_HANDLERS = {
-    "fetch-data": (cmd_fetch_data, FETCH_DEFAULTS, FETCH_LIMITS),
-    "train": (cmd_train, TRAIN_DEFAULTS, TRAIN_LIMITS),
-    "eval": (cmd_eval, EVAL_DEFAULTS, EVAL_LIMITS),
-    "stream": (cmd_stream, STREAM_DEFAULTS, STREAM_LIMITS),
-    "size-report": (cmd_size_report, SIZE_DEFAULTS, SIZE_LIMITS),
-    "hw-report": (cmd_hw_report, HW_REPORT_DEFAULTS, HW_REPORT_LIMITS),
-    "hw-sweep": (cmd_hw_sweep, HW_SWEEP_DEFAULTS, HW_SWEEP_LIMITS),
-}
 
 
 def main(argv=None) -> int:
@@ -853,11 +756,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    handler, defaults, limits = _HANDLERS[args.cmd]
+    command = COMMANDS[args.cmd]
     try:
-        cfg = resolve_config(args, defaults, limits)
+        cfg = resolve_config(args, command.settings)
         _write_resolved(cfg, _out_dir(cfg, args.cmd), args.cmd)
-        return handler(cfg)
+        return command.handler(cfg)
     except UsageError as e:
         print(f"lmukws {args.cmd}: {e}", file=sys.stderr)
         return 1

@@ -2,16 +2,21 @@
 
 import contextlib
 import io
+import os
 import re
+import shlex
 import struct
 import tarfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from lmukws.cli import STREAM_LIMITS, TRAIN_LIMITS, main
+from lmukws import cli
+from lmukws.cli import COMMANDS, build_parser, main, resolve_config
+from lmukws.configs import REFERENCE_NAMES
 from lmukws.fixedpoint import QuantTensor
 from lmukws.frontend import (
     FeatureConfig,
@@ -88,6 +93,20 @@ class TestParsing:
         monkeypatch.chdir(tmp_path)
         assert main(["size-report", "--model-preset", "lmu2"]) == 0
         assert (tmp_path / "runs" / "size-report" / "resolved-config.txt").exists()
+
+    def test_readme_quickstart_commands_parse(self):
+        # A renamed flag or choice breaks this test, not the docs.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Quickstart (CLI)", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert all(argv[0] == "lmukws" for argv in commands)
+        assert {argv[1] for argv in commands} == set(COMMANDS)
+        parser = build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            resolve_config(args, COMMANDS[args.cmd].settings)
 
 
 class TestFetchData:
@@ -189,7 +208,8 @@ class TestTrain:
 
 def _config_file(path, values: dict):
     """A config file holding ``values``; each reads back as the same value."""
-    path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    path.write_text("".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+                            for key, value in values.items()))
     return path
 
 
@@ -213,10 +233,13 @@ def _within(limit, top: int = 40):
     return values | st.none() if limit.optional else values
 
 
-def _settings(limits: dict, caps: dict):
-    """Config-file values for the keys of ``limits``: either every key inside
-    its limit, or any subset of keys, each inside its limit or anything.
-    A key in ``caps`` is always set, and never to an integer above its cap."""
+def _settings(command: str, caps: dict):
+    """Config-file values for the settings of ``command``, free text aside:
+    either every key inside its limit, or any subset of keys, each inside its
+    limit or anything.  A key in ``caps`` is always set, and never to an
+    integer above its cap."""
+    limits = {key: setting.limit for key, setting in COMMANDS[command].settings.items()
+              if setting.limit.kind is not str or setting.limit.choices}
     within = {key: _within(limit, caps.get(key, 40)) for key, limit in limits.items()}
     anything = {key: within[key] | ANY_SETTING.filter(
         lambda v, cap=caps.get(key, 40): type(v) is not int or v <= cap) for key in limits}
@@ -277,6 +300,37 @@ class TestSettingLimits:
         assert f"{name}: expected" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cmd, key", [
+        (name, key) for name, command in COMMANDS.items()
+        for key, setting in command.settings.items() if setting.limit.choices])
+    def test_config_value_outside_its_choices_is_usage_error(self, tmp_path, capsys, cmd, key):
+        # `mode = strem` scored offline and exited 0; `model_preset = lmu9`
+        # raised an uncaught KeyError.
+        bad = {"model_preset": "lmu9", "weight_bits": "5", "split": "tests", "mode": "strem"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {bad[key]}\n")
+        rc = main([cmd, "--config", str(cfg), "--out-dir", "out"])
+        assert rc == 1
+        assert f"{key.replace('_', '-')}: expected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (["train"], "data_root = 1", "dataset root not found: 1 "),  # TypeError
+        # open(1) read stdout's descriptor as the table, then closed it: exit 3
+        (["hw-report"], "coefficients = 1", "'1'"),
+        (["hw-report"], "coefficients = 0", "'0'"),  # the shipped table, exit 0
+        (["train", "--data-root", "{toy}"], "keywords = true", "['true']"),  # 'True'
+    ])
+    def test_config_text_setting_keeps_its_text(
+            self, toy_root, tmp_path, capsys, argv, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([arg.format(toy=toy_root) for arg in argv]
+                  + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        os.fstat(1)  # stdout's descriptor is still open
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_limits_are_checked_before_data_is_read(self, tmp_path, capsys):
         rc = main(["train", "--data-root", str(tmp_path / "nope"), "--batch-size", "0",
                    "--out-dir", str(tmp_path / "out")])
@@ -295,7 +349,7 @@ def tiny_root(tmp_path_factory):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(values=_settings(TRAIN_LIMITS, caps={"steps": 2}))  # each run stays short
+@given(values=_settings("train", caps={"steps": 2}))  # each run stays short
 @example(values={"steps": 2, "quant_on_step": 1, "target_sparsity": 0.5})
 @example(values={"steps": 1, "hat": False, "prune_start": 0, "prune_end": 0})
 def test_random_train_settings_run_or_are_usage_errors(tiny_root, tmp_path_factory, values):
@@ -303,7 +357,7 @@ def test_random_train_settings_run_or_are_usage_errors(tiny_root, tmp_path_facto
     out = tmp / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = main(["train", "--data-root", str(tiny_root), "--model-preset", "toy",
+        rc = main(["train", "--data-root", str(tiny_root),
                    "--config", str(_config_file(tmp / "run.cfg", values)),
                    "--out-dir", str(out)])
     event(f"exit {rc}")
@@ -322,7 +376,7 @@ def test_random_train_settings_run_or_are_usage_errors(tiny_root, tmp_path_facto
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(values=_settings(STREAM_LIMITS, caps={}))
+@given(values=_settings("stream", caps={}))
 def test_random_stream_settings_run_or_are_usage_errors(
         toy_root, trained, tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("stream-settings")
@@ -542,6 +596,15 @@ class TestSizeReport:
             assert main(["size-report", "--model-preset", name]) == 0
             out = capsys.readouterr().out
             assert kbits in out, (name, out)
+
+    @pytest.mark.parametrize("preset", REFERENCE_NAMES)
+    def test_preset_model_survives_a_file_round_trip(self, tmp_path, preset):
+        # lmu3 and lmu4 are pruned; frozen without their mask applied, they
+        # held nonzero integers in pruned slots, and load_model refused them.
+        qm = cli._quantized_model({"model": None, "model_preset": preset, "seed": 0})
+        save_model(qm, tmp_path / "a.lmuq")
+        save_model(load_model(tmp_path / "a.lmuq"), tmp_path / "b.lmuq")
+        assert (tmp_path / "a.lmuq").read_bytes() == (tmp_path / "b.lmuq").read_bytes()
 
     def test_requires_exactly_one_source(self, trained):
         assert main(["size-report"]) == 1
