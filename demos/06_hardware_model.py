@@ -1,9 +1,9 @@
 """How many microwatts does a keyword spotter cost in silicon?
 
-An analytic model turns a network architecture into per-frame MAC and
-memory-traffic counts, then a (clock, MAC lanes) design point into a power
-breakdown, a transistor count, and a real-time verdict (20 ms hops must
-finish in 20 ms; two-frame latency must fit the 40 ms window).  Sweeping
+An analytic model turns a frozen integer model's stages into per-frame MAC
+and memory-traffic counts, then a (clock, MAC lanes) design point into a
+power breakdown, a transistor count, and a real-time verdict (20 ms hops
+must finish in 20 ms; two-frame latency must fit the 40 ms window).  Sweeping
 the design grid exposes the power/area trade-off and its Pareto frontier.
 
 All coefficients are a text file you can override; the shipped defaults
@@ -25,12 +25,16 @@ from lmukws.hwmodel import (
     sweep,
 )
 from lmukws.lmu import build_model
+from lmukws.qmodel import calibrate_activation_scales, freeze
 
 
 def main():
     cfg = REFERENCE_CONFIGS["lmu2"]
     model = build_model(cfg, np.random.default_rng(0))
-    w = profile_workload(model, weight_bits=cfg.weight_bits)
+    # The counts are read off the integer engine's stages, so freeze first;
+    # they depend only on shapes and widths, not on the calibrated scales.
+    zero = calibrate_activation_scales(model, np.zeros((1, 2, cfg.input_dim)))
+    w = profile_workload(freeze(model, cfg.weight_bits, zero))
     coeffs = CoefficientTable.default()
 
     print("workload of the 361-kbit reference model, per 20 ms frame:")

@@ -4,9 +4,9 @@ Subcommands: fetch-data, train, eval, stream, size-report, hw-report,
 hw-sweep.  Each declares its settings once, in a table of key -> default,
 ``Limit`` and help; the flags, the defaults and the checks all come from it.
 Every subcommand accepts --config (a "key = value" text file merged under
-explicit flags), --seed, and --out-dir; the fully resolved configuration is
-written next to the run's outputs so results are reproducible from the
-artifacts alone.
+explicit flags), --seed, and --out-dir; once the settings pass every check,
+the fully resolved configuration is written next to the run's outputs so
+results are reproducible from the artifacts alone.
 
 Exit codes: 0 success, 1 usage error, 2 data/artifact error, 3 runtime error.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -60,6 +61,7 @@ from .qmodel import (
     QuantStreamState,
     calibrate_activation_scales,
     freeze,
+    kept_parameters,
     model_size_kbits,
     quantized_forward,
 )
@@ -212,16 +214,18 @@ def resolve_config(args, settings: dict) -> dict:
     return resolved
 
 
-def _write_resolved(cfg: dict, out_dir: Path, cmd: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_dir(cfg: dict, cmd: str) -> Path:
+    """Make the run's output directory and write its resolved configuration.
+
+    A handler calls it once every check that reads only its settings has
+    passed, so a usage error (exit 1) leaves nothing behind.
+    """
+    out = Path(cfg["out_dir"]) if cfg["out_dir"] else Path("runs") / cmd
+    out.mkdir(parents=True, exist_ok=True)
     lines = [f"# resolved configuration for '{cmd}'"]
     lines += [f"{k} = {cfg[k]}" for k in sorted(cfg)]
-    (out_dir / "resolved-config.txt").write_text("\n".join(lines) + "\n")
-
-
-def _out_dir(cfg: dict, cmd: str) -> Path:
-    base = cfg["out_dir"]
-    return Path(base) if base else Path("runs") / cmd
+    (out / "resolved-config.txt").write_text("\n".join(lines) + "\n")
+    return out
 
 
 def _words(text: str) -> tuple:
@@ -324,6 +328,11 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
 
 
 def cmd_fetch_data(cfg: dict) -> int:
+    if cfg["toy"]:
+        keywords, unknown_words = _words(cfg["keywords"]), _words(cfg["unknown_words"])
+    else:  # an empty list extracts every word
+        keywords = _words(cfg["keywords"]) if cfg["keywords"] else None
+    _run_dir(cfg, "fetch-data")
     root = Path(cfg["root"])
     marker = root / COMPLETE_MARKER
     if marker.exists():
@@ -332,8 +341,8 @@ def cmd_fetch_data(cfg: dict) -> int:
     if cfg["toy"]:
         generate_toy_dataset(
             root,
-            keywords=_words(cfg["keywords"]),
-            unknown_words=_words(cfg["unknown_words"]),
+            keywords=keywords,
+            unknown_words=unknown_words,
             speakers=cfg["speakers"],
             takes=cfg["takes"],
             seed=cfg["seed"],
@@ -357,7 +366,6 @@ def cmd_fetch_data(cfg: dict) -> int:
             raise DatasetError(
                 f"checksum mismatch for {archive.name}: got {actual}; partial file removed"
             )
-    keywords = _words(cfg["keywords"]) if cfg["keywords"] else None
     n = _extract_archive(archive, root, keywords)
     marker.write_text(f"extracted {n} entries\n")
     print(f"extracted {n} entries into {root}")
@@ -395,12 +403,12 @@ def cmd_train(cfg: dict) -> int:
         check_prune_steps(prune_start, prune_end)
     except ValueError as exc:
         raise UsageError(f"prune-start and prune-end: {exc}") from None
-    out = _out_dir(cfg, "train")
-    out.mkdir(parents=True, exist_ok=True)
+    keywords = _words(cfg["keywords"])
+    out = _run_dir(cfg, "train")
     root = Path(cfg["data_root"])
     if not root.is_dir():
         raise DatasetError(f"dataset root not found: {root} (run fetch-data first)")
-    manifest = build_dataset(root, _words(cfg["keywords"]), seed=cfg["seed"])
+    manifest = build_dataset(root, keywords, seed=cfg["seed"])
     for split in ("train", "val"):  # training needs one, the report the other
         if not any(e.split == split for e in manifest.entries):
             raise DatasetError(f"the {split} split of {root} is empty")
@@ -465,7 +473,7 @@ def cmd_train(cfg: dict) -> int:
 
     total = result.model.parameter_count()
     kbits = model_size_kbits(qm)
-    nonzero = int(sum(m.sum() for m in qm.keep_masks.values())) if qm.keep_masks else total
+    nonzero = sum(kept_parameters(qm).values())
     val_float = evaluate(result.model, ds.val_x, ds.val_y)
     val_int = evaluate(qm, ds.val_x, ds.val_y)
     print(f"final loss {result.final_loss:.4f}")
@@ -495,10 +503,12 @@ EVAL_SETTINGS = {
 
 
 def cmd_eval(cfg: dict) -> int:
+    keywords = _words(cfg["keywords"])
+    out = _run_dir(cfg, "eval")
     qm = _load_model_checked(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
     split = cfg["split"]
-    manifest = build_dataset(cfg["data_root"], _words(cfg["keywords"]), seed=cfg["seed"])
+    manifest = build_dataset(cfg["data_root"], keywords, seed=cfg["seed"])
     if list(manifest.label_names) != list(qm.label_names):
         raise DatasetError(f"label mismatch: data {manifest.label_names}, model {qm.label_names}")
     picked = [i for i, e in enumerate(manifest.entries) if e.split == split]
@@ -517,8 +527,6 @@ def cmd_eval(cfg: dict) -> int:
             logits, state = quantized_forward(qm, x[:, t : t + 1], state)
         lines.append(f"streaming accuracy {(logits[:, -1].argmax(axis=1) == y).mean():.4f}")
     lines.append(f"majority baseline {majority_baseline(y):.4f}")
-    out = _out_dir(cfg, "eval")
-    out.mkdir(parents=True, exist_ok=True)
     (out / "eval-report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -543,6 +551,7 @@ STREAM_SETTINGS = {
 def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
+    out = _run_dir(cfg, "stream")
     smooth, threshold = cfg["smooth"], cfg["threshold"]
     refractory, chunk = cfg["refractory"], cfg["chunk_samples"]
     qm = _load_model_checked(cfg["model"])
@@ -573,8 +582,6 @@ def cmd_stream(cfg: dict) -> int:
                 cooldown = refractory
             hop_index += 1
 
-    out = _out_dir(cfg, "stream")
-    out.mkdir(parents=True, exist_ok=True)
     (out / "posteriors.csv").write_text("\n".join(rows) + "\n")
     for t, label, p in detections:
         print(f"t={t:.2f}s  {label}  p={p:.3f}")
@@ -598,11 +605,11 @@ SIZE_SETTINGS = {
 def cmd_size_report(cfg: dict) -> int:
     if bool(cfg["model"]) == bool(cfg["model_preset"]):
         raise UsageError("give exactly one of --model / --model-preset")
+    _run_dir(cfg, "size-report")
     name = Path(cfg["model"]).name if cfg["model"] else cfg["model_preset"]
     qm = _quantized_model(cfg)
     total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
-    nonzero = (int(sum(m.sum() for m in qm.keep_masks.values()))
-               if qm.keep_masks else total)
+    nonzero = sum(kept_parameters(qm).values())
     sparsity = 1.0 - nonzero / total
     kbits = model_size_kbits(qm)
     header = f"{'model':<12}{'params':>10}{'nonzero':>10}{'sparsity':>10}{'bits':>6}{'kbits':>10}"
@@ -632,6 +639,7 @@ HW_REPORT_SETTINGS = {
 
 
 def cmd_hw_report(cfg: dict) -> int:
+    out = _run_dir(cfg, "hw-report")
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
     dp = DesignPoint(
@@ -659,8 +667,6 @@ def cmd_hw_report(cfg: dict) -> int:
         f"  MCU at 6.88 uW/MHz   {mcu_power(mcu, 6.88):10.3f} uW   (reported cycle count x datasheet efficiency)",
         f"  3.4 uJ/frame ASIC    {energy_per_frame_power(3.4, 50.0):10.3f} uW   (reported energy per frame x 50 fps)",
     ]
-    out = _out_dir(cfg, "hw-report")
-    out.mkdir(parents=True, exist_ok=True)
     (out / "hw-report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -683,15 +689,15 @@ HW_SWEEP_SETTINGS = {
 def cmd_hw_sweep(cfg: dict) -> int:
     if cfg["clock_max"] < cfg["clock_min"]:
         raise UsageError("need clock-min <= clock-max")
+    lanes = _positive_int_list(cfg["lanes"])
+    out = _run_dir(cfg, "hw-sweep")
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
     clocks = np.geomspace(float(cfg["clock_min"]), float(cfg["clock_max"]),
                           cfg["clock_points"])
-    records = sweep(w, clocks, _positive_int_list(cfg["lanes"]), coeffs,
+    records = sweep(w, clocks, lanes, coeffs,
                     sram_width_bits=cfg["sram_width_bits"],
                     overhead_cycles=cfg["overhead_cycles"])
-    out = _out_dir(cfg, "hw-sweep")
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     csv_path.write_text(sweep_to_csv(records))
     feasible = [r for r in records if r.realtime]
@@ -732,8 +738,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """Every flag from the command tables; ``resolve_config`` checks the values."""
+    """Every flag from the command tables; ``resolve_config`` checks the values.
+    Built once per process: parsing leaves the parser unchanged."""
     parser = _Parser(prog="lmukws", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
     for name, command in COMMANDS.items():
@@ -758,9 +766,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     command = COMMANDS[args.cmd]
     try:
-        cfg = resolve_config(args, command.settings)
-        _write_resolved(cfg, _out_dir(cfg, args.cmd), args.cmd)
-        return command.handler(cfg)
+        return command.handler(resolve_config(args, command.settings))
     except UsageError as e:
         print(f"lmukws {args.cmd}: {e}", file=sys.stderr)
         return 1

@@ -1,8 +1,11 @@
 """Analytic accelerator cost model: cycles, power breakdown, area, sweeps.
 
-The model is deliberately coarse: closed-form MAC and memory-traffic counts
-per 20 ms feature frame, a cycle model (compute + memory stalls + fixed
-overhead), and an energy model driven by a coefficient table.  The shipped
+The model is deliberately coarse: per-frame MAC and memory-traffic counts
+read off the integer engine's stages (``qmodel.stages``), so the cost model
+and the engine describe the same work; a cycle model (compute + memory
+stalls + fixed overhead); and an energy model driven by a coefficient
+table.  The modeled datapath is dense: it does not skip pruned weights,
+which are stored zeros whose MACs it executes.  The shipped
 default coefficients are representative values assembled from public
 low-power process estimates; they bound designs to the right order of
 magnitude and are not a substitute for synthesis.  Every coefficient is
@@ -20,6 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+
+from .fixedpoint import ACTIVATION_BITS
+from .qmodel import QuantizedModel, stages
 
 DEFAULT_MISC_TRANSISTORS = 400_000  # control, sequencing, I/O glue
 
@@ -120,71 +126,42 @@ class WorkloadProfile:
         return self.parameter_bits + self.constant_bits + self.activation_bits
 
 
-def _layer_dims(model):
-    """(n, h, orders) per layer plus output fan-in; works for float and
-    quantized models (both store an input_kernel of shape (h, n))."""
-    dims = []
-    for layer in model.layers:
-        n = layer.input_kernel.shape[1]
-        h = layer.input_kernel.shape[0]
-        dims.append((n, h, [c.order for c in layer.cells]))
-    out_in = dims[-1][1] if dims else model.input_dim
-    return dims, out_in
+# The head's sums are the logits, kept at the 32-bit accumulator width.
+LOGIT_BITS = 32
 
 
-ACT_BITS = 7
-BIAS_BITS = 32
-CONST_BITS = 8
-N_LABELS = 12
+def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
+    """Per-frame counts of the work the engine's stages do for ``qm``.
 
-
-def profile_workload(model, weight_bits: int | None = None) -> WorkloadProfile:
-    """Closed-form per-frame counts for a model.
-
-    Per layer with input n, hidden h, c cells of orders d_k (D = sum d_k):
-    MACs = c(n + h) for u, sum(d_k^2 + d_k) for the memory update, and
-    h*n + h*D + h for the hidden nonlinearity; the output head adds
-    12*h + 12.  Each MAC reads one weight and one activation; every
-    activation written is counted once.
+    Every weight and bias entry of a stage is one MAC.  Each weight MAC
+    reads its weight at the weight's stored width and one 7-bit activation;
+    each bias is read once at its stored width.  Every stage writes each of
+    its outputs once: a 7-bit activation, or a logit for the head.  Stored
+    bits are the trainable tensors (parameters) and the cells' A and B
+    (constants) at their stored widths, plus the written activations.
     """
-    wb = weight_bits if weight_bits is not None else getattr(model, "weight_bits", None)
-    if wb is None:
-        raise ValueError("weight_bits required for a float model")
-    dims, out_in = _layer_dims(model)
-    macs = reads = writes = params = consts = acts = 0
-    for n, h, orders in dims:
-        c, D = len(orders), sum(orders)
-        u_macs = c * (n + h)
-        m_macs = sum(d * d + d for d in orders)
-        h_macs = h * n + h * D + h
-        macs += u_macs + m_macs + h_macs
-        # one weight + one activation fetched per MAC; biases read once at
-        # accumulator width (the bias "MAC" h is already in h_macs)
-        reads += (u_macs + h * n + h * D) * (wb + ACT_BITS)
-        reads += m_macs * (CONST_BITS + ACT_BITS)
-        reads += h * BIAS_BITS
-        writes += (c + D + h) * ACT_BITS
-        params += (c * n + c * h + h * n + h * D) * wb + h * BIAS_BITS
-        consts += sum(d * d + d for d in orders) * CONST_BITS
-        acts += (c + D + h) * ACT_BITS
-    macs += N_LABELS * out_in + N_LABELS
-    reads += N_LABELS * out_in * (wb + ACT_BITS) + N_LABELS * BIAS_BITS
-    writes += N_LABELS * BIAS_BITS
-    params += N_LABELS * out_in * wb + N_LABELS * BIAS_BITS
-    acts += N_LABELS * BIAS_BITS
-    dt = getattr(model, "dt", None)
-    if dt is None and dims and model.layers[0].cells:
-        dt = model.layers[0].cells[0].dt
-    frame = float(dt) if dt else 0.02
+    every = stages(qm)
+    macs = reads = 0
+    for st in every:
+        for t in st.terms:
+            macs += t.q.size
+            reads += t.q.size * (t.bits + ACTIVATION_BITS)
+        if st.bias is not None:
+            macs += st.bias.q.size
+            reads += st.bias.q.size * st.bias.spec.bits
+    *body, head = every
+    writes = sum(len(st.terms[0].q) for st in body) * ACTIVATION_BITS
+    writes += len(head.terms[0].q) * LOGIT_BITS
+    constants = [qt for layer in qm.layers for cell in layer.cells for qt in (cell.A, cell.B)]
     return WorkloadProfile(
         macs_per_frame=macs,
         read_bits_per_frame=reads,
         write_bits_per_frame=writes,
-        parameter_bits=params,
-        constant_bits=consts,
-        activation_bits=acts,
-        frame_period_s=frame,
-        window_s=2.0 * frame,
+        parameter_bits=sum(qt.q.size * qt.spec.bits for _, qt in qm.weight_tensor_items()),
+        constant_bits=sum(qt.q.size * qt.spec.bits for qt in constants),
+        activation_bits=writes,
+        frame_period_s=qm.dt,
+        window_s=2.0 * qm.dt,
     )
 
 

@@ -219,6 +219,8 @@ def load_model(path) -> QuantizedModel:
         raise ModelFormatError(f"{len(labels)} labels; a model has exactly 12")
     if weight_bits not in WEIGHT_BIT_CHOICES:
         raise ModelFormatError(f"weight width {weight_bits} is not 4 or 8")
+    if not (math.isfinite(dt) and dt > 0):  # the hop the hardware model times
+        raise ModelFormatError(f"frame period dt = {dt!r} is not a positive number")
     expected = _expected_tensors(input_dim, weight_bits, layer_meta)
     for name, (shape, bits) in expected.items():
         if name not in tensors:

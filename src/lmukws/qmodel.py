@@ -5,10 +5,10 @@ activations 7-bit, and every step's sums live in a 32-bit accumulator whose
 worst case is proven when a model is compiled.  Multi-term sums are aligned
 by shifting each term to the finest grid among them (always an exact left
 shift, since scales are powers of two), then requantized once; ``stages``
-lists every such sum, and the proof and the compiler both read it.  The engine
-runs each layer as three float64 matmuls over weights pre-scaled onto their
-stage's output grid; float64 holds every such sum exactly (see
-``compile_model``).
+lists every such sum, and the proof, the compiler and the hardware cost
+model (``hwmodel.profile_workload``) all read it.  The engine runs each
+layer as three float64 matmuls over weights pre-scaled onto their stage's
+output grid; float64 holds every such sum exactly (see ``compile_model``).
 
 Scale bookkeeping that must match the training graph exactly:
   - weight scales are a pure function of the weight tensor (exact-max rule),
@@ -110,18 +110,21 @@ class QuantizedModel:
         yield "output.bias", self.output_bias
 
 
-def model_size_kbits(qm: QuantizedModel) -> float:
-    """Storage metric: retained parameter count x weight bits / 1000.
+def kept_parameters(qm: QuantizedModel) -> dict:
+    """name -> kept entries, for every stored trainable tensor: the entries
+    its mask keeps, or all of them when it has no mask (a stored zero still
+    occupies a slot)."""
+    return {name: int(qm.keep_masks[name].sum()) if name in qm.keep_masks else qt.q.size
+            for name, qt in qm.weight_tensor_items()}
 
-    Counts every unpruned parameter (a stored zero still occupies a slot);
-    biases count at weight precision; the fixed memory matrices are shared
+
+def model_size_kbits(qm: QuantizedModel) -> float:
+    """Storage metric: kept parameter count x weight bits / 1000.
+
+    Biases count at weight precision; the fixed memory matrices are shared
     constants and are excluded.
     """
-    total = 0
-    for name, qt in qm.weight_tensor_items():
-        mask = qm.keep_masks.get(name)
-        total += int(mask.sum()) if mask is not None else qt.q.size
-    return total * qm.weight_bits / 1000.0
+    return sum(kept_parameters(qm).values()) * qm.weight_bits / 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +240,37 @@ def freeze(
     return qm
 
 
+class Term(NamedTuple):
+    """One product of a stage: integer weights, one row per output, their
+    stored width, and the grid exponent of their products."""
+
+    q: np.ndarray
+    bits: int
+    grid: int
+
+
 class Stage(NamedTuple):
     """One accumulator of the engine.
 
-    Its terms are (integer weights, grid exponent of their products), in the
-    order of the operand row the stage reads; each weight row is one output.
-    The terms are aligned on the finest of their grids (an exact left shift
-    of each coarser one), the bias is added on that grid, and the sum is
+    Its terms are listed in the order of the operand row the stage reads.
+    They are aligned on the finest of their grids (an exact left shift of
+    each coarser one), the bias is added on that grid, and the sum is
     requantized onto 2**out_exp (the head's sum is the logits, unrounded).
     """
 
     name: str  # the prefix of the proof's messages
-    terms: list
+    terms: list  # of Term
     out_exp: int
     bias: QuantTensor | None = None
 
     @property
     def grid(self) -> int:
         """The exponent of the aligned sum."""
-        return min(g for _, g in self.terms)
+        return min(t.grid for t in self.terms)
 
     def aligned(self):
         """(weights, left shift onto ``grid``) per term."""
-        return [(q, g - self.grid) for q, g in self.terms]
+        return [(t.q, t.grid - self.grid) for t in self.terms]
 
     def worst_case(self) -> int:
         """The largest |sum| any input can reach: every 7-bit activation at
@@ -276,7 +287,7 @@ def stages(qm: QuantizedModel) -> list:
     """Every stage the engine runs, in order: per layer u over [h | x], one
     m per cell over [its m | its u] and h over [x | m]; then the head."""
     def term(qt, act_exp):
-        return qt.q, qt.spec.scale_exp + act_exp
+        return Term(qt.q, qt.spec.bits, qt.spec.scale_exp + act_exp)
 
     out = []
     x_exp = qm.input_exp
@@ -284,24 +295,24 @@ def stages(qm: QuantizedModel) -> list:
         out.append(Stage(f"layer{i}: u", [term(layer.hidden_encoder, layer.h_exp),
                                           term(layer.input_encoder, x_exp)], layer.u_exp))
         for k, cell in enumerate(layer.cells):
-            b_q, b_grid = term(cell.B, layer.u_exp)  # (d,): one column, over the cell's u
+            b = term(cell.B, layer.u_exp)  # (d,): one column, over the cell's u
             out.append(Stage(f"layer{i}.cell{k}: m", [term(cell.A, layer.m_exp),
-                                                      (b_q[:, None], b_grid)], layer.m_exp))
+                                                      b._replace(q=b.q[:, None])], layer.m_exp))
         out.append(Stage(f"layer{i}: h", [term(layer.input_kernel, x_exp),
                                           term(layer.memory_kernel, layer.m_exp)],
                          layer.h_exp, layer.bias))
         x_exp = layer.h_exp
-    w_q, w_grid = term(qm.output_weight, x_exp)
-    return out + [Stage("output", [(w_q, w_grid)], w_grid, qm.output_bias)]
+    w = term(qm.output_weight, x_exp)
+    return out + [Stage("output", [w], w.grid, qm.output_bias)]
 
 
 def assert_accumulator_safe(qm: QuantizedModel) -> None:
     """Prove no 32-bit accumulator can overflow, for any input whatsoever,
     and that every bias lies on its stage's grid."""
     for st in stages(qm):
-        for q, _ in st.terms:
-            if q.shape[1] > MAX_FAN_IN:
-                raise ValueError(f"{st.name} fan-in {q.shape[1]} exceeds {MAX_FAN_IN}")
+        for t in st.terms:
+            if t.q.shape[1] > MAX_FAN_IN:
+                raise ValueError(f"{st.name} fan-in {t.q.shape[1]} exceeds {MAX_FAN_IN}")
         if st.bias is not None and st.bias.spec.scale_exp != st.grid:
             raise ValueError(
                 f"{st.name} bias grid 2^{st.bias.spec.scale_exp} != accumulator grid 2^{st.grid}"

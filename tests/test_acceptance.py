@@ -230,7 +230,8 @@ def test_criterion_7_realtime_constraint():
     # frontier must be mutually non-dominated.
     cfg = REFERENCE_CONFIGS["lmu2"]
     model = build_model(cfg, np.random.default_rng(0))
-    w = profile_workload(model, weight_bits=cfg.weight_bits)
+    zero = calibrate_activation_scales(model, np.zeros((1, 2, cfg.input_dim)))
+    w = profile_workload(freeze(model, cfg.weight_bits, zero))
     coeffs = CoefficientTable.default()
     clocks = np.geomspace(1e4, 1e7, 25)
     lanes = [1, 2, 4, 8, 16, 32, 64, 128]

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface (in-process, no network)."""
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -27,6 +28,7 @@ from lmukws.frontend import (
     write_wav,
 )
 from lmukws.modelfile import _tensor_record, load_model, save_model
+from lmukws.qmodel import kept_parameters, model_size_kbits
 from lmukws.training import evaluate
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -94,6 +96,27 @@ class TestParsing:
         assert main(["size-report", "--model-preset", "lmu2"]) == 0
         assert (tmp_path / "runs" / "size-report" / "resolved-config.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["hw-sweep", "--clock-min", "10", "--clock-max", "5"],
+        ["hw-sweep", "--lanes", "0"],
+        ["hw-sweep", "--lanes", "1,x"],
+        ["train", "--prune-start", "3"],
+        ["train", "--keywords", ","],
+        ["eval", "--keywords", ","],
+        ["fetch-data", "--toy", "--unknown-words", " , "],
+        # a local URL, so that a regression cannot start a download
+        ["fetch-data", "--keywords", ",", "--url", "file:///nonexistent/corpus.tar.gz"],
+    ])
+    def test_usage_error_in_a_handler_writes_nothing(self, tmp_path, argv):
+        # These left runs/<command>/resolved-config.txt behind; train and eval
+        # checked their keyword lists only after the data root or the model
+        # (exit 2 when that was missing).
+        assert main(argv) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_readme_quickstart_commands_parse(self):
         # A renamed flag or choice breaks this test, not the docs.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -134,7 +157,6 @@ class TestFetchData:
         return archive
 
     def test_download_checksum_extract(self, tmp_path):
-        import hashlib
         archive = self._archive(tmp_path)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         root = tmp_path / "extracted"
@@ -167,9 +189,6 @@ class TestTrain:
             assert (trained / name).exists(), name
 
     def test_size_report_matches_library_metric(self, trained, capsys):
-        from lmukws.modelfile import load_model
-        from lmukws.qmodel import model_size_kbits
-
         qm = load_model(trained / "model.lmuq")
         rc = main(["size-report", "--model", str(trained / "model.lmuq")])
         assert rc == 0
@@ -575,6 +594,7 @@ class TestStream:
         rc = main(["stream", "--model", str(trained / "model.lmuq"),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
+        assert not any(tmp_path.iterdir())  # not even resolved-config.txt
 
     @pytest.mark.parametrize("chunk", ["0", "-5"])
     def test_chunk_samples_below_one_is_usage_error(self, toy_root, trained, tmp_path,
@@ -606,10 +626,80 @@ class TestSizeReport:
         save_model(load_model(tmp_path / "a.lmuq"), tmp_path / "b.lmuq")
         assert (tmp_path / "a.lmuq").read_bytes() == (tmp_path / "b.lmuq").read_bytes()
 
-    def test_requires_exactly_one_source(self, trained):
+    def test_requires_exactly_one_source(self, trained, tmp_path):
         assert main(["size-report"]) == 1
         assert main(["size-report", "--model-preset", "lmu2",
                      "--model", str(trained / "model.lmuq")]) == 1
+        assert not any(tmp_path.iterdir())  # not even runs/size-report
+
+    def test_partly_masked_model_counts_its_kept_entries(self, tmp_path, capsys):
+        # Only the output bias has a mask, with one slot pruned.  Only the
+        # masked tensor's kept entries were counted: "11 nonzero, 99.53%".
+        qm = cli._quantized_model({"model": None, "model_preset": "toy", "seed": 0})
+        keep = np.ones(12, dtype=bool)
+        keep[0] = False
+        qm.output_bias.q[0] = 0
+        qm.keep_masks = {"output.bias": keep}
+        save_model(qm, tmp_path / "m.lmuq")
+        total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
+        assert sum(kept_parameters(qm).values()) == total - 1
+        assert main(["size-report", "--model", str(tmp_path / "m.lmuq")]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[1:] == [str(total), str(total - 1), f"{1 / total:.2%}", "4",
+                           f"{model_size_kbits(qm):.1f}"]
+
+
+# SHA-256 of each report at default settings, as the closed-form cost model
+# wrote them before the profile was read off the engine's stages.
+REPORT_DIGESTS = {
+    "lmu1": {
+        "size-report": "576da314c9abb737a55f3a4d4e52eec004bfad9d880430bd1464cbf0a97661e8",
+        "hw-report": "81fc183c23435513ddb66550ea1cf71abeb93351ecdfb9718b245acdf57e3e3e",
+        "hw-sweep": "a7398aa1f2d0f26be02a03d2d25785ebd63d8290380fecd282b3e48b55468e82",
+        "hw-report.txt": "81fc183c23435513ddb66550ea1cf71abeb93351ecdfb9718b245acdf57e3e3e",
+        "sweep.csv": "cea0c689b0510da851b218376b58cc1fc61c290490b64a3cd6d721949b8620e6",
+    },
+    "lmu2": {
+        "size-report": "1af0e97eeb32bd9037191f603cfbb1cc170d56f54e96f5b844a06f5555da7e25",
+        "hw-report": "eb3217ab6dfc03b2ce10b53f039603f49d489ef144adca6e7d9d592f92dfb344",
+        "hw-sweep": "ff161dcb7e2f73a41c676d59dda4e15e1873676cb57ba842415692eae2c4ce20",
+        "hw-report.txt": "eb3217ab6dfc03b2ce10b53f039603f49d489ef144adca6e7d9d592f92dfb344",
+        "sweep.csv": "4bbcfb16d08ba0dd54ac94c09073b53b0cb07b5f22b486ceeec5be1992552fc4",
+    },
+    "lmu3": {
+        "size-report": "9115d941d8d7ce2a5da26542d9a06916fd3bec60bbfe61fa021cc95aa4c6c381",
+        "hw-report": "7cb86d8110f47278cbd9184264a0338314fd98c2baead50f282eecba897d6bc3",
+        "hw-sweep": "a1ef380f3ddb3faaae2010a15ba7d9e020a799d0bb4267a8343ef53551c5d2cc",
+        "hw-report.txt": "7cb86d8110f47278cbd9184264a0338314fd98c2baead50f282eecba897d6bc3",
+        "sweep.csv": "70157a7a6662a3c8fc60601d24a3cb1985092aec86795ba4dab1eaf79045d1b8",
+    },
+    "lmu4": {
+        "size-report": "0e990df0b619bb763c32c7b3bdd7a60bddfa8372074ec9ebab327e6abc7e28ee",
+        "hw-report": "cf3ecdd7df5023fcea70d54a63077db133a3f13a3975d318917376999e77a72e",
+        "hw-sweep": "012b33a745a2f92000fdf6d04d55add05f7af33fad3c68532a5c046b3b3653bb",
+        "hw-report.txt": "cf3ecdd7df5023fcea70d54a63077db133a3f13a3975d318917376999e77a72e",
+        "sweep.csv": "d3740315ab0991312e4df74a5c31d03d3969adea22c6a855f5ea652819deb02e",
+    },
+    "toy": {
+        "size-report": "7f2ae607e29616cfe27dd71c114b5bb999118b6ef40316872edae352f885cf98",
+        "hw-report": "30373c7f00e8e8eb65cb8dea00a05dfc9a89b5ae0cc20358fc06dc83929f974b",
+        "hw-sweep": "fa323f4cbf581f93c67cb81abaeec4bbe858d6e27d013ec4fee0f89de2bbaf31",
+        "hw-report.txt": "30373c7f00e8e8eb65cb8dea00a05dfc9a89b5ae0cc20358fc06dc83929f974b",
+        "sweep.csv": "053179e5d4c2230821d74ff4766d66166a07c6660df014caf8bf69d1ae2afd6e",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", REFERENCE_NAMES)
+def test_report_bytes_are_pinned(preset, tmp_path, capsys):
+    digests = {}
+    for cmd in ("size-report", "hw-report", "hw-sweep"):
+        assert main([cmd, "--model-preset", preset]) == 0
+        digests[cmd] = capsys.readouterr().out.encode()
+    digests["hw-report.txt"] = (tmp_path / "runs/hw-report/hw-report.txt").read_bytes()
+    digests["sweep.csv"] = (tmp_path / "runs/hw-sweep/sweep.csv").read_bytes()
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == \
+        REPORT_DIGESTS[preset]
 
 
 class TestHwCommands:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmukws.configs import REFERENCE_NAMES, reference_config
+from lmukws.fixedpoint import apply_mask, prune_magnitude
 from lmukws.hwmodel import (
     CoefficientTable,
     DesignPoint,
@@ -23,19 +24,61 @@ from lmukws.hwmodel import (
     sweep_to_csv,
 )
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
-from lmukws.qmodel import ActivationScales, freeze, stages
+from lmukws.qmodel import ActivationScales, freeze
+
+
+def _frozen(cfg):
+    """cfg's model from seeded random weights, pruned to its target sparsity
+    and frozen at fixed scales: the counts depend only on its shapes and
+    stored widths."""
+    model = build_model(cfg, np.random.default_rng(0))
+    mask = None
+    if cfg.target_sparsity > 0.0:
+        mask = prune_magnitude(model, cfg.target_sparsity)
+        apply_mask(model, mask)
+    scales = ActivationScales(input_exp=-6, layer_exps=((-6, -6, -6),) * len(cfg.layers))
+    return freeze(model, cfg.weight_bits, scales, mask=mask)
 
 
 def _model(layers, input_dim=40, weight_bits=8):
-    cfg = ModelConfig(
+    return _frozen(ModelConfig(
         input_dim=input_dim,
         layers=tuple(
             LayerConfig(hidden=h, cells=tuple(CellConfig(d, 0.25) for d in orders))
             for h, orders in layers
         ),
         weight_bits=weight_bits,
-    )
-    return build_model(cfg, np.random.default_rng(0))
+    ))
+
+
+def _closed_form(qm):
+    """The dense per-frame counts written out from the layer shapes.
+
+    Per layer with input n, hidden h, c cells of orders d_k (D = sum d_k):
+    MACs c(n + h) for u, sum(d_k^2 + d_k) for m and hn + hD + h for h; the
+    12-way head adds 12 h_last + 12.  Each MAC reads one weight and one
+    7-bit activation, biases are read once at 32 bits, the fixed A and B
+    are 8-bit, and every output is written once (the logits at 32 bits).
+    """
+    wb, n = qm.weight_bits, qm.input_dim
+    macs = reads = writes = params = consts = 0
+    for layer in qm.layers:
+        h = layer.hidden_dim
+        orders = [cell.order for cell in layer.cells]
+        c, D = len(orders), sum(orders)
+        m_macs = sum(d * d + d for d in orders)
+        macs += c * (n + h) + m_macs + h * n + h * D + h
+        reads += (c * (n + h) + h * n + h * D) * (wb + 7) + m_macs * (8 + 7) + h * 32
+        writes += (c + D + h) * 7
+        params += (c * n + c * h + h * n + h * D) * wb + h * 32
+        consts += m_macs * 8
+        n = h
+    macs += 12 * n + 12
+    reads += 12 * n * (wb + 7) + 12 * 32
+    writes += 12 * 32
+    params += 12 * n * wb + 12 * 32
+    return WorkloadProfile(macs, reads, writes, params, consts, activation_bits=writes,
+                           frame_period_s=qm.dt, window_s=2 * qm.dt)
 
 
 class TestCoefficientTable:
@@ -86,7 +129,7 @@ class TestWorkloadProfile:
         # n = h = c = d = 1: u costs 1*(1+1), memory d^2+d = 2, hidden
         # h*n + h*D + h = 3, so the layer contributes 7 MACs; the 12-way
         # head adds 12*1 + 12 = 24.
-        w = profile_workload(_model([(1, [1])], input_dim=1), weight_bits=8)
+        w = profile_workload(_model([(1, [1])], input_dim=1))
         assert w.macs_per_frame == 7 + 24
 
     def test_two_layer_mac_count(self):
@@ -95,46 +138,36 @@ class TestWorkloadProfile:
         # layer2 (210 -> 228, same cells):
         #   u 4*(210+228)=1752, m 1088, h 228*210+228*64+228=62700
         # head: 12*228+12 = 2748; total 92426
-        w = profile_workload(
-            _model([(210, [16] * 4), (228, [16] * 4)]), weight_bits=4
-        )
+        w = profile_workload(_model([(210, [16] * 4), (228, [16] * 4)], weight_bits=4))
         assert w.macs_per_frame == 24138 + 65540 + 2748
 
     def test_storage_split(self):
-        w = profile_workload(
-            _model([(210, [16] * 4), (228, [16] * 4)]), weight_bits=4
-        )
+        w = profile_workload(_model([(210, [16] * 4), (228, [16] * 4)], weight_bits=4))
         # weights at 4 bits, biases at accumulator width, state constants
         # at 8 bits: 2 * 1088 entries
         assert w.constant_bits == 2 * 1088 * 8
         assert w.parameter_bits == 373600
         assert w.storage_bits == w.parameter_bits + w.constant_bits + w.activation_bits
 
-    def test_float_model_requires_bits(self):
-        with pytest.raises(ValueError, match="weight_bits"):
-            profile_workload(_model([(4, [4])], input_dim=3))
-
-    def test_quantized_model_supplies_bits(self):
-        model = _model([(4, [4])], input_dim=3, weight_bits=4)
-        scales = ActivationScales(input_exp=-6, layer_exps=(( -6, -6, -6),))
-        qm = freeze(model, 4, scales)
-        w_q = profile_workload(qm)
-        w_f = profile_workload(model, weight_bits=4)
-        assert w_q.macs_per_frame == w_f.macs_per_frame
-        assert w_q.parameter_bits == w_f.parameter_bits
-
     @pytest.mark.parametrize("preset", REFERENCE_NAMES)
     def test_engine_stages_run_the_profiled_macs(self, preset):
-        # One MAC per integer weight of a stage's terms and per bias entry.
-        cfg = reference_config(preset)
-        scales = ActivationScales(input_exp=-6, layer_exps=((-6, -6, -6),) * len(cfg.layers))
-        qm = freeze(build_model(cfg, np.random.default_rng(0)), cfg.weight_bits, scales)
-        macs = sum(q.size for st in stages(qm) for q, _ in st.terms)
-        macs += sum(st.bias.q.size for st in stages(qm) if st.bias is not None)
-        assert macs == profile_workload(qm).macs_per_frame
+        # The profile is read off the engine's stages; all six counts equal
+        # the closed form.  Dense: the pruned lmu3 and lmu4 count their
+        # stored zeros.
+        qm = _frozen(reference_config(preset))
+        assert bool(qm.keep_masks) == (preset in ("lmu3", "lmu4"))
+        assert profile_workload(qm) == _closed_form(qm)
+
+    @pytest.mark.parametrize("layers, input_dim", [
+        ([(1, [1])], 1), ([(3, [2, 1])], 5), ([(8, [4]), (5, [1, 2, 3]), (2, [2])], 3),
+    ])
+    @pytest.mark.parametrize("weight_bits", [4, 8])
+    def test_small_topologies_equal_the_closed_form(self, layers, input_dim, weight_bits):
+        qm = _model(layers, input_dim=input_dim, weight_bits=weight_bits)
+        assert profile_workload(qm) == _closed_form(qm)
 
     def test_frame_timing_defaults(self):
-        w = profile_workload(_model([(4, [4])], input_dim=3), weight_bits=8)
+        w = profile_workload(_model([(4, [4])], input_dim=3))
         assert w.frame_period_s == pytest.approx(0.02)
         assert w.window_s == pytest.approx(0.04)
 
@@ -263,9 +296,7 @@ class TestEstimatePower:
     def test_reference_design_in_microwatt_band(self):
         # two-layer 4-bit model on a modest design point lands in the
         # single-digit-microwatt regime, below microcontroller baselines
-        w = profile_workload(
-            _model([(210, [16] * 4), (228, [16] * 4)]), weight_bits=4
-        )
+        w = profile_workload(_model([(210, [16] * 4), (228, [16] * 4)], weight_bits=4))
         pb = estimate_power(w, DesignPoint(92000.0, 128), CoefficientTable.default())
         assert pb.realtime
         assert 0.879 <= pb.total_uW <= 87.9
@@ -311,7 +342,7 @@ class TestSweep:
 
     def test_frontier_is_nondominated(self):
         rng = np.random.default_rng(3)
-        w = profile_workload(_model([(32, [8, 8])]), weight_bits=8)
+        w = profile_workload(_model([(32, [8, 8])]))
         clocks = sorted(float(c) for c in rng.uniform(2e4, 2e6, size=12))
         records = sweep(w, clocks, [1, 8, 64], CoefficientTable.default())
         feasible = [r for r in records if r.realtime]
@@ -330,7 +361,7 @@ class TestSweep:
             assert r.pareto == (not dominated)
 
     def test_rows_sorted_by_clock_then_lanes(self):
-        w = profile_workload(_model([(8, [4])], input_dim=4), weight_bits=8)
+        w = profile_workload(_model([(8, [4])], input_dim=4))
         records = sweep(w, [3e5, 1e5, 2e5], [16, 1], CoefficientTable.default())
         keys = [(r.clock_hz, r.lanes) for r in records]
         assert keys == sorted(keys)
@@ -347,7 +378,7 @@ class TestSweep:
             sweep(w, [], [1], CoefficientTable.default())
 
     def test_csv_byte_deterministic(self):
-        w = profile_workload(_model([(16, [8])], input_dim=8), weight_bits=4)
+        w = profile_workload(_model([(16, [8])], input_dim=8, weight_bits=4))
         coeffs = CoefficientTable.default()
         a = sweep_to_csv(sweep(w, [1e5, 7e5], [1, 32], coeffs))
         b = sweep_to_csv(sweep(w, [7e5, 1e5], [32, 1], coeffs))

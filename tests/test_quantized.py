@@ -18,7 +18,8 @@ from lmukws.fixedpoint import (
     round_half_even_rshift,
 )
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
-from lmukws.modelfile import ModelFormatError, _tensor_record, load_model, save_model
+from lmukws.hwmodel import profile_workload
+from lmukws.modelfile import MAGIC, ModelFormatError, _tensor_record, load_model, save_model
 from lmukws.qmodel import (
     QuantStreamState,
     assert_accumulator_safe,
@@ -565,7 +566,8 @@ class TestModelFile:
     def test_edit_with_valid_crc_fails_cleanly_or_runs(self, small_model_files, which, at, edit):
         # Any bytes of the file overwritten and the CRC recomputed: the file
         # is rejected as malformed, or it loads, passes the accumulator
-        # proof and runs with every activation in range.
+        # proof, runs with every activation in range and has a hardware
+        # profile with a positive hop.
         body = small_model_files[which].read_bytes()[:-4]
         pos = int(at * len(body))
         path = small_model_files[which].with_name("edited.lmuq")
@@ -580,6 +582,17 @@ class TestModelFile:
         assert logits.shape == (2, 6, 12) and np.abs(logits).max() < 2**31
         for h, m in zip(state.h, state.m):
             assert 0 <= h.min() and h.max() <= 63 and -64 <= m.min() and m.max() <= 63
+        assert profile_workload(qm).frame_period_s > 0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, float("nan"), float("inf")])
+    def test_frame_period_that_is_not_positive_rejected(self, small_model_files, tmp_path, dt):
+        # The hardware model times a hop by the file's dt.
+        body = small_model_files[1].read_bytes()[:-4]
+        at = len(MAGIC) + 2 + 32 + 3  # magic, version, frontend hash, input_dim, weight_bits
+        assert struct.unpack_from("<d", body, at)[0] == 0.02
+        _with_crc(tmp_path / "m.lmuq", body[:at] + struct.pack("<d", dt) + body[at + 8:])
+        with pytest.raises(ModelFormatError, match="frame period"):
+            load_model(tmp_path / "m.lmuq")
 
     @pytest.mark.parametrize("field", ["label", "tensor name"])
     def test_text_that_is_not_utf8_rejected(self, small_model_files, tmp_path, field):
