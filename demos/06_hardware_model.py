@@ -6,9 +6,10 @@ power breakdown, a transistor count, and a real-time verdict (20 ms hops
 must finish in 20 ms; two-frame latency must fit the 40 ms window).  Sweeping
 the design grid exposes the power/area trade-off and its Pareto frontier.
 
-All coefficients are a text file you can override; the shipped defaults
-are representative low-power-process values, good for orders of magnitude
-and trade-off shapes, not sign-off.
+The coefficients are the fields of ``CoefficientTable``, with their units;
+a text file can override any of them.  The defaults are representative
+low-power-process values, good for orders of magnitude and trade-off
+shapes, not sign-off.
 
 Run: python demos/06_hardware_model.py
 """
@@ -35,7 +36,7 @@ def main():
     # they depend only on shapes and widths, not on the calibrated scales.
     zero = calibrate_activation_scales(model, np.zeros((1, 2, cfg.input_dim)))
     w = profile_workload(freeze(model, cfg.weight_bits, zero))
-    coeffs = CoefficientTable.default()
+    coeffs = CoefficientTable()
 
     print("workload of the 361-kbit reference model, per 20 ms frame:")
     print(f"  {w.macs_per_frame:,} MACs, {w.read_bits_per_frame:,} bits read, "

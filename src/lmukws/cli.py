@@ -45,6 +45,7 @@ from .frontend import (
     save_feature_config,
 )
 from .hwmodel import (
+    CoefficientError,
     CoefficientTable,
     DesignPoint,
     energy_per_frame_power,
@@ -247,7 +248,7 @@ def _positive_int_list(text: str) -> tuple:
 
 def _coefficients(cfg: dict) -> CoefficientTable:
     path = cfg["coefficients"]
-    return CoefficientTable.from_file(path) if path else CoefficientTable.default()
+    return CoefficientTable.from_file(path) if path else CoefficientTable()
 
 
 def _load_model_checked(path) -> "QuantizedModel":
@@ -473,11 +474,11 @@ def cmd_train(cfg: dict) -> int:
 
     total = result.model.parameter_count()
     kbits = model_size_kbits(qm)
-    nonzero = sum(kept_parameters(qm).values())
+    kept = sum(kept_parameters(qm).values())
     val_float = evaluate(result.model, ds.val_x, ds.val_y)
     val_int = evaluate(qm, ds.val_x, ds.val_y)
     print(f"final loss {result.final_loss:.4f}")
-    print(f"size: {total} params, {nonzero} nonzero, "
+    print(f"size: {total} params, {kept} kept, "
           f"{qm.weight_bits}-bit weights, {kbits:.1f} kbits")
     print(f"val accuracy: float {val_float:.4f}, deployed {val_int:.4f} "
           f"(majority baseline {majority_baseline(ds.val_y):.4f})")
@@ -609,11 +610,11 @@ def cmd_size_report(cfg: dict) -> int:
     name = Path(cfg["model"]).name if cfg["model"] else cfg["model_preset"]
     qm = _quantized_model(cfg)
     total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
-    nonzero = sum(kept_parameters(qm).values())
-    sparsity = 1.0 - nonzero / total
+    kept = sum(kept_parameters(qm).values())
+    sparsity = 1.0 - kept / total
     kbits = model_size_kbits(qm)
-    header = f"{'model':<12}{'params':>10}{'nonzero':>10}{'sparsity':>10}{'bits':>6}{'kbits':>10}"
-    row = f"{name:<12}{total:>10}{nonzero:>10}{sparsity:>10.2%}{qm.weight_bits:>6}{kbits:>10.1f}"
+    header = f"{'model':<12}{'params':>10}{'kept':>10}{'sparsity':>10}{'bits':>6}{'kbits':>10}"
+    row = f"{name:<12}{total:>10}{kept:>10}{sparsity:>10.2%}{qm.weight_bits:>6}{kbits:>10.1f}"
     print(header)
     print(row)
     return 0
@@ -623,7 +624,7 @@ def cmd_size_report(cfg: dict) -> int:
 # hw-report and hw-sweep
 # ---------------------------------------------------------------------------
 
-COEFFICIENTS_HELP = "coefficient table file (default: shipped)"
+COEFFICIENTS_HELP = "coefficient table file (default: built-in)"
 
 HW_REPORT_SETTINGS = {
     "model": Setting(None, TEXT_OR_NONE),
@@ -770,7 +771,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"lmukws {args.cmd}: {e}", file=sys.stderr)
         return 1
-    except (DatasetError, WavFormatError, ModelFormatError, FileNotFoundError) as e:
+    except (DatasetError, WavFormatError, ModelFormatError, CoefficientError, FileNotFoundError) as e:
         print(f"lmukws {args.cmd}: {e}", file=sys.stderr)
         return 2
     except (TrainingError, ValueError, ArithmeticError, OSError) as e:

@@ -5,11 +5,11 @@ read off the integer engine's stages (``qmodel.stages``), so the cost model
 and the engine describe the same work; a cycle model (compute + memory
 stalls + fixed overhead); and an energy model driven by a coefficient
 table.  The modeled datapath is dense: it does not skip pruned weights,
-which are stored zeros whose MACs it executes.  The shipped
-default coefficients are representative values assembled from public
-low-power process estimates; they bound designs to the right order of
-magnitude and are not a substitute for synthesis.  Every coefficient is
-config.
+which are stored zeros whose MACs it executes.  The default
+coefficients (``CoefficientTable``) are representative values assembled
+from public low-power process estimates; they bound designs to the right
+order of magnitude and are not a substitute for synthesis.  A coefficient
+file overrides any of them.
 
 Operating convention: the engine runs continuously at its clock (no
 race-to-idle), so all dynamic terms scale linearly with clock and vanish in
@@ -21,13 +21,11 @@ in the 40 ms window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .fixedpoint import ACTIVATION_BITS
 from .qmodel import QuantizedModel, stages
-
-DEFAULT_MISC_TRANSISTORS = 400_000  # control, sequencing, I/O glue
 
 CSV_COLUMNS = (
     "clock_hz", "lanes", "mac_uW", "sram_dyn_uW", "sram_static_uW", "other_uW",
@@ -35,71 +33,84 @@ CSV_COLUMNS = (
 )
 
 
+# The coefficient-file key of each field that is not keyed by its own name.
+FILE_KEYS = {
+    "mac_lane_transistors": "transistors.mac_lane",
+    "sram_bit_transistors": "transistors.sram_bit",
+}
+
+
+class CoefficientError(ValueError):
+    """A coefficient file that cannot be read, or a line, key or value in it
+    that is not a valid coefficient; maps to exit code 2."""
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Energy/area coefficients; all positive, all overridable from a file."""
+    """Energy and area coefficients of the one modeled design.
 
-    e_mac_j: float = 5.0e-13        # energy per multiply-accumulate
-    e_sram_bit_j: float = 4.0e-14   # energy per SRAM bit read or written
-    p_static_bit_w: float = 4.0e-12  # leakage per stored SRAM bit
-    p_dyn_transistor_j: float = 6.4e-17  # switching energy per transistor-cycle
-    activity: float = 0.1           # fraction of "other" transistors toggling
-    latency_residual_ms: float = 12.83  # pipeline fill + framing residual
-    misc_transistors: int = DEFAULT_MISC_TRANSISTORS
-    transistors_per: dict = field(
-        default_factory=lambda: {
-            "mac_lane": 6000,
-            "sram_bit": 8,
-            "multiplier": 3000,
-            "divider": 25000,
-            "misc_transistor": 1,
-        }
-    )
+    Representative values for a low-power 22 nm-class embedded process,
+    assembled from public estimates.  Every field is finite and positive,
+    ``activity`` is at most 1, and the transistor counts are integers.
+    """
+
+    e_mac_j: float = 5.0e-13             # J per 8x8 multiply-accumulate
+    e_sram_bit_j: float = 4.0e-14        # J per SRAM bit read or written
+    p_static_bit_w: float = 4.0e-12      # W of leakage per stored SRAM bit
+    p_dyn_transistor_j: float = 6.4e-17  # J per toggling transistor-cycle
+    activity: float = 0.1                # toggle fraction of the misc logic
+    latency_residual_ms: float = 12.83   # ms of pipeline fill + framing residual
+    mac_lane_transistors: int = 6000     # transistors per MAC lane
+    sram_bit_transistors: int = 8        # transistors per stored bit
+    misc_transistors: int = 400_000      # control, sequencing, I/O glue
 
     def __post_init__(self):
-        for name in ("e_mac_j", "e_sram_bit_j", "p_static_bit_w",
-                     "p_dyn_transistor_j", "activity", "latency_residual_ms"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"coefficient {name} must be positive")
-        for key, val in self.transistors_per.items():
-            if val <= 0:
-                raise ValueError(f"transistors_per[{key!r}] must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise CoefficientError(f"{f.name} must be finite and > 0, got {value!r}")
+            if f.name == "activity" and value > 1:
+                raise CoefficientError(f"activity must be <= 1, got {value!r}")
+            if isinstance(f.default, int) and not isinstance(value, int):
+                raise CoefficientError(f"{f.name} must be an integer, got {value!r}")
 
     @classmethod
     def from_file(cls, path) -> "CoefficientTable":
-        """Parse a "key = value" text table ('#' comments allowed).
+        """The defaults, overridden by a "key = value" text file ('#' comments).
 
-        Component transistor counts use dotted keys: transistors.mac_lane.
-        Unknown keys are rejected so typos cannot silently revert defaults.
+        Keys are the field names, but ``transistors.mac_lane`` and
+        ``transistors.sram_bit`` for the per-instance transistor counts.
+        A transistor count may be written as a float with an integer value
+        (6e3).  Unknown keys are rejected so typos cannot silently revert
+        defaults.
         """
-        scalars = {}
-        per = dict(cls().transistors_per)
-        known = {
-            "e_mac_j", "e_sram_bit_j", "p_static_bit_w", "p_dyn_transistor_j",
-            "activity", "latency_residual_ms", "misc_transistors",
-        }
-        with open(path) as f:
-            for ln, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{ln}: expected 'key = value'")
-                key, val = (part.strip() for part in line.split("=", 1))
-                if key.startswith("transistors."):
-                    per[key[len("transistors."):]] = int(float(val))
-                elif key in known:
-                    scalars[key] = int(float(val)) if key == "misc_transistors" else float(val)
-                else:
-                    raise ValueError(f"{path}:{ln}: unknown coefficient {key!r}")
-        return cls(transistors_per=per, **scalars)
-
-    @classmethod
-    def default(cls) -> "CoefficientTable":
-        with resources.as_file(
-            resources.files("lmukws").joinpath("data/hw_coefficients.txt")
-        ) as path:
-            return cls.from_file(path)
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as e:
+            raise CoefficientError(f"cannot read coefficient file {path}: {e}") from None
+        by_key = {FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        values = {}
+        for ln, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise CoefficientError(f"{path}:{ln}: expected 'key = value'")
+            key, text = (part.strip() for part in line.split("=", 1))
+            f = by_key.get(key)
+            if f is None:
+                raise CoefficientError(f"{path}:{ln}: unknown coefficient {key!r}")
+            try:
+                value = float(text)
+            except ValueError:
+                raise CoefficientError(f"{path}:{ln}: {key} = {text!r} is not a number") from None
+            if isinstance(f.default, int) and value.is_integer():
+                value = int(value)
+            values[f.name] = value
+        try:
+            return cls(**values)
+        except CoefficientError as e:
+            raise CoefficientError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,6 @@ class WorkloadProfile:
     constant_bits: int
     activation_bits: int
     frame_period_s: float = 0.02
-    window_s: float = 0.04
 
     def __post_init__(self):
         for name in ("macs_per_frame", "read_bits_per_frame", "write_bits_per_frame",
@@ -124,6 +134,11 @@ class WorkloadProfile:
     @property
     def storage_bits(self) -> int:
         return self.parameter_bits + self.constant_bits + self.activation_bits
+
+    @property
+    def window_s(self) -> float:
+        """The two-frame latency budget."""
+        return 2 * self.frame_period_s
 
 
 # The head's sums are the logits, kept at the 32-bit accumulator width.
@@ -161,19 +176,17 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
         constant_bits=sum(qt.q.size * qt.spec.bits for qt in constants),
         activation_bits=writes,
         frame_period_s=qm.dt,
-        window_s=2.0 * qm.dt,
     )
 
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One accelerator configuration: clock, MAC lanes, memory port, extras."""
+    """One accelerator configuration: clock, MAC lanes, memory port."""
 
     clock_hz: float
     lanes: int
     sram_width_bits: int = 4096
     overhead_cycles: int = 64
-    inventory: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.clock_hz <= 0:
@@ -184,30 +197,11 @@ class DesignPoint:
             raise ValueError("sram_width_bits must be positive")
 
 
-def default_inventory(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable) -> dict:
-    """Standard component inventory: lanes, all stored bits, misc control."""
-    return {
-        "mac_lane": dp.lanes,
-        "sram_bit": w.storage_bits,
-        "misc_transistor": coeffs.misc_transistors,
-    }
-
-
 def cycles_per_frame(w: WorkloadProfile, dp: DesignPoint) -> int:
     """Compute cycles + memory-stall cycles + fixed per-frame overhead."""
     compute = math.ceil(w.macs_per_frame / dp.lanes)
     stalls = math.ceil((w.read_bits_per_frame + w.write_bits_per_frame) / dp.sram_width_bits)
     return compute + stalls + dp.overhead_cycles
-
-
-def estimate_area(dp: DesignPoint, coeffs: CoefficientTable) -> int:
-    """Transistor count of the design's component inventory."""
-    total = 0
-    for name, count in dp.inventory.items():
-        if name not in coeffs.transistors_per:
-            raise ValueError(f"no transistor coefficient for component {name!r}")
-        total += count * coeffs.transistors_per[name]
-    return total
 
 
 @dataclass
@@ -233,12 +227,12 @@ class PowerBreakdown:
 def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable) -> PowerBreakdown:
     """Power, timing, and feasibility of one design point.
 
-    MAC and SRAM dynamic power follow their per-cycle work rates at the given
-    clock; "other" covers the remaining logic (control and any extra
-    components) at the configured activity; leakage scales with stored bits.
+    The design is its MAC lanes, an SRAM holding every stored bit and the
+    misc logic (control, sequencing, I/O glue).  MAC and SRAM dynamic power
+    follow their per-cycle work rates at the given clock; "other" is the
+    misc logic toggling at the configured activity; leakage scales with
+    stored bits.
     """
-    if not dp.inventory:
-        dp = replace(dp, inventory=default_inventory(w, dp, coeffs))
     cycles = cycles_per_frame(w, dp)
     throughput_ms = cycles / dp.clock_hz * 1000.0
     latency_ms = 2.0 * throughput_ms + coeffs.latency_residual_ms
@@ -248,14 +242,9 @@ def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable
     bits_per_cycle = (w.read_bits_per_frame + w.write_bits_per_frame) / cycles
     mac_uW = coeffs.e_mac_j * macs_per_cycle * dp.clock_hz * 1e6
     sram_dyn_uW = coeffs.e_sram_bit_j * bits_per_cycle * dp.clock_hz * 1e6
-    sram_static_uW = coeffs.p_static_bit_w * dp.inventory.get("sram_bit", 0) * 1e6
-    other_transistors = sum(
-        count * coeffs.transistors_per[name]
-        for name, count in dp.inventory.items()
-        if name not in ("mac_lane", "sram_bit") and name in coeffs.transistors_per
-    )
+    sram_static_uW = coeffs.p_static_bit_w * w.storage_bits * 1e6
     other_uW = (coeffs.p_dyn_transistor_j * coeffs.activity
-                * other_transistors * dp.clock_hz * 1e6)
+                * coeffs.misc_transistors * dp.clock_hz * 1e6)
     return PowerBreakdown(
         clock_hz=dp.clock_hz,
         lanes=dp.lanes,
@@ -263,7 +252,9 @@ def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable
         sram_dynamic_uW=sram_dyn_uW,
         sram_static_uW=sram_static_uW,
         other_dynamic_uW=other_uW,
-        transistor_count=estimate_area(dp, coeffs),
+        transistor_count=(dp.lanes * coeffs.mac_lane_transistors
+                          + w.storage_bits * coeffs.sram_bit_transistors
+                          + coeffs.misc_transistors),
         throughput_ms=throughput_ms,
         latency_ms=latency_ms,
         realtime=realtime,

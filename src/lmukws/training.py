@@ -100,13 +100,14 @@ class _LayerCache:
     m: np.ndarray  # (B, T, D) post fake-quant, cells concatenated
     h: np.ndarray  # (B, T, h) post relu and fake-quant
     # Straight-through masks; None where every entry would be True.  Without
-    # fake-quant the u and m masks and every weight mask are all True, and
-    # the h mask is the relu's, h > 0.
+    # fake-quant the u, m and bias masks are all True, and the h mask is the
+    # relu's, h > 0.  A weight's mask is always all True: its grid covers its
+    # largest magnitude (``weight_quant_spec``), so none is kept.
     mask_u: np.ndarray | None
     mask_m: np.ndarray | None
     mask_h: np.ndarray | None  # relu and fake-quant masks combined
-    w_fq: dict  # fake-quantized weights used
-    w_mask: dict  # straight-through masks for the weights, or None each
+    bias_mask: np.ndarray | None
+    w_fq: dict  # fake-quantized weights and bias used
     A: np.ndarray  # (D, D) block-diagonal memory matrix used
     B: np.ndarray  # (c, D) input matrix used: row k holds cell k's B_d in its block
 
@@ -117,14 +118,13 @@ class ForwardCache:
     logits: np.ndarray  # (B, T, 12)
     out_w_fq: np.ndarray
     out_b_fq: np.ndarray
-    out_w_mask: np.ndarray | None
+    out_b_mask: np.ndarray | None  # None where every entry would be True
     logits_exp: int | None  # grid of the logits when quant_on, else None
 
 
 def _fq_weight(w: np.ndarray, bits: int):
     spec = weight_quant_spec(w, bits)
-    y, mask = fake_quant(w, spec)
-    return y, mask, spec.scale_exp
+    return fake_quant(w, spec)[0], spec.scale_exp
 
 
 def _memory_matrices(layer, quant_on: bool):
@@ -182,13 +182,13 @@ def hat_forward(
     for li, layer in enumerate(model.layers):
         if quant_on:
             u_exp, m_exp, h_exp = scales.layer_exps[li]
-        w_fq, w_mask, w_exp = {}, {}, {}
+        w_fq, w_exp = {}, {}
         for name in ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel"):
             w = getattr(layer, name)
             if quant_on:
-                w_fq[name], w_mask[name], w_exp[name] = _fq_weight(w, weight_bits)
+                w_fq[name], w_exp[name] = _fq_weight(w, weight_bits)
             else:
-                w_fq[name], w_mask[name] = w, None
+                w_fq[name] = w
         if quant_on:
             pre_exp = preactivation_exp(
                 w_exp["input_kernel"], x_exp, w_exp["memory_kernel"], m_exp
@@ -196,7 +196,7 @@ def hat_forward(
             bias_fq, bias_mask = fake_quant(layer.bias, QuantSpec(32, pre_exp))
         else:
             bias_fq, bias_mask = layer.bias, None
-        w_fq["bias"], w_mask["bias"] = bias_fq, bias_mask
+        w_fq["bias"] = bias_fq
         A, B_in = _memory_matrices(layer, quant_on)
 
         c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
@@ -239,23 +239,23 @@ def hat_forward(
             h_prev, m_prev = h, m
         caches.append(
             _LayerCache(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
-                        mask_h=mask_h, w_fq=w_fq, w_mask=w_mask, A=A, B=B_in)
+                        mask_h=mask_h, bias_mask=bias_mask, w_fq=w_fq, A=A, B=B_in)
         )
         x = H
         if quant_on:
             x_exp = h_exp
 
     if quant_on:
-        out_w, out_mask, out_exp = _fq_weight(model.output_weight, weight_bits)
+        out_w, out_exp = _fq_weight(model.output_weight, weight_bits)
         logits_exp = out_exp + x_exp
-        out_b, _ = fake_quant(model.output_bias, QuantSpec(32, logits_exp))
+        out_b, out_b_mask = fake_quant(model.output_bias, QuantSpec(32, logits_exp))
     else:
-        out_w, out_mask = model.output_weight, None
-        out_b, logits_exp = model.output_bias, None
+        out_w, out_b, out_b_mask = model.output_weight, model.output_bias, None
+        logits_exp = None
     logits = x @ out_w.T + out_b
     return ForwardCache(
         layers=caches, logits=logits, out_w_fq=out_w, out_b_fq=out_b,
-        out_w_mask=out_mask, logits_exp=logits_exp,
+        out_b_mask=out_b_mask, logits_exp=logits_exp,
     )
 
 
@@ -300,8 +300,10 @@ def forward_backward(
 
     grads = {}
     h_last = cache.layers[-1].h[:, -1]
-    grads["output.weight"] = _masked(dz.T @ h_last, cache.out_w_mask)
+    grads["output.weight"] = dz.T @ h_last
     grads["output.bias"] = dz.sum(axis=0)
+    if cache.out_b_mask is not None:
+        grads["output.bias"] *= cache.out_b_mask
 
     # External dh per step, time-major; the top layer receives the loss path.
     B, T, _ = cache.logits.shape
@@ -310,23 +312,22 @@ def forward_backward(
     for li in range(len(model.layers) - 1, -1, -1):
         lc = cache.layers[li]
         grad, dh_ext = _layer_backward(lc, dh_ext, need_dx=li > 0)
+        if lc.bias_mask is not None:
+            grad["bias"] *= lc.bias_mask
         for name, g in grad.items():
-            grads[f"layer{li}.{name}"] = _masked(g, lc.w_mask[name])
+            grads[f"layer{li}.{name}"] = g
     return loss, GradientSet(tensors=grads)
-
-
-def _masked(g: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return g if mask is None else g * mask
 
 
 def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
     """One layer's reverse pass through all T steps, latest first.
 
     ``dh_ext`` is (T, B, h): the gradient its outputs receive from above.
-    Returns the unmasked weight gradients and, when ``need_dx``, the (T, B, n)
-    gradient with respect to the layer input (else None).  Every product is
-    the same BLAS call on the same operands, in the same t order, as a loop
-    that allocates each one; it writes into a buffer made once per call.
+    Returns the weight gradients (the bias's not yet masked) and, when
+    ``need_dx``, the (T, B, n) gradient with respect to the layer input
+    (else None).  Every product is the same BLAS call on the same operands,
+    in the same t order, as a loop that allocates each one; it writes into
+    a buffer made once per call.
     The only skipped work is exact: multiplies by all-True masks, adding the
     zero products of the zero state before t = 0, and carries nothing reads.
     The input gradient is P + Q where that loop forms (0 + P) + Q, so the two

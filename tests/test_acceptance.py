@@ -232,7 +232,7 @@ def test_criterion_7_realtime_constraint():
     model = build_model(cfg, np.random.default_rng(0))
     zero = calibrate_activation_scales(model, np.zeros((1, 2, cfg.input_dim)))
     w = profile_workload(freeze(model, cfg.weight_bits, zero))
-    coeffs = CoefficientTable.default()
+    coeffs = CoefficientTable()
     clocks = np.geomspace(1e4, 1e7, 25)
     lanes = [1, 2, 4, 8, 16, 32, 64, 128]
     records = sweep(w, clocks, lanes, coeffs)

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import re
 import shlex
@@ -649,39 +650,41 @@ class TestSizeReport:
                            f"{model_size_kbits(qm):.1f}"]
 
 
-# SHA-256 of each report at default settings, as the closed-form cost model
-# wrote them before the profile was read off the engine's stages.
+# SHA-256 of each report at default settings.  The hw-* reports are as the
+# closed-form cost model wrote them before the profile was read off the
+# engine's stages; the size-report ones changed only in the "kept" column
+# header, which read "nonzero" although kept entries may store 0.
 REPORT_DIGESTS = {
     "lmu1": {
-        "size-report": "576da314c9abb737a55f3a4d4e52eec004bfad9d880430bd1464cbf0a97661e8",
+        "size-report": "7adf03e59bb9ae8b66a6551f65381213721ff195e6a4d6121c327c76577090dc",
         "hw-report": "81fc183c23435513ddb66550ea1cf71abeb93351ecdfb9718b245acdf57e3e3e",
         "hw-sweep": "a7398aa1f2d0f26be02a03d2d25785ebd63d8290380fecd282b3e48b55468e82",
         "hw-report.txt": "81fc183c23435513ddb66550ea1cf71abeb93351ecdfb9718b245acdf57e3e3e",
         "sweep.csv": "cea0c689b0510da851b218376b58cc1fc61c290490b64a3cd6d721949b8620e6",
     },
     "lmu2": {
-        "size-report": "1af0e97eeb32bd9037191f603cfbb1cc170d56f54e96f5b844a06f5555da7e25",
+        "size-report": "9631430c811d7fc50cda83d815544b7b8bea39707557ec180929252ed2b4d022",
         "hw-report": "eb3217ab6dfc03b2ce10b53f039603f49d489ef144adca6e7d9d592f92dfb344",
         "hw-sweep": "ff161dcb7e2f73a41c676d59dda4e15e1873676cb57ba842415692eae2c4ce20",
         "hw-report.txt": "eb3217ab6dfc03b2ce10b53f039603f49d489ef144adca6e7d9d592f92dfb344",
         "sweep.csv": "4bbcfb16d08ba0dd54ac94c09073b53b0cb07b5f22b486ceeec5be1992552fc4",
     },
     "lmu3": {
-        "size-report": "9115d941d8d7ce2a5da26542d9a06916fd3bec60bbfe61fa021cc95aa4c6c381",
+        "size-report": "6815094a1f23a388d22c6cf33522174a69f39559a05ad9d96c3d7cd06d1c591e",
         "hw-report": "7cb86d8110f47278cbd9184264a0338314fd98c2baead50f282eecba897d6bc3",
         "hw-sweep": "a1ef380f3ddb3faaae2010a15ba7d9e020a799d0bb4267a8343ef53551c5d2cc",
         "hw-report.txt": "7cb86d8110f47278cbd9184264a0338314fd98c2baead50f282eecba897d6bc3",
         "sweep.csv": "70157a7a6662a3c8fc60601d24a3cb1985092aec86795ba4dab1eaf79045d1b8",
     },
     "lmu4": {
-        "size-report": "0e990df0b619bb763c32c7b3bdd7a60bddfa8372074ec9ebab327e6abc7e28ee",
+        "size-report": "aa124780a34595eac1d2981aec0328c99d8a1b0418a23322cb49dcd2cb273824",
         "hw-report": "cf3ecdd7df5023fcea70d54a63077db133a3f13a3975d318917376999e77a72e",
         "hw-sweep": "012b33a745a2f92000fdf6d04d55add05f7af33fad3c68532a5c046b3b3653bb",
         "hw-report.txt": "cf3ecdd7df5023fcea70d54a63077db133a3f13a3975d318917376999e77a72e",
         "sweep.csv": "d3740315ab0991312e4df74a5c31d03d3969adea22c6a855f5ea652819deb02e",
     },
     "toy": {
-        "size-report": "7f2ae607e29616cfe27dd71c114b5bb999118b6ef40316872edae352f885cf98",
+        "size-report": "32d55a4f51c822123c1979012352a591cc3141023416beae1d5fbaef5f3de568",
         "hw-report": "30373c7f00e8e8eb65cb8dea00a05dfc9a89b5ae0cc20358fc06dc83929f974b",
         "hw-sweep": "fa323f4cbf581f93c67cb81abaeec4bbe858d6e27d013ec4fee0f89de2bbaf31",
         "hw-report.txt": "30373c7f00e8e8eb65cb8dea00a05dfc9a89b5ae0cc20358fc06dc83929f974b",
@@ -714,6 +717,49 @@ class TestHwCommands:
         assert "realtime=yes" in text
         assert (out / "hw-report.txt").exists()
 
+    def test_override_file(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text("e_mac_j = 1.5e-12\ntransistors.mac_lane = 9000\n")
+        rc = main(["hw-report", "--model-preset", "lmu2", "--coefficients", str(coeffs),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "mac dynamic       12.252 uW" in text
+        assert "total             17.743 uW" in text
+        assert "transistors   4715280" in text  # 128 lanes at 9000 each
+
+    @pytest.mark.parametrize("line, key", [
+        # The parent accepted the first six: nan or inf uW, -1068720
+        # transistors, 25.826 uW at activity 7, a typo silently ignored and a
+        # count truncated to 1.  The rest exited 3.
+        ("e_mac_j = nan", "e_mac_j"),
+        ("e_mac_j = inf", "e_mac_j"),
+        ("misc_transistors = -5000000", "misc_transistors"),
+        ("activity = 7", "activity"),
+        ("transistors.mac_lanes = 9000", "transistors.mac_lanes"),
+        ("transistors.mac_lane = 1.9", "mac_lane_transistors"),
+        ("e_mac_j = abc", "e_mac_j"),
+        ("transistors.mac_lane = 1e400", "mac_lane_transistors"),
+    ])
+    def test_bad_coefficient_is_data_error(self, tmp_path, capsys, line, key):
+        coeffs = tmp_path / "c.txt"
+        coeffs.write_text(line + "\n")
+        rc = main(["hw-report", "--model-preset", "lmu2", "--coefficients", str(coeffs),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(coeffs) in err and key in err
+        assert not (tmp_path / "out" / "hw-report.txt").exists()
+
+    def test_unreadable_coefficient_file_is_data_error(self, tmp_path, capsys):
+        binary = tmp_path / "c.bin"
+        binary.write_bytes(bytes(range(256)))
+        for path in (binary, tmp_path):
+            rc = main(["hw-sweep", "--model-preset", "toy", "--coefficients", str(path),
+                       "--out-dir", str(tmp_path / "out")])
+            assert rc == 2
+            assert f"cannot read coefficient file {path}" in capsys.readouterr().err
+
     def test_report_on_trained_model(self, trained, tmp_path, capsys):
         rc = main(["hw-report", "--model", str(trained / "model.lmuq"),
                    "--out-dir", str(tmp_path / "out")])
@@ -743,3 +789,38 @@ class TestHwCommands:
                    "--out-dir", str(out)])
         assert rc == 0
         assert "no feasible design" in capsys.readouterr().out
+
+
+_COEFFICIENT_KEYS = ("e_mac_j", "e_sram_bit_j", "p_static_bit_w", "p_dyn_transistor_j",
+                     "activity", "latency_residual_ms", "misc_transistors",
+                     "transistors.mac_lane", "transistors.sram_bit")
+_TYPO_KEYS = ("e_mac", "activty", "transistors.mac_lanes", "transistors.multiplier",
+              "mac_lane_transistors")
+_GOOD_VALUES = ("1e-12", "0.5", "6e3", "9000")
+_BAD_VALUES = ("nan", "inf", "-inf", "0", "-5", "-5000000", "1.9", "1e400", "abc", "7")
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(
+    st.tuples(st.sampled_from(_COEFFICIENT_KEYS + _TYPO_KEYS),
+              st.sampled_from(_GOOD_VALUES + _BAD_VALUES)).map(" = ".join),
+    max_size=6))
+@example(lines=["e_mac_j = nan"])
+@example(lines=["misc_transistors = -5000000"])
+@example(lines=["activity = 7"])
+@example(lines=["transistors.mac_lane = 1e400"])
+def test_coefficient_file_runs_or_is_data_error(lines):
+    # Each file either gives a report with finite, nonnegative figures or
+    # is refused as a data error that names it; it never gets to exit 3.
+    path = Path("coeffs.txt")
+    path.write_text("".join(line + "\n" for line in lines))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["hw-report", "--model-preset", "toy", "--coefficients", str(path)])
+    event(f"exit {rc}")
+    if rc == 0:
+        numbers = re.findall(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)", out.getvalue())
+        assert all(math.isfinite(float(n)) and float(n) >= 0 for n in numbers), out.getvalue()
+    else:
+        assert rc == 2, err.getvalue()
+        assert str(path) in err.getvalue()

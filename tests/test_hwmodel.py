@@ -8,14 +8,13 @@ import pytest
 from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import apply_mask, prune_magnitude
 from lmukws.hwmodel import (
+    CoefficientError,
     CoefficientTable,
     DesignPoint,
     PowerBreakdown,
     WorkloadProfile,
     cycles_per_frame,
-    default_inventory,
     energy_per_frame_power,
-    estimate_area,
     estimate_power,
     mark_pareto,
     mcu_power,
@@ -78,14 +77,16 @@ def _closed_form(qm):
     writes += 12 * 32
     params += 12 * n * wb + 12 * 32
     return WorkloadProfile(macs, reads, writes, params, consts, activation_bits=writes,
-                           frame_period_s=qm.dt, window_s=2 * qm.dt)
+                           frame_period_s=qm.dt)
 
 
 class TestCoefficientTable:
     def test_defaults_load_from_packaged_file(self):
-        coeffs = CoefficientTable.default()
+        # The defaults are the fields' own; no packaged file repeats them.
+        coeffs = CoefficientTable()
         assert coeffs.e_mac_j == 5.0e-13
-        assert coeffs.transistors_per["sram_bit"] == 8
+        assert coeffs.mac_lane_transistors == 6000
+        assert coeffs.sram_bit_transistors == 8
         assert coeffs.misc_transistors == 400_000
 
     def test_file_round_trip(self, tmp_path):
@@ -100,10 +101,51 @@ class TestCoefficientTable:
         coeffs = CoefficientTable.from_file(path)
         assert coeffs.e_mac_j == 1.5e-12
         assert coeffs.activity == 0.25
-        assert coeffs.transistors_per["mac_lane"] == 9000
+        assert coeffs.mac_lane_transistors == 9000
         assert coeffs.misc_transistors == 123
         # untouched entries keep their defaults
         assert coeffs.e_sram_bit_j == 4.0e-14
+        assert coeffs.sram_bit_transistors == 8
+
+    def test_integral_float_count_is_an_int(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("transistors.mac_lane = 6e3\ntransistors.sram_bit = 8.0\n")
+        coeffs = CoefficientTable.from_file(path)
+        assert coeffs == CoefficientTable()
+        assert type(coeffs.mac_lane_transistors) is int
+        assert type(coeffs.sram_bit_transistors) is int
+
+    @pytest.mark.parametrize("line, message", [
+        # each line was accepted before, giving nan, inf or a negative count
+        # in the report, or silently ignored or truncated
+        ("e_mac_j = nan", "e_mac_j must be finite and > 0, got nan"),
+        ("e_mac_j = inf", "e_mac_j must be finite and > 0, got inf"),
+        ("p_static_bit_w = -inf", "p_static_bit_w must be finite and > 0"),
+        ("misc_transistors = -5000000", "misc_transistors must be finite and > 0"),
+        ("activity = 7", "activity must be <= 1, got 7.0"),
+        ("transistors.mac_lanes = 9000", "unknown coefficient 'transistors.mac_lanes'"),
+        ("transistors.multiplier = 3000", "unknown coefficient"),
+        ("mac_lane_transistors = 9000", "unknown coefficient"),
+        ("transistors.mac_lane = 1.9", "mac_lane_transistors must be an integer, got 1.9"),
+        ("transistors.sram_bit = 0", "sram_bit_transistors must be finite and > 0"),
+        # each of these raised a bare ValueError or OverflowError
+        ("e_mac_j = abc", "e_mac_j = 'abc' is not a number"),
+        ("transistors.mac_lane = 1e400", "mac_lane_transistors must be finite"),
+        ("latency_residual_ms =", "latency_residual_ms = '' is not a number"),
+    ])
+    def test_bad_value_names_its_file_and_key(self, tmp_path, line, message):
+        path = tmp_path / "c.txt"
+        path.write_text("activity = 0.5\n" + line + "\n")
+        with pytest.raises(CoefficientError, match=str(path)) as info:
+            CoefficientTable.from_file(path)
+        assert message in str(info.value)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        binary = tmp_path / "c.bin"
+        binary.write_bytes(b"e_mac_j = 1e-12\n\xff\xfe\x00")
+        for path in (binary, tmp_path, tmp_path / "missing.txt"):
+            with pytest.raises(CoefficientError, match="cannot read coefficient file"):
+                CoefficientTable.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -122,6 +164,14 @@ class TestCoefficientTable:
             CoefficientTable(e_mac_j=0.0)
         with pytest.raises(ValueError):
             CoefficientTable(activity=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("e_sram_bit_j", math.nan), ("latency_residual_ms", math.inf),
+        ("activity", 1.5), ("misc_transistors", 400_000.0), ("sram_bit_transistors", -8),
+    ])
+    def test_every_field_is_checked(self, field, value):
+        with pytest.raises(CoefficientError, match=field):
+            CoefficientTable(**{field: value})
 
 
 class TestWorkloadProfile:
@@ -203,20 +253,6 @@ class TestCyclesAndArea:
                     assert c <= prev
                 prev = c
 
-    def test_empty_inventory_zero_area(self):
-        assert estimate_area(DesignPoint(1.0, 1), CoefficientTable.default()) == 0
-
-    def test_area_sums_inventory(self):
-        coeffs = CoefficientTable.default()
-        dp = DesignPoint(1.0, 1, inventory={"mac_lane": 4, "divider": 2,
-                                            "sram_bit": 100})
-        assert estimate_area(dp, coeffs) == 4 * 6000 + 2 * 25000 + 100 * 8
-
-    def test_unknown_component_rejected(self):
-        dp = DesignPoint(1.0, 1, inventory={"flux_capacitor": 1})
-        with pytest.raises(ValueError, match="flux_capacitor"):
-            estimate_area(dp, CoefficientTable.default())
-
     def test_design_point_validation(self):
         with pytest.raises(ValueError):
             DesignPoint(clock_hz=0.0, lanes=1)
@@ -248,19 +284,20 @@ class TestEstimatePower:
         assert pb.latency_ms == pytest.approx(40.0 + coeffs.latency_residual_ms)
 
     def test_default_inventory_fills_in(self):
+        # The one design: its lanes, an SRAM bit per stored bit, misc logic.
         w = WorkloadProfile(100, 100, 0, 4000, 500, 500)
-        coeffs = CoefficientTable.default()
-        dp = DesignPoint(clock_hz=1e5, lanes=3)
-        inv = default_inventory(w, dp, coeffs)
-        assert inv == {"mac_lane": 3, "sram_bit": 5000,
-                       "misc_transistor": 400_000}
-        pb = estimate_power(w, dp, coeffs)
+        pb = estimate_power(w, DesignPoint(clock_hz=1e5, lanes=3), CoefficientTable())
         assert pb.transistor_count == 3 * 6000 + 5000 * 8 + 400_000
-        assert pb.sram_static_uW == pytest.approx(coeffs.p_static_bit_w * 5000 * 1e6)
+        assert pb.sram_static_uW == pytest.approx(4.0e-12 * 5000 * 1e6)
+        assert pb.other_dynamic_uW == pytest.approx(6.4e-17 * 0.1 * 400_000 * 1e5 * 1e6)
+        coeffs = CoefficientTable(mac_lane_transistors=9000, sram_bit_transistors=6,
+                                  misc_transistors=1000)
+        pb = estimate_power(w, DesignPoint(clock_hz=1e5, lanes=3), coeffs)
+        assert pb.transistor_count == 3 * 9000 + 5000 * 6 + 1000
 
     def test_dynamic_power_linear_in_clock(self):
         w = WorkloadProfile(10**5, 10**6, 10**4, 10**5, 10**4, 10**3)
-        coeffs = CoefficientTable.default()
+        coeffs = CoefficientTable()
         base = estimate_power(w, DesignPoint(1e5, 16), coeffs)
         doubled = estimate_power(w, DesignPoint(2e5, 16), coeffs)
         for name in ("mac_dynamic_uW", "sram_dynamic_uW", "other_dynamic_uW"):
@@ -270,7 +307,7 @@ class TestEstimatePower:
 
     def test_zero_clock_limit(self):
         w = WorkloadProfile(10**5, 10**6, 10**4, 10**5, 10**4, 10**3)
-        coeffs = CoefficientTable.default()
+        coeffs = CoefficientTable()
         pb = estimate_power(w, DesignPoint(1e-9, 1), coeffs)
         dynamic = pb.mac_dynamic_uW + pb.sram_dynamic_uW + pb.other_dynamic_uW
         assert dynamic < 1e-6
@@ -280,7 +317,7 @@ class TestEstimatePower:
         assert not pb.realtime
 
     def test_realtime_requires_both_deadlines(self):
-        coeffs = CoefficientTable.default()
+        coeffs = CoefficientTable()
         w = WorkloadProfile(1000, 0, 0, 0, 0, 0)
         # cycles = 1000 + 0 + 64 = 1064 at lanes=1, no traffic
         dp = DesignPoint(clock_hz=1064.0 / 0.019, lanes=1, overhead_cycles=64)
@@ -297,7 +334,7 @@ class TestEstimatePower:
         # two-layer 4-bit model on a modest design point lands in the
         # single-digit-microwatt regime, below microcontroller baselines
         w = profile_workload(_model([(210, [16] * 4), (228, [16] * 4)], weight_bits=4))
-        pb = estimate_power(w, DesignPoint(92000.0, 128), CoefficientTable.default())
+        pb = estimate_power(w, DesignPoint(92000.0, 128), CoefficientTable())
         assert pb.realtime
         assert 0.879 <= pb.total_uW <= 87.9
         assert 4e6 <= pb.transistor_count <= 1.6e7
@@ -344,7 +381,7 @@ class TestSweep:
         rng = np.random.default_rng(3)
         w = profile_workload(_model([(32, [8, 8])]))
         clocks = sorted(float(c) for c in rng.uniform(2e4, 2e6, size=12))
-        records = sweep(w, clocks, [1, 8, 64], CoefficientTable.default())
+        records = sweep(w, clocks, [1, 8, 64], CoefficientTable())
         feasible = [r for r in records if r.realtime]
         assert any(r.pareto for r in feasible)
         for r in records:
@@ -362,24 +399,24 @@ class TestSweep:
 
     def test_rows_sorted_by_clock_then_lanes(self):
         w = profile_workload(_model([(8, [4])], input_dim=4))
-        records = sweep(w, [3e5, 1e5, 2e5], [16, 1], CoefficientTable.default())
+        records = sweep(w, [3e5, 1e5, 2e5], [16, 1], CoefficientTable())
         keys = [(r.clock_hz, r.lanes) for r in records]
         assert keys == sorted(keys)
 
     def test_no_feasible_points_is_not_an_error(self):
         w = WorkloadProfile(10**9, 10**9, 0, 100, 0, 0)
-        records = sweep(w, [1e4, 2e4], [1], CoefficientTable.default())
+        records = sweep(w, [1e4, 2e4], [1], CoefficientTable())
         assert all(not r.realtime for r in records)
         assert all(not r.pareto for r in records)
 
     def test_empty_grid_rejected(self):
         w = WorkloadProfile(100, 100, 0, 100, 0, 0)
         with pytest.raises(ValueError):
-            sweep(w, [], [1], CoefficientTable.default())
+            sweep(w, [], [1], CoefficientTable())
 
     def test_csv_byte_deterministic(self):
         w = profile_workload(_model([(16, [8])], input_dim=8, weight_bits=4))
-        coeffs = CoefficientTable.default()
+        coeffs = CoefficientTable()
         a = sweep_to_csv(sweep(w, [1e5, 7e5], [1, 32], coeffs))
         b = sweep_to_csv(sweep(w, [7e5, 1e5], [32, 1], coeffs))
         assert a == b

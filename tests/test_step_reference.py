@@ -58,7 +58,10 @@ def ref_prune_magnitude(model, sparsity):
 def _ref_fq_weight(w, bits):
     spec = weight_quant_spec(w, bits)
     y, mask = ref_fake_quant(w, spec)
-    return y, mask, spec.scale_exp
+    # A weight's grid covers its largest magnitude, so its straight-through
+    # mask passes every entry; the step keeps no weight masks on that basis.
+    assert mask.all()
+    return y, spec.scale_exp
 
 
 def _ref_memory_matrices(layer, quant_on):
@@ -92,19 +95,19 @@ def ref_hat_forward(model, feats, quant_on=False, scales=None, weight_bits=8):
     for li, layer in enumerate(model.layers):
         if quant_on:
             u_exp, m_exp, h_exp = scales.layer_exps[li]
-        w_fq, w_mask, w_exp = {}, {}, {}
+        w_fq, w_exp = {}, {}
         for name in ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel"):
             w = getattr(layer, name)
             if quant_on:
-                w_fq[name], w_mask[name], w_exp[name] = _ref_fq_weight(w, weight_bits)
+                w_fq[name], w_exp[name] = _ref_fq_weight(w, weight_bits)
             else:
-                w_fq[name], w_mask[name] = w, np.ones(w.shape, dtype=bool)
+                w_fq[name] = w
         if quant_on:
             pre_exp = preactivation_exp(w_exp["input_kernel"], x_exp,
                                         w_exp["memory_kernel"], m_exp)
-            w_fq["bias"], w_mask["bias"] = ref_fake_quant(layer.bias, QuantSpec(32, pre_exp))
+            w_fq["bias"], bias_mask = ref_fake_quant(layer.bias, QuantSpec(32, pre_exp))
         else:
-            w_fq["bias"], w_mask["bias"] = layer.bias, np.ones(layer.bias.shape, dtype=bool)
+            w_fq["bias"], bias_mask = layer.bias, np.ones(layer.bias.shape, dtype=bool)
         A, B_in = _ref_memory_matrices(layer, quant_on)
         c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
         U, M, H = np.empty((B, T, c_dim)), np.empty((B, T, D)), np.empty((B, T, h_dim))
@@ -123,30 +126,30 @@ def ref_hat_forward(model, feats, quant_on=False, scales=None, weight_bits=8):
             mask_h[:, t] = mh & (pre > 0.0)
             h_prev, m_prev = h, m
         layers.append(dict(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
-                           mask_h=mask_h, w_fq=w_fq, w_mask=w_mask, A=A, B=B_in))
+                           mask_h=mask_h, bias_mask=bias_mask, w_fq=w_fq, A=A, B=B_in))
         x = H
         if quant_on:
             x_exp = h_exp
     if quant_on:
-        out_w, out_mask, out_exp = _ref_fq_weight(model.output_weight, weight_bits)
-        out_b, _ = ref_fake_quant(model.output_bias, QuantSpec(32, out_exp + x_exp))
+        out_w, out_exp = _ref_fq_weight(model.output_weight, weight_bits)
+        out_b, out_b_mask = ref_fake_quant(model.output_bias, QuantSpec(32, out_exp + x_exp))
     else:
         out_w = model.output_weight
-        out_mask = np.ones(out_w.shape, dtype=bool)
         out_b = model.output_bias
-    return layers, x @ out_w.T + out_b, out_w, out_mask
+        out_b_mask = np.ones(out_b.shape, dtype=bool)
+    return layers, x @ out_w.T + out_b, out_w, out_b_mask
 
 
 def ref_forward_backward(model, batch, quant_on=False, scales=None, weight_bits=8):
     """Loss and gradients, every product freshly allocated, layer 0's dX kept."""
     feats, labels = batch
-    layers, logits, out_w, out_mask = ref_hat_forward(model, feats, quant_on, scales,
-                                                      weight_bits)
+    layers, logits, out_w, out_b_mask = ref_hat_forward(model, feats, quant_on, scales,
+                                                        weight_bits)
     loss, dz = softmax_cross_entropy(logits[:, -1, :], np.asarray(labels))
     grads = {}
     B, T, _ = logits.shape
-    grads["output.weight"] = (dz.T @ layers[-1]["h"][:, -1]) * out_mask
-    grads["output.bias"] = dz.sum(axis=0)
+    grads["output.weight"] = dz.T @ layers[-1]["h"][:, -1]
+    grads["output.bias"] = dz.sum(axis=0) * out_b_mask
     dh_ext = np.zeros_like(layers[-1]["h"])
     dh_ext[:, -1] = dz @ out_w
     for li in range(len(model.layers) - 1, -1, -1):
@@ -174,11 +177,11 @@ def ref_forward_backward(model, batch, quant_on=False, scales=None, weight_bits=
             dWeh += du.T @ h_prev
             dX[:, t] += du @ w["input_encoder"]
             dh_carry = du @ w["hidden_encoder"]
-        grads[f"layer{li}.input_encoder"] = dWex * lc["w_mask"]["input_encoder"]
-        grads[f"layer{li}.hidden_encoder"] = dWeh * lc["w_mask"]["hidden_encoder"]
-        grads[f"layer{li}.input_kernel"] = dWx * lc["w_mask"]["input_kernel"]
-        grads[f"layer{li}.memory_kernel"] = dWm * lc["w_mask"]["memory_kernel"]
-        grads[f"layer{li}.bias"] = db * lc["w_mask"]["bias"]
+        grads[f"layer{li}.input_encoder"] = dWex
+        grads[f"layer{li}.hidden_encoder"] = dWeh
+        grads[f"layer{li}.input_kernel"] = dWx
+        grads[f"layer{li}.memory_kernel"] = dWm
+        grads[f"layer{li}.bias"] = db * lc["bias_mask"]
         dh_ext = dX
     return loss, grads, layers, logits
 
@@ -254,6 +257,27 @@ def test_step_is_bit_identical_to_reference(case):
     for lc, ref in zip(cache.layers, ref_layers):
         for site in ("u", "m", "h"):
             assert getattr(lc, site).tobytes() == ref[site].tobytes(), site
+
+
+def test_saturated_output_bias_gets_no_gradient():
+    # On an h grid 40 steps finer, the logits' grid tops out near 1e-6, so
+    # an output bias of 5.0 saturates.  Its gradient came through unmasked.
+    cfg = ModelConfig(input_dim=3, layers=(LayerConfig(hidden=4, cells=(CellConfig(2, 0.2),)),))
+    rng = np.random.default_rng(0)
+    model = _random_model(cfg, rng, 0.0)
+    model.output_bias[:] = 5.0
+    feats = rng.standard_normal((4, 3, cfg.input_dim))
+    labels = np.arange(4)
+    scales = calibrate_activation_scales(model, feats)
+    (u_exp, m_exp, h_exp), = scales.layer_exps
+    scales = ActivationScales(input_exp=scales.input_exp,
+                              layer_exps=((u_exp, m_exp, h_exp - 40),))
+    _, grads = forward_backward(model, (feats, labels), quant_on=True, scales=scales)
+    assert np.all(grads.tensors["output.bias"] == 0.0)
+    assert np.any(grads.tensors["output.weight"] != 0.0)
+    cache = hat_forward(model, feats, quant_on=True, scales=scales)
+    assert np.all(cache.out_b_fq < 1e-5)
+    assert not cache.out_b_mask.any()
 
 
 # ---------------------------------------------------------------------------
