@@ -102,8 +102,8 @@ def _read_config_file(path) -> dict:
     """The ``key = value`` lines of a config file, each value as its text."""
     values = {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file {path}: {e}") from None
     for ln, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
@@ -453,13 +453,7 @@ def cmd_train(cfg: dict) -> int:
         print(f"resuming from {ckpt}")
 
     result = train(train_cfg, ds, init_tensors=init_tensors)
-
     qm = result.quantized
-    if qm is None:  # float-only run: calibrate and freeze after the fact
-        take = min(train_cfg.calibration_sequences, ds.train_x.shape[0])
-        scales = calibrate_activation_scales(result.model, ds.train_x[:take])
-        qm = freeze(result.model, model_cfg.weight_bits, scales,
-                    mask=result.mask, frontend_hash=ds.frontend_hash)
 
     model_path = out / "model.lmuq"
     save_model(qm, model_path)

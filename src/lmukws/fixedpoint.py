@@ -29,13 +29,10 @@ class QuantSpec:
 
     bits: int
     scale_exp: int
-    signed: bool = True
 
     def __post_init__(self):
         if self.bits not in (4, 7, 8, 32):
             raise ValueError(f"unsupported width {self.bits}; use 4, 7, 8, or 32")
-        if not self.signed:
-            raise ValueError("only signed two's complement formats are supported")
 
     @property
     def qmin(self) -> int:
@@ -111,9 +108,13 @@ def fake_quant(x: np.ndarray, spec: QuantSpec):
     round_saturate(y, spec.qmin, spec.qmax)
     y *= spec.step
     y += 0.0
-    lo = spec.qmin * spec.step
-    hi = spec.qmax * spec.step
-    return y, (x >= lo) & (x <= hi)
+    return y, in_range(x, spec)
+
+
+def in_range(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """True where x lies inside the spec's representable range: where a
+    straight-through gradient passes the quantizer."""
+    return (x >= spec.qmin * spec.step) & (x <= spec.qmax * spec.step)
 
 
 def scale_exp_for_max(max_abs: float, bits: int) -> int:

@@ -41,8 +41,9 @@ FILE_KEYS = {
 
 
 class CoefficientError(ValueError):
-    """A coefficient file that cannot be read, or a line, key or value in it
-    that is not a valid coefficient; maps to exit code 2."""
+    """A coefficient file that cannot be read, a line, key or value in it
+    that is not a valid coefficient, or coefficients that give a power that
+    is not finite; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,8 @@ def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable
     misc logic (control, sequencing, I/O glue).  MAC and SRAM dynamic power
     follow their per-cycle work rates at the given clock; "other" is the
     misc logic toggling at the configured activity; leakage scales with
-    stored bits.
+    stored bits.  Coefficients so large that a power term is not finite
+    raise CoefficientError.
     """
     cycles = cycles_per_frame(w, dp)
     throughput_ms = cycles / dp.clock_hz * 1000.0
@@ -245,7 +247,7 @@ def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable
     sram_static_uW = coeffs.p_static_bit_w * w.storage_bits * 1e6
     other_uW = (coeffs.p_dyn_transistor_j * coeffs.activity
                 * coeffs.misc_transistors * dp.clock_hz * 1e6)
-    return PowerBreakdown(
+    pb = PowerBreakdown(
         clock_hz=dp.clock_hz,
         lanes=dp.lanes,
         mac_dynamic_uW=mac_uW,
@@ -259,6 +261,11 @@ def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable
         latency_ms=latency_ms,
         realtime=realtime,
     )
+    for term in ("mac_dynamic_uW", "sram_dynamic_uW", "sram_static_uW", "other_dynamic_uW",
+                 "total_uW"):
+        if not math.isfinite(getattr(pb, term)):
+            raise CoefficientError(f"power term {term} is not finite ({getattr(pb, term)})")
+    return pb
 
 
 def mcu_power(cycles_per_second: float, efficiency_uw_per_mhz: float) -> float:

@@ -10,7 +10,8 @@ model (``hwmodel.profile_workload``) all read it.  The engine runs each
 layer as three float64 matmuls over weights pre-scaled onto their stage's
 output grid; float64 holds every such sum exactly (see ``compile_model``).
 
-Scale bookkeeping that must match the training graph exactly:
+Scale bookkeeping, all in ``deployed_tensors``, which both ``freeze`` and
+the training graph (``training.hat_forward``) read:
   - weight scales are a pure function of the weight tensor (exact-max rule),
   - activation scales are frozen at calibration,
   - the hidden preactivation grid is min(input-kernel grid, memory-kernel
@@ -163,6 +164,53 @@ def preactivation_exp(input_kernel_exp: int, input_exp: int, memory_kernel_exp: 
     return min(input_kernel_exp + input_exp, memory_kernel_exp + m_exp)
 
 
+def deployed_tensors(model: ModelGraph, weight_bits: int,
+                     scales: ActivationScales) -> QuantizedModel:
+    """Every tensor of ``model`` in the format the hardware stores.
+
+    Each weight has ``weight_bits`` on its exact-max grid, each cell's A and
+    B 8 bits on their own grids, and each bias 32 bits on its stage's
+    accumulator grid.  The result is not compiled and has no keep-masks or
+    frontend digest (``freeze`` adds them).  The quantization-aware forward,
+    ``training.hat_forward``, trains on these tensors dequantized.
+    """
+    def qw(w, bits=weight_bits):
+        return quantize(w, weight_quant_spec(w, bits))
+
+    qlayers = []
+    x_exp = scales.input_exp
+    for i, layer in enumerate(model.layers):
+        u_exp, m_exp, h_exp = scales.layer_exps[i]
+        w_x, w_m = qw(layer.input_kernel), qw(layer.memory_kernel)
+        pre_exp = preactivation_exp(w_x.spec.scale_exp, x_exp, w_m.spec.scale_exp, m_exp)
+        qlayers.append(QuantizedLayer(
+            input_encoder=qw(layer.input_encoder),
+            hidden_encoder=qw(layer.hidden_encoder),
+            input_kernel=w_x,
+            memory_kernel=w_m,
+            bias=quantize(layer.bias, QuantSpec(32, pre_exp)),
+            cells=[QuantizedCell(A=qw(cell.A_d, 8), B=qw(cell.B_d, 8),
+                                 order=cell.order, theta=cell.theta)
+                   for cell in layer.cells],
+            u_exp=u_exp,
+            m_exp=m_exp,
+            h_exp=h_exp,
+        ))
+        x_exp = h_exp
+
+    w_out = qw(model.output_weight)
+    return QuantizedModel(
+        input_dim=model.input_dim,
+        dt=model.layers[0].cells[0].dt if model.layers and model.layers[0].cells else 0.02,
+        weight_bits=weight_bits,
+        label_names=list(model.label_names),
+        input_exp=scales.input_exp,
+        layers=qlayers,
+        output_weight=w_out,
+        output_bias=quantize(model.output_bias, QuantSpec(32, w_out.spec.scale_exp + x_exp)),
+    )
+
+
 def freeze(
     model: ModelGraph,
     weight_bits: int,
@@ -180,62 +228,10 @@ def freeze(
     if len(frontend_hash) != 32:
         raise ValueError("frontend_hash must be a 32-byte digest")
     model.validate()
-    keep_masks = {}
+    qm = deployed_tensors(model, weight_bits, scales)
     if mask is not None:
-        keep_masks = {name: m.copy() for name, m in mask.masks.items()}
-
-    def qw(w):
-        return quantize(w, weight_quant_spec(w, weight_bits))
-
-    qlayers = []
-    x_exp = scales.input_exp
-    for i, layer in enumerate(model.layers):
-        u_exp, m_exp, h_exp = scales.layer_exps[i]
-        w_in, w_hid = qw(layer.input_encoder), qw(layer.hidden_encoder)
-        w_x, w_m = qw(layer.input_kernel), qw(layer.memory_kernel)
-        pre_exp = preactivation_exp(
-            w_x.spec.scale_exp, x_exp, w_m.spec.scale_exp, m_exp
-        )
-        bias = quantize(layer.bias, QuantSpec(32, pre_exp))
-        cells = []
-        for cell in layer.cells:
-            cells.append(
-                QuantizedCell(
-                    A=quantize(cell.A_d, weight_quant_spec(cell.A_d, 8)),
-                    B=quantize(cell.B_d, weight_quant_spec(cell.B_d, 8)),
-                    order=cell.order,
-                    theta=cell.theta,
-                )
-            )
-        qlayers.append(
-            QuantizedLayer(
-                input_encoder=w_in,
-                hidden_encoder=w_hid,
-                input_kernel=w_x,
-                memory_kernel=w_m,
-                bias=bias,
-                cells=cells,
-                u_exp=u_exp,
-                m_exp=m_exp,
-                h_exp=h_exp,
-            )
-        )
-        x_exp = h_exp
-
-    w_out = qw(model.output_weight)
-    out_exp = w_out.spec.scale_exp + x_exp
-    qm = QuantizedModel(
-        input_dim=model.input_dim,
-        dt=model.layers[0].cells[0].dt if model.layers and model.layers[0].cells else 0.02,
-        weight_bits=weight_bits,
-        label_names=list(model.label_names),
-        input_exp=scales.input_exp,
-        layers=qlayers,
-        output_weight=w_out,
-        output_bias=quantize(model.output_bias, QuantSpec(32, out_exp)),
-        keep_masks=keep_masks,
-        frontend_hash=bytes(frontend_hash),
-    )
+        qm.keep_masks = {name: m.copy() for name, m in mask.masks.items()}
+    qm.frontend_hash = bytes(frontend_hash)
     qm.compiled = compile_model(qm)
     return qm
 

@@ -2,11 +2,13 @@
 quantization-aware fine-tuning, and gradual magnitude pruning.
 
 The quantization-aware forward here is the reference the deployed integer
-path is held to: with quant_on, every weight and activation is fake-quantized
-at deployment widths and scales, all arithmetic lands on power-of-two grids
-where float64 is exact, so the deployed integer model reproduces this graph
-bit for bit.  Gradients use the straight-through estimator: rounding is
-treated as identity inside the representable range, zero outside.
+path is held to: with quant_on, every weight, bias and memory matrix is the
+tensor ``freeze`` stores (``qmodel.deployed_tensors``), dequantized, and every
+activation is fake-quantized at its frozen scale.  All arithmetic lands on
+power-of-two grids where float64 is exact, so the deployed integer model
+reproduces this graph bit for bit.  Gradients use the straight-through
+estimator: rounding is treated as identity inside the representable range,
+zero outside.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ from .fixedpoint import (
     QuantSpec,
     apply_mask,
     fake_quant,
+    in_range,
     prune_magnitude,
-    weight_quant_spec,
 )
 from .lmu import ModelConfig, ModelGraph, build_model
 from .qmodel import (
     ActivationScales,
     QuantizedModel,
     calibrate_activation_scales,
+    deployed_tensors,
     freeze,
-    preactivation_exp,
     quantized_forward,
 )
 
@@ -102,12 +104,12 @@ class _LayerCache:
     # Straight-through masks; None where every entry would be True.  Without
     # fake-quant the u, m and bias masks are all True, and the h mask is the
     # relu's, h > 0.  A weight's mask is always all True: its grid covers its
-    # largest magnitude (``weight_quant_spec``), so none is kept.
+    # largest magnitude (``qmodel.deployed_tensors``), so none is kept.
     mask_u: np.ndarray | None
     mask_m: np.ndarray | None
     mask_h: np.ndarray | None  # relu and fake-quant masks combined
     bias_mask: np.ndarray | None
-    w_fq: dict  # fake-quantized weights and bias used
+    w_fq: dict  # weights and bias used (with quant_on, the stored ones)
     A: np.ndarray  # (D, D) block-diagonal memory matrix used
     B: np.ndarray  # (c, D) input matrix used: row k holds cell k's B_d in its block
 
@@ -122,29 +124,18 @@ class ForwardCache:
     logits_exp: int | None  # grid of the logits when quant_on, else None
 
 
-def _fq_weight(w: np.ndarray, bits: int):
-    spec = weight_quant_spec(w, bits)
-    return fake_quant(w, spec)[0], spec.scale_exp
-
-
-def _memory_matrices(layer, quant_on: bool):
-    """One layer's memory cells as a single linear system m' = m A^T + u B.
-
-    Each cell's A_d and B_d fill its own diagonal block; with quant_on each
-    block is fake-quantized at 8 bits on that cell's own scale, as freeze
-    stores it.
-    """
-    D = layer.memory_dim
+def _memory_matrices(blocks):
+    """One layer's memory cells, given as each cell's (A, B), as a single
+    linear system m' = m A^T + u B: each A fills its own diagonal block, and
+    row k of B holds cell k's B in that block."""
+    D = sum(len(B_k) for _, B_k in blocks)
     A = np.zeros((D, D))
-    B = np.zeros((len(layer.cells), D))
+    B = np.zeros((len(blocks), D))
     off = 0
-    for k, cell in enumerate(layer.cells):
-        sl = slice(off, off + cell.order)
-        A_k, B_k = cell.A_d, cell.B_d
-        if quant_on:
-            A_k, B_k = _fq_weight(A_k, 8)[0], _fq_weight(B_k, 8)[0]
+    for k, (A_k, B_k) in enumerate(blocks):
+        sl = slice(off, off + len(B_k))
         A[sl, sl], B[k, sl] = A_k, B_k
-        off += cell.order
+        off += len(B_k)
     return A, B
 
 
@@ -159,8 +150,9 @@ def hat_forward(
 
     feats is (B, T, input_dim) with T >= 1.  This is the one float forward:
     training, evaluation and calibration all run it.  With quant_on,
-    ``scales`` must hold the frozen activation scales and the arithmetic
-    matches deployment exactly.
+    ``scales`` must hold the frozen activation scales; the parameters are
+    then read from ``deployed_tensors(model, weight_bits, scales)`` and the
+    arithmetic matches deployment exactly.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 3 or feats.shape[2] != model.input_dim:
@@ -170,34 +162,29 @@ def hat_forward(
     if quant_on and scales is None:
         raise ValueError("quant_on requires calibrated activation scales")
     B, T, _ = feats.shape
+    qm = deployed_tensors(model, weight_bits, scales) if quant_on else None
 
     def act_fq(x, exp):
         if not quant_on:
             return x, None
         return fake_quant(x, QuantSpec(ACTIVATION_BITS, exp))
 
-    x, _ = act_fq(feats, scales.input_exp if quant_on else 0)
-    x_exp = scales.input_exp if quant_on else 0
+    x, _ = act_fq(feats, qm.input_exp if quant_on else None)
     caches = []
+    names = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
     for li, layer in enumerate(model.layers):
         if quant_on:
-            u_exp, m_exp, h_exp = scales.layer_exps[li]
-        w_fq, w_exp = {}, {}
-        for name in ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel"):
-            w = getattr(layer, name)
-            if quant_on:
-                w_fq[name], w_exp[name] = _fq_weight(w, weight_bits)
-            else:
-                w_fq[name] = w
-        if quant_on:
-            pre_exp = preactivation_exp(
-                w_exp["input_kernel"], x_exp, w_exp["memory_kernel"], m_exp
-            )
-            bias_fq, bias_mask = fake_quant(layer.bias, QuantSpec(32, pre_exp))
+            ql = qm.layers[li]
+            u_exp, m_exp, h_exp = ql.u_exp, ql.m_exp, ql.h_exp
+            w_fq = {name: getattr(ql, name).dequantize() for name in names}
+            bias_mask = in_range(layer.bias, ql.bias.spec)
+            A, B_in = _memory_matrices([(c.A.dequantize(), c.B.dequantize()) for c in ql.cells])
         else:
-            bias_fq, bias_mask = layer.bias, None
-        w_fq["bias"] = bias_fq
-        A, B_in = _memory_matrices(layer, quant_on)
+            u_exp = m_exp = h_exp = None
+            w_fq = {name: getattr(layer, name) for name in names}
+            bias_mask = None
+            A, B_in = _memory_matrices([(c.A_d, c.B_d) for c in layer.cells])
+        bias_fq = w_fq["bias"]
 
         c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
         U = np.empty((B, T, c_dim))
@@ -222,16 +209,16 @@ def hat_forward(
             x_t = x[:, t]
             np.matmul(x_t, WexT, out=u_pre)
             u_pre += np.matmul(h_prev, WehT, out=u_h)
-            u, mu = act_fq(u_pre, u_exp if quant_on else 0)
+            u, mu = act_fq(u_pre, u_exp)
             m_pre = m_bufs[t % 2]
             np.matmul(m_prev, AT, out=m_pre)
             m_pre += np.matmul(u, B_in, out=m_u)
-            m, mm = act_fq(m_pre, m_exp if quant_on else 0)
+            m, mm = act_fq(m_pre, m_exp)
             np.matmul(x_t, WkT, out=pre)
             pre += np.matmul(m, WmT, out=pre_m)
             pre += bias_fq
             np.maximum(pre, 0.0, out=relu)
-            h, mh = act_fq(relu, h_exp if quant_on else 0)
+            h, mh = act_fq(relu, h_exp)
             U[:, t], M[:, t], H[:, t] = u, m, h
             if quant_on:
                 mask_u[:, t], mask_m[:, t] = mu, mm
@@ -242,13 +229,11 @@ def hat_forward(
                         mask_h=mask_h, bias_mask=bias_mask, w_fq=w_fq, A=A, B=B_in)
         )
         x = H
-        if quant_on:
-            x_exp = h_exp
 
     if quant_on:
-        out_w, out_exp = _fq_weight(model.output_weight, weight_bits)
-        logits_exp = out_exp + x_exp
-        out_b, out_b_mask = fake_quant(model.output_bias, QuantSpec(32, logits_exp))
+        out_w, out_b = qm.output_weight.dequantize(), qm.output_bias.dequantize()
+        out_b_mask = in_range(model.output_bias, qm.output_bias.spec)
+        logits_exp = qm.logits_exp
     else:
         out_w, out_b, out_b_mask = model.output_weight, model.output_bias, None
         logits_exp = None
@@ -401,9 +386,9 @@ class Adam:
 
 @dataclass
 class TrainResult:
-    quantized: QuantizedModel | None
+    quantized: QuantizedModel  # the frozen model
     model: ModelGraph
-    scales: ActivationScales | None
+    scales: ActivationScales  # the HAT run's, or calibrated after float training
     mask: PruneMask | None
     log: list
     final_loss: float
@@ -411,6 +396,9 @@ class TrainResult:
 
 def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> TrainResult:
     """Full pipeline: float warmup, HAT fine-tuning, pruning ramp, freeze.
+
+    A run without HAT steps calibrates its activation scales on the first
+    ``calibration_sequences`` training sequences before it freezes.
 
     ``dataset`` needs train_x (N, T, F), train_y (N,), label_names, and
     frontend_hash; see frontend.FeatureDataset.  ``init_tensors`` (a name ->
@@ -463,12 +451,12 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
     if config.target_sparsity > 0.0 and mask is None:
         mask = prune_magnitude(model, config.target_sparsity)
         apply_mask(model, mask)
-    quantized = None
-    if scales is not None:
-        quantized = freeze(
-            model, weight_bits, scales, mask=mask,
-            frontend_hash=getattr(dataset, "frontend_hash", bytes(32)),
-        )
+    if scales is None:  # no HAT step ran: calibrate the float model
+        scales = calibrate_activation_scales(model, dataset.train_x[:config.calibration_sequences])
+    quantized = freeze(
+        model, weight_bits, scales, mask=mask,
+        frontend_hash=getattr(dataset, "frontend_hash", bytes(32)),
+    )
     return TrainResult(quantized=quantized, model=model, scales=scales, mask=mask,
                        log=log, final_loss=float(loss))
 

@@ -80,6 +80,16 @@ class TestParsing:
         assert rc == 1
         assert "not_a_real_key" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        out = tmp_path / "out"
+        rc = main(["size-report", "--model-preset", "toy", "--config", str(cfg),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("clock_points = 5\nlanes = 1\n")
@@ -759,6 +769,19 @@ class TestHwCommands:
                        "--out-dir", str(tmp_path / "out")])
             assert rc == 2
             assert f"cannot read coefficient file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, output", [("hw-report", "hw-report.txt"),
+                                             ("hw-sweep", "sweep.csv")])
+    def test_non_finite_power_is_data_error(self, tmp_path, capsys, cmd, output):
+        # The parent printed `total inf uW` and wrote its output, exit 0.
+        coeffs = tmp_path / "c.txt"
+        coeffs.write_text("e_mac_j = 1e300\n")
+        out = tmp_path / "out"
+        rc = main([cmd, "--model-preset", "lmu2", "--coefficients", str(coeffs),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "mac_dynamic_uW is not finite" in capsys.readouterr().err
+        assert not (out / output).exists()
 
     def test_report_on_trained_model(self, trained, tmp_path, capsys):
         rc = main(["hw-report", "--model", str(trained / "model.lmuq"),

@@ -43,8 +43,6 @@ class TestQuantSpec:
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
             QuantSpec(16, 0)
-        with pytest.raises(ValueError):
-            QuantSpec(8, 0, signed=False)
 
     def test_fan_in_bound(self):
         assert MAX_FAN_IN == 2**18

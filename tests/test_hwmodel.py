@@ -283,6 +283,18 @@ class TestEstimatePower:
         assert pb.throughput_ms == pytest.approx(20.0)
         assert pb.latency_ms == pytest.approx(40.0 + coeffs.latency_residual_ms)
 
+    @pytest.mark.parametrize("coefficients, term", [
+        ({"e_mac_j": 1e300}, "mac_dynamic_uW"),
+        # each term finite, their sum not
+        ({"e_mac_j": 3e298, "e_sram_bit_j": 3e297}, "total_uW"),
+    ])
+    def test_non_finite_power_rejected(self, coefficients, term):
+        w = WorkloadProfile(100, 800, 200, 5000, 0, 0)
+        dp = DesignPoint(clock_hz=1000.0, lanes=10, sram_width_bits=100,
+                         overhead_cycles=0)
+        with pytest.raises(CoefficientError, match=term):
+            estimate_power(w, dp, CoefficientTable(**coefficients))
+
     def test_default_inventory_fills_in(self):
         # The one design: its lanes, an SRAM bit per stored bit, misc logic.
         w = WorkloadProfile(100, 100, 0, 4000, 500, 500)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
+from lmukws.modelfile import save_model
 from lmukws.qmodel import calibrate_activation_scales, freeze, quantized_forward
 from lmukws.training import (
     Adam,
@@ -218,6 +219,33 @@ class TestTrainLoop:
                           scales=result.scales, weight_bits=4)
         q_acc = evaluate(result.quantized, data.val_x, data.val_y)
         assert fq_acc == q_acc
+
+    def test_float_run_freezes_on_the_first_training_sequences(self, tmp_path):
+        # Without HAT, train() calibrates on the first calibration_sequences
+        # training sequences, then freezes with the run's mask and frontend.
+        data = _toy_dataset(5)
+        data.frontend_hash = bytes(range(32))
+        cfg = TrainConfig(
+            model=ModelConfig(
+                input_dim=6,
+                layers=(LayerConfig(hidden=8, cells=(CellConfig(4, 0.2),)),),
+                weight_bits=4,
+            ),
+            steps=30,
+            prune_start=5,
+            prune_end=20,
+            target_sparsity=0.5,
+            calibration_sequences=50,
+            seed=5,
+        )
+        result = train(cfg, data)
+        scales = calibrate_activation_scales(result.model, data.train_x[:50])
+        assert result.scales == scales
+        expected = freeze(result.model, 4, scales, mask=result.mask,
+                          frontend_hash=data.frontend_hash)
+        save_model(result.quantized, tmp_path / "trained.lmuq")
+        save_model(expected, tmp_path / "expected.lmuq")
+        assert (tmp_path / "trained.lmuq").read_bytes() == (tmp_path / "expected.lmuq").read_bytes()
 
     def test_sparsity_hits_exact_target(self):
         data = _toy_dataset(2)
