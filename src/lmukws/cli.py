@@ -21,6 +21,7 @@ import math
 import sys
 import tarfile
 import urllib.request
+import zipfile
 from collections import deque
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,6 +70,7 @@ from .qmodel import (
 from .training import (
     TrainConfig,
     TrainingError,
+    check_init_tensors,
     check_prune_steps,
     evaluate,
     majority_baseline,
@@ -251,16 +253,19 @@ def _coefficients(cfg: dict) -> CoefficientTable:
     return CoefficientTable.from_file(path) if path else CoefficientTable()
 
 
-def _load_model_checked(path) -> "QuantizedModel":
-    if not Path(path).exists():
-        raise DatasetError(f"model file not found: {path}")
-    return load_model(path)
+def _input_file(path, what: str) -> Path:
+    """An artifact path given on the command line; DatasetError naming it
+    unless it is a file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DatasetError(f"{what} not found (or not a file): {path}")
+    return path
 
 
 def _quantized_model(cfg: dict):
     """--model loaded, or else --model-preset frozen from seeded random weights."""
     if cfg["model"]:
-        return _load_model_checked(cfg["model"])
+        return load_model(_input_file(cfg["model"], "model file"))
     model_cfg = reference_config(cfg["model_preset"])
     model = build_model(model_cfg, np.random.default_rng(cfg["seed"]))
     mask = None
@@ -273,9 +278,8 @@ def _quantized_model(cfg: dict):
 
 def _sidecar_config(cfg: dict, qm) -> FeatureConfig:
     """The model's frontend: --frontend, or else frontend.npz next to the model."""
-    path = Path(cfg["frontend"]) if cfg["frontend"] else Path(cfg["model"]).parent / "frontend.npz"
-    if not path.exists():
-        raise DatasetError(f"frontend sidecar not found: {path}")
+    path = _input_file(cfg["frontend"] or Path(cfg["model"]).parent / "frontend.npz",
+                       "frontend sidecar")
     feat_cfg = load_feature_config(path)
     if feat_cfg.config_hash() != qm.frontend_hash:
         raise DatasetError(f"frontend sidecar {path} does not match the model's frontend hash")
@@ -398,6 +402,18 @@ TRAIN_SETTINGS = {
 }
 
 
+def _read_checkpoint(path: Path, model_cfg) -> dict:
+    """--resume's tensors; DatasetError naming the file unless it is an npz
+    archive that ``check_init_tensors`` accepts for this model."""
+    try:
+        with np.load(path) as z:
+            tensors = {k: z[k] for k in z.files}
+        check_init_tensors(build_model(model_cfg, np.random.default_rng(0)), tensors)
+    except (zipfile.BadZipFile, EOFError, ValueError, TypeError) as e:
+        raise DatasetError(f"{path}: not a checkpoint for this model ({e})") from None
+    return tensors
+
+
 def cmd_train(cfg: dict) -> int:
     prune_start, prune_end = cfg["prune_start"], cfg["prune_end"]
     try:
@@ -413,14 +429,19 @@ def cmd_train(cfg: dict) -> int:
     for split in ("train", "val"):  # training needs one, the report the other
         if not any(e.split == split for e in manifest.entries):
             raise DatasetError(f"the {split} split of {root} is empty")
-    ds = materialize_features(manifest, FeatureConfig())
     model_cfg = reference_config(cfg["model_preset"])
-    overrides = {"label_names": tuple(ds.label_names)}
+    overrides = {"label_names": tuple(manifest.label_names)}
     if cfg["weight_bits"] is not None:
         overrides["weight_bits"] = cfg["weight_bits"]
     if cfg["target_sparsity"] is not None:
         overrides["target_sparsity"] = float(cfg["target_sparsity"])
     model_cfg = dataclasses.replace(model_cfg, **overrides)
+    init_tensors = None
+    if cfg["resume"]:
+        ckpt = _input_file(cfg["resume"], "checkpoint")
+        init_tensors = _read_checkpoint(ckpt, model_cfg)
+        print(f"resuming from {ckpt}")
+    ds = materialize_features(manifest, FeatureConfig())
 
     steps = cfg["steps"]
     quant_on = None
@@ -442,15 +463,6 @@ def cmd_train(cfg: dict) -> int:
         seed=cfg["seed"],
         log_every=cfg["log_every"],
     )
-
-    init_tensors = None
-    if cfg["resume"]:
-        ckpt = Path(cfg["resume"])
-        if not ckpt.exists():
-            raise DatasetError(f"checkpoint not found: {ckpt}")
-        with np.load(ckpt) as z:
-            init_tensors = {k: z[k] for k in z.files}
-        print(f"resuming from {ckpt}")
 
     result = train(train_cfg, ds, init_tensors=init_tensors)
     qm = result.quantized
@@ -500,7 +512,7 @@ EVAL_SETTINGS = {
 def cmd_eval(cfg: dict) -> int:
     keywords = _words(cfg["keywords"])
     out = _run_dir(cfg, "eval")
-    qm = _load_model_checked(cfg["model"])
+    qm = load_model(_input_file(cfg["model"], "model file"))
     feat_cfg = _sidecar_config(cfg, qm)
     split = cfg["split"]
     manifest = build_dataset(cfg["data_root"], keywords, seed=cfg["seed"])
@@ -509,8 +521,7 @@ def cmd_eval(cfg: dict) -> int:
     picked = [i for i, e in enumerate(manifest.entries) if e.split == split]
     if not picked:
         raise DatasetError(f"split {split!r} is empty")
-    x = np.stack([featurize_utterance(load_clip(manifest, i, feat_cfg.sample_rate), feat_cfg)
-                  for i in picked])
+    x = np.stack([featurize_utterance(load_clip(manifest, i), feat_cfg) for i in picked])
     y = np.array([manifest.entries[i].label for i in picked], dtype=np.int64)
 
     offline = evaluate(qm, x, y)
@@ -549,9 +560,9 @@ def cmd_stream(cfg: dict) -> int:
     out = _run_dir(cfg, "stream")
     smooth, threshold = cfg["smooth"], cfg["threshold"]
     refractory, chunk = cfg["refractory"], cfg["chunk_samples"]
-    qm = _load_model_checked(cfg["model"])
+    qm = load_model(_input_file(cfg["model"], "model file"))
     feat_cfg = _sidecar_config(cfg, qm)
-    samples = load_wav(cfg["wav"], expected_rate=feat_cfg.sample_rate)
+    samples = load_wav(_input_file(cfg["wav"], "wav file"))
 
     featurizer = StreamFeaturizer(feat_cfg)
     state = QuantStreamState(qm)

@@ -137,15 +137,15 @@ def weight_quant_spec(w: np.ndarray, bits: int) -> QuantSpec:
     return QuantSpec(bits=bits, scale_exp=scale_exp_for_max(float(np.max(np.abs(w), initial=0.0)), bits))
 
 
-def activation_quant_spec(samples: np.ndarray, percentile: float = 99.9) -> QuantSpec:
-    """Activation format sized to a high percentile of observed magnitudes.
+def activation_quant_spec(samples: np.ndarray) -> QuantSpec:
+    """Activation format sized to the 99.9th percentile of observed magnitudes.
 
     The tail beyond the percentile is deliberately allowed to saturate; that
     trades rare clipping for one extra bit of resolution everywhere else.
     """
     samples = np.abs(np.asarray(samples, dtype=np.float64).ravel())
     # np.abs made a copy of its own, so the percentile may reorder it in place
-    target = (float(np.percentile(samples, percentile, overwrite_input=True))
+    target = (float(np.percentile(samples, 99.9, overwrite_input=True))
               if samples.size else 0.0)
     return QuantSpec(bits=ACTIVATION_BITS, scale_exp=scale_exp_for_max(target, ACTIVATION_BITS))
 

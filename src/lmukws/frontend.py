@@ -15,12 +15,14 @@ straddles train/val/test.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import wave
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,48 +39,34 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    sample_rate: int = 16000
-    window_ms: int = 40
-    hop_ms: int = 20
-    mel_bins: int = 40
-    fft_size: int = 1024
-    log_floor: float = 1e-6
-    f_lo: float = 20.0
-    f_hi: float = 7600.0
+    """The one frontend recipe, and the per-bin normalization fitted on the
+    training split (None before ``materialize_features`` fits it).
+
+    The recipe's values are constants.  ``fft_size`` must be a power of two:
+    the kernel folds the power spectrum's 1/fft_size into the mel bank, which
+    is exact only then (README, "The frontend kernel").
+    """
+
+    sample_rate: ClassVar[int] = 16000
+    window_ms: ClassVar[int] = 40
+    hop_ms: ClassVar[int] = 20
+    mel_bins: ClassVar[int] = 40
+    fft_size: ClassVar[int] = 1024
+    log_floor: ClassVar[float] = 1e-6
+    f_lo: ClassVar[float] = 20.0
+    f_hi: ClassVar[float] = 7600.0
+    window_samples: ClassVar[int] = sample_rate * window_ms // 1000
+    hop_samples: ClassVar[int] = sample_rate * hop_ms // 1000
+    frames_per_second_clip: ClassVar[int] = (sample_rate - window_samples) // hop_samples + 1
     norm_mean: tuple | None = None
     norm_std: tuple | None = None
 
-    def __post_init__(self):
-        if (self.sample_rate * self.window_ms) % 1000 or (self.sample_rate * self.hop_ms) % 1000:
-            raise ValueError("window and hop must be whole sample counts")
-        if self.fft_size < self.window_samples:
-            raise ValueError(
-                f"fft_size {self.fft_size} < window of {self.window_samples} samples"
-            )
-        if self.fft_size & (self.fft_size - 1):
-            # The kernel folds the power spectrum's 1/fft_size into the mel
-            # bank, which is exact only for a power of two.
-            raise ValueError(f"fft_size {self.fft_size} is not a power of two")
-        if not 0 < self.f_lo < self.f_hi <= self.sample_rate / 2:
-            raise ValueError("mel band must satisfy 0 < f_lo < f_hi <= Nyquist")
-
-    @property
-    def window_samples(self) -> int:
-        return self.sample_rate * self.window_ms // 1000
-
-    @property
-    def hop_samples(self) -> int:
-        return self.sample_rate * self.hop_ms // 1000
-
-    @property
-    def frames_per_second_clip(self) -> int:
-        return (self.sample_rate - self.window_samples) // self.hop_samples + 1
-
     def config_hash(self) -> bytes:
-        """SHA-256 digest of every field; guards train/serve feature skew.
+        """SHA-256 digest of the recipe and the normalization; model files
+        carry it, so a sidecar that does not match the model is caught.
 
-        Float fields hash as Python floats, the type a sidecar loads them
-        as, so a config of numpy floats hashes like its own round trip.
+        Normalization values hash as Python floats, the type a sidecar loads
+        them as, so a config of numpy floats hashes like its own round trip.
         """
         def reprs(values):
             return None if values is None else [repr(float(v)) for v in values]
@@ -89,9 +77,9 @@ class FeatureConfig:
             f"hop_ms={self.hop_ms}",
             f"mel_bins={self.mel_bins}",
             f"fft_size={self.fft_size}",
-            f"log_floor={float(self.log_floor)!r}",
-            f"f_lo={float(self.f_lo)!r}",
-            f"f_hi={float(self.f_hi)!r}",
+            f"log_floor={self.log_floor!r}",
+            f"f_lo={self.f_lo!r}",
+            f"f_hi={self.f_hi!r}",
             f"norm_mean={reprs(self.norm_mean)}",
             f"norm_std={reprs(self.norm_std)}",
         ]
@@ -111,41 +99,39 @@ class FeatureConfig:
 
 
 def save_feature_config(config: FeatureConfig, path) -> None:
-    """Persist a feature config (with fitted normalization) as an npz sidecar.
+    """Persist a config's normalization as an npz sidecar; the recipe is
+    fixed, so the normalization is all a sidecar holds.
 
     Values round-trip exactly, so the loaded config's hash matches the digest
     a model trained with it carries.
     """
     has_norm = config.norm_mean is not None
     np.savez(
-        path,
-        sample_rate=config.sample_rate, window_ms=config.window_ms,
-        hop_ms=config.hop_ms, mel_bins=config.mel_bins,
-        fft_size=config.fft_size, log_floor=config.log_floor,
-        f_lo=config.f_lo, f_hi=config.f_hi, has_norm=has_norm,
+        path, has_norm=has_norm,
         norm_mean=np.asarray(config.norm_mean if has_norm else [], dtype=np.float64),
         norm_std=np.asarray(config.norm_std if has_norm else [], dtype=np.float64),
     )
 
 
 def load_feature_config(path) -> FeatureConfig:
-    """Read a ``save_feature_config`` sidecar; DatasetError if it is not a whole one."""
+    """Read a ``save_feature_config`` sidecar; DatasetError unless it holds
+    mel_bins finite means and as many finite, positive deviations.  Other
+    keys (older sidecars also stored the recipe) are not read."""
     try:
         with np.load(path) as z:
             has_norm = bool(z["has_norm"])
-            config = FeatureConfig(
-                sample_rate=int(z["sample_rate"]), window_ms=int(z["window_ms"]),
-                hop_ms=int(z["hop_ms"]), mel_bins=int(z["mel_bins"]),
-                fft_size=int(z["fft_size"]), log_floor=float(z["log_floor"]),
-                f_lo=float(z["f_lo"]), f_hi=float(z["f_hi"]),
-                norm_mean=tuple(float(v) for v in z["norm_mean"]) if has_norm else None,
-                norm_std=tuple(float(v) for v in z["norm_std"]) if has_norm else None,
-            )
+            mean = tuple(float(v) for v in z["norm_mean"]) if has_norm else None
+            std = tuple(float(v) for v in z["norm_std"]) if has_norm else None
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as e:
         raise DatasetError(f"{path}: not a frontend sidecar ({e})") from None
-    if has_norm and not len(config.norm_mean) == len(config.norm_std) == config.mel_bins:
-        raise DatasetError(f"{path}: normalization length is not mel_bins = {config.mel_bins}")
-    return config
+    if not has_norm:
+        return FeatureConfig()
+    bins = FeatureConfig.mel_bins
+    if not len(mean) == len(std) == bins:
+        raise DatasetError(f"{path}: normalization length is not mel_bins = {bins}")
+    if not all(math.isfinite(v) for v in mean + std) or min(std) <= 0.0:
+        raise DatasetError(f"{path}: normalization needs finite means and deviations > 0")
+    return FeatureConfig(norm_mean=mean, norm_std=std)
 
 
 def hz_to_mel(f):
@@ -264,21 +250,21 @@ class StreamFeaturizer:
 # WAV I/O (PCM16 mono only; no silent resampling)
 # ---------------------------------------------------------------------------
 
-def load_wav(path, expected_rate: int = 16000) -> np.ndarray:
-    """Read a PCM16 mono WAV into float64 in [-1, 1)."""
+def load_wav(path) -> np.ndarray:
+    """Read a PCM16 mono WAV at the frontend's rate into float64 in [-1, 1)."""
+    rate = FeatureConfig.sample_rate
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
                 raise WavFormatError(f"{path}: expected mono, got {f.getnchannels()} channels")
             if f.getsampwidth() != 2:
                 raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-            if f.getframerate() != expected_rate:
-                raise WavFormatError(
-                    f"{path}: expected {expected_rate} Hz, got {f.getframerate()} Hz"
-                )
+            if f.getframerate() != rate:
+                raise WavFormatError(f"{path}: expected {rate} Hz, got {f.getframerate()} Hz")
             raw = f.readframes(f.getnframes())
-    except wave.Error as exc:
-        raise WavFormatError(f"{path}: not a valid WAV file ({exc})") from exc
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
+        why = str(exc) or "it ends inside its header"
+        raise WavFormatError(f"{path}: not a valid WAV file ({why})") from exc
     if len(raw) % 2:
         raise WavFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
     # k * 2^-15 is exact in float64: the same values as astype, then / 32768.
@@ -313,15 +299,16 @@ UNKNOWN_LABEL = 11
 BACKGROUND_DIR = "_background_noise_"
 
 
-def which_set(filename: str, val_pct: float = 10.0, test_pct: float = 10.0) -> str:
-    """Stable split assignment from the speaker id; all takes stay together."""
+def which_set(filename: str) -> str:
+    """Stable 10/10/80 val/test/train split from the speaker id; all takes
+    stay together."""
     base = os.path.basename(filename)
     if "_nohash_" not in base:
         raise ValueError(f"{filename!r} has no '_nohash_' speaker separator")
     pct = _speaker_pct(re.sub(r"_nohash_.*$", "", base))
-    if pct < val_pct:
+    if pct < 10.0:
         return "val"
-    if pct < val_pct + test_pct:
+    if pct < 20.0:
         return "test"
     return "train"
 
@@ -357,20 +344,14 @@ def twelve_label_names(keywords) -> list:
     return names + ["_silence_", "_unknown_"]
 
 
-def build_dataset(
-    root,
-    keywords,
-    silence_frac: float = 0.1,
-    unknown_frac: float = 0.1,
-    seed: int = 0,
-) -> Manifest:
+def build_dataset(root, keywords, seed: int = 0) -> Manifest:
     """Scan a dataset directory into a 12-label manifest.
 
     Keyword clips keep their hash split.  Unknown clips are drawn from
     non-keyword words (keeping their own hash split, so no speaker leaks);
     silence entries reference background-noise files and are spread across
-    splits in an 80/10/10 pattern.  Fractions are relative to the keyword
-    clip count.
+    splits in an 80/10/10 pattern.  Each of the two is a tenth of the
+    keyword clip count.
     """
     root = str(root)
     keywords = list(keywords)
@@ -411,14 +392,14 @@ def build_dataset(
         for fname in sorted(os.listdir(os.path.join(root, word))):
             if fname.endswith(".wav"):
                 unknown_pool.append((f"{word}/{fname}", which_set(fname)))
-    n_unknown = min(len(unknown_pool), int(round(unknown_frac * n_keyword)))
+    n_unknown = min(len(unknown_pool), int(round(0.1 * n_keyword)))
     if unknown_pool:
         picks = rng.choice(len(unknown_pool), size=n_unknown, replace=False)
         for i in sorted(picks):
             path, split = unknown_pool[i]
             entries.append(ManifestEntry(path=path, label=UNKNOWN_LABEL, split=split))
 
-    n_silence = int(round(silence_frac * n_keyword))
+    n_silence = int(round(0.1 * n_keyword))
     split_cycle = ["train"] * 8 + ["val", "test"]
     for i in range(n_silence):
         entries.append(
@@ -456,43 +437,44 @@ class FeatureDataset:
         return self.config.config_hash()
 
 
-def load_clip(manifest: Manifest, index: int, sample_rate: int) -> np.ndarray:
+def load_clip(manifest: Manifest, index: int) -> np.ndarray:
     """The one-second clip of ``manifest.entries[index]``; a silence crop's
     offset hashes the index in the whole manifest, not in the entry's split."""
     entry = manifest.entries[index]
-    samples = load_wav(os.path.join(manifest.root, entry.path), sample_rate)
+    samples = load_wav(os.path.join(manifest.root, entry.path))
+    rate = FeatureConfig.sample_rate
     if entry.label == SILENCE_LABEL:
-        off = _silence_offset(entry.path, index, samples.size, sample_rate)
-        samples = samples[off : off + sample_rate]
-    return pad_or_crop(samples, sample_rate)
+        off = _silence_offset(entry.path, index, samples.size, rate)
+        samples = samples[off : off + rate]
+    return pad_or_crop(samples, rate)
 
 
 def materialize_features(manifest: Manifest, config: FeatureConfig) -> FeatureDataset:
     """Load audio, featurize, and fit train-split normalization.
 
     The returned dataset's config carries the fitted per-bin mean/std, so its
-    hash pins the complete train-time feature function.
+    hash pins the complete train-time feature function.  ``config`` is not
+    read (the recipe is fixed and the normalization is fitted here); it stays
+    because perfbench's workloads pass ``FeatureConfig()``.
     """
     raw = {"train": [], "val": [], "test": []}
     labels = {"train": [], "val": [], "test": []}
-    base = replace(config, norm_mean=None, norm_std=None)
+    base, bins = FeatureConfig(), FeatureConfig.mel_bins
     for i, entry in enumerate(manifest.entries):
-        samples = load_clip(manifest, i, config.sample_rate)
-        raw[entry.split].append(featurize_utterance(samples, base))
+        raw[entry.split].append(featurize_utterance(load_clip(manifest, i), base))
         labels[entry.split].append(entry.label)
     if not raw["train"]:
         raise DatasetError("manifest has no training entries")
     train = np.stack(raw["train"])
-    mean = train.reshape(-1, config.mel_bins).mean(axis=0)
-    std = train.reshape(-1, config.mel_bins).std(axis=0)
+    mean = train.reshape(-1, bins).mean(axis=0)
+    std = train.reshape(-1, bins).std(axis=0)
     std = np.where(std < 1e-8, 1.0, std)
-    fitted = replace(
-        config, norm_mean=tuple(float(v) for v in mean), norm_std=tuple(float(v) for v in std)
-    )
+    fitted = FeatureConfig(norm_mean=tuple(float(v) for v in mean),
+                           norm_std=tuple(float(v) for v in std))
 
     def pack(split):
         if not raw[split]:
-            return (np.zeros((0, train.shape[1], config.mel_bins)), np.zeros(0, dtype=np.int64))
+            return (np.zeros((0, train.shape[1], bins)), np.zeros(0, dtype=np.int64))
         x = (np.stack(raw[split]) - mean) / std
         return x, np.asarray(labels[split], dtype=np.int64)
 

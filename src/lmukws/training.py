@@ -48,9 +48,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     batch_size: int = 32
     steps: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     quant_on_step: int | None = None  # None disables HAT
     prune_start: int | None = None
     prune_end: int | None = None
@@ -72,6 +69,19 @@ def check_prune_steps(prune_start: int | None, prune_end: int | None) -> None:
         raise ValueError("prune_start and prune_end must be set together")
     if prune_start is not None and prune_end < prune_start:
         raise ValueError("pruning schedule must be monotone")
+
+
+def check_init_tensors(model: ModelGraph, tensors: dict) -> None:
+    """Raise ValueError unless ``tensors`` holds, for every trainable tensor
+    of ``model``, a finite real array of its shape."""
+    for name, tensor in model.trainable_tensors():
+        if name not in tensors:
+            raise ValueError(f"missing tensor {name!r}")
+        src = np.asarray(tensors[name])
+        if src.shape != tensor.shape:
+            raise ValueError(f"tensor {name!r} has shape {src.shape}, model expects {tensor.shape}")
+        if src.dtype.kind not in "biuf" or not np.isfinite(src).all():
+            raise ValueError(f"tensor {name!r} is not finite real numbers")
 
 
 @dataclass
@@ -362,9 +372,11 @@ def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    def __init__(self, model: ModelGraph, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba 2015
+
+    def __init__(self, model: ModelGraph, lr: float):
         self.model = model
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {name: np.zeros_like(w) for name, w in model.trainable_tensors()}
         self.v = {name: np.zeros_like(w) for name, w in model.trainable_tensors()}
@@ -408,17 +420,10 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
     rng = np.random.default_rng(config.seed)
     model = build_model(config.model, rng)
     if init_tensors is not None:
+        check_init_tensors(model, init_tensors)
         for name, tensor in model.trainable_tensors():
-            if name not in init_tensors:
-                raise TrainingError(f"checkpoint is missing tensor {name!r}")
-            src = np.asarray(init_tensors[name], dtype=np.float64)
-            if src.shape != tensor.shape:
-                raise TrainingError(
-                    f"checkpoint tensor {name!r} has shape {src.shape}, "
-                    f"model expects {tensor.shape}"
-                )
-            tensor[...] = src
-    opt = Adam(model, config.learning_rate, config.beta1, config.beta2, config.eps)
+            tensor[...] = init_tensors[name]
+    opt = Adam(model, config.learning_rate)
     n = dataset.train_x.shape[0]
     scales = None
     mask = None
@@ -461,20 +466,16 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
                        log=log, final_loss=float(loss))
 
 
-def evaluate(model, x: np.ndarray, y: np.ndarray, scales=None, weight_bits: int = 8) -> float:
-    """Final-frame classification accuracy on (N, T, F) features.
-
-    Accepts a float ModelGraph (optionally with fake-quant when scales are
-    given) or a deployed QuantizedModel.
-    """
+def evaluate(model, x: np.ndarray, y: np.ndarray) -> float:
+    """Final-frame classification accuracy on (N, T, F) features of a float
+    ModelGraph or a deployed QuantizedModel."""
     y = np.asarray(y)
     if len(x) == 0:
         raise ValueError("cannot evaluate on zero utterances")
     if isinstance(model, QuantizedModel):
         logits, _ = quantized_forward(model, x)
     else:
-        logits = hat_forward(model, x, quant_on=scales is not None, scales=scales,
-                             weight_bits=weight_bits).logits
+        logits = hat_forward(model, x).logits
     return float((logits[:, -1].argmax(axis=1) == y).mean())
 
 

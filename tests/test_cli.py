@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from lmukws import cli
+from lmukws import cli, training
 from lmukws.cli import COMMANDS, build_parser, main, resolve_config
 from lmukws.configs import REFERENCE_NAMES
 from lmukws.fixedpoint import QuantTensor
@@ -618,6 +618,68 @@ class TestStream:
         assert rc == 1
         assert "chunk-samples >= 1" in capsys.readouterr().err
         assert not (out / "posteriors.csv").exists()
+
+
+def _edited_checkpoint(edit):
+    """A maker of the trained checkpoint with ``edit`` applied to its tensors."""
+    def make(path, trained):
+        with np.load(trained / "checkpoint.npz") as z:
+            tensors = {k: z[k] for k in z.files}
+        edit(tensors)
+        with open(path, "wb") as f:  # a path without .npz gets no suffix
+            np.savez(f, **tensors)
+    return make
+
+
+def _drop_bias(tensors):
+    del tensors["output.bias"]
+
+
+def _cut_bias(tensors):
+    tensors["output.bias"] = tensors["output.bias"][:-1]
+
+
+def _nan_bias(tensors):
+    tensors["layer0.bias"][0] = np.nan
+
+
+# case -> (command, flag, maker of the bad file at a path); each comment says
+# how the command used to end
+BAD_ARTIFACTS = {
+    "resume-cut-npz": ("train", "--resume",  # uncaught BadZipFile
+                       lambda p, t: p.write_bytes((t / "checkpoint.npz").read_bytes()[:300])),
+    "resume-text": ("train", "--resume",  # exit 3: numpy's allow_pickle error
+                    lambda p, t: p.write_text("not a checkpoint\n")),
+    "resume-missing-tensor": ("train", "--resume", _edited_checkpoint(_drop_bias)),  # exit 3
+    "resume-misshaped-tensor": ("train", "--resume", _edited_checkpoint(_cut_bias)),  # exit 3
+    "resume-nan": ("train", "--resume", _edited_checkpoint(_nan_bias)),  # non-finite loss, 3
+    "resume-directory": ("train", "--resume", lambda p, t: p.mkdir()),  # exit 3: Errno 21
+    "eval-model-directory": ("eval", "--model", lambda p, t: p.mkdir()),
+    "eval-frontend-directory": ("eval", "--frontend", lambda p, t: p.mkdir()),
+    "stream-wav-directory": ("stream", "--wav", lambda p, t: p.mkdir()),
+    "stream-wav-empty": ("stream", "--wav", lambda p, t: p.write_bytes(b"")),  # EOFError
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARTIFACTS)
+def test_bad_artifact_is_data_error_naming_it(toy_root, trained, tmp_path, capsys,
+                                              monkeypatch, case):
+    cmd, flag, make = BAD_ARTIFACTS[case]
+    bad = tmp_path / "bad"
+    make(bad, trained)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "forward_backward", no_step)
+    model, wav = str(trained / "model.lmuq"), str(next((toy_root / "yes").glob("*.wav")))
+    flags = {"train": {"--data-root": str(toy_root), "--steps": "2"},
+             "eval": {"--model": model, "--data-root": str(toy_root), "--split": "val"},
+             "stream": {"--model": model, "--wav": wav}}[cmd]
+    flags.update({flag: str(bad), "--out-dir": str(tmp_path / "out")})
+    rc = main([cmd] + [arg for item in flags.items() for arg in item])
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 class TestSizeReport:

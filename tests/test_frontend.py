@@ -1,5 +1,6 @@
 """Tests for WAV I/O, log-mel features, streaming equality, and datasets."""
 
+import dataclasses
 import hashlib
 import os
 import re
@@ -64,23 +65,16 @@ class TestFeatureConfig:
         assert CFG.window_samples == 640
         assert CFG.hop_samples == 320
         assert CFG.frames_per_second_clip == 49
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(fft_size=512)  # smaller than the 640-sample window
-        with pytest.raises(ValueError):
-            FeatureConfig(sample_rate=44100, window_ms=33)
-        with pytest.raises(ValueError):
-            FeatureConfig(f_lo=0.0)
-        with pytest.raises(ValueError, match="power of two"):
-            FeatureConfig(fft_size=1000)  # 1/1000 cannot fold into the bank exactly
+        # The recipe is constants; only the fitted normalization is a field.
+        assert [f.name for f in dataclasses.fields(FeatureConfig)] == ["norm_mean", "norm_std"]
 
     def test_hash_tracks_every_field(self):
         base = FeatureConfig()
         assert base.config_hash() == FeatureConfig().config_hash()
-        assert base.config_hash() != FeatureConfig(mel_bins=39).config_hash()
         normed = FeatureConfig(norm_mean=tuple([0.0] * 40), norm_std=tuple([1.0] * 40))
         assert base.config_hash() != normed.config_hash()
+        wider = FeatureConfig(norm_mean=tuple([0.0] * 40), norm_std=tuple([2.0] * 40))
+        assert normed.config_hash() != wider.config_hash()
         assert len(base.config_hash()) == 32
         # Model files store this digest: it must not drift between versions.
         assert base.config_hash().hex() == (
@@ -94,8 +88,7 @@ class TestSidecar:
     def test_round_trip_keeps_the_hash(self, tmp_path):
         # The last config holds numpy floats, which the sidecar loads back
         # as Python floats.
-        numpy_floats = FeatureConfig(f_hi=np.float64(7600.0),
-                                     norm_mean=tuple(np.linspace(-3.0, 1.0, 40)),
+        numpy_floats = FeatureConfig(norm_mean=tuple(np.linspace(-3.0, 1.0, 40)),
                                      norm_std=tuple(np.linspace(0.5, 2.0, 40)))
         for config in (CFG, self.NORMED, numpy_floats):
             save_feature_config(config, tmp_path / "frontend.npz")
@@ -117,9 +110,39 @@ class TestSidecar:
         path = tmp_path / "frontend.npz"
         save_feature_config(self.NORMED, path)
         with np.load(path) as z:
-            fields = {k: z[k] for k in z.files if k != "f_hi"}
+            fields = {k: z[k] for k in z.files if k != "norm_std"}
         np.savez(path, **fields)
-        with pytest.raises(DatasetError, match="f_hi"):
+        with pytest.raises(DatasetError, match="norm_std"):
+            load_feature_config(path)
+
+    def test_sidecar_that_also_stores_the_recipe_loads(self, tmp_path):
+        # Earlier sidecars stored the recipe's values next to the
+        # normalization; they load, and their hash still matches the model.
+        path = tmp_path / "frontend.npz"
+        np.savez(path, sample_rate=16000, window_ms=40, hop_ms=20, mel_bins=40,
+                 fft_size=1024, log_floor=1e-6, f_lo=20.0, f_hi=7600.0, has_norm=True,
+                 norm_mean=np.asarray(self.NORMED.norm_mean),
+                 norm_std=np.asarray(self.NORMED.norm_std))
+        assert load_feature_config(path).config_hash() == self.NORMED.config_hash()
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("norm_mean", 3, np.nan),
+        ("norm_mean", 0, -np.inf),
+        ("norm_std", 5, 0.0),   # features divided by it became inf
+        ("norm_std", 39, -1.0),
+        ("norm_std", 0, np.nan),
+        ("norm_std", 7, np.inf),
+    ])
+    def test_normalization_outside_its_range_rejected(self, tmp_path, key, index, value):
+        # These loaded, and a model with a matching hash then exited 3 at
+        # "cannot quantize non-finite values".
+        path = tmp_path / "frontend.npz"
+        save_feature_config(self.NORMED, path)
+        with np.load(path) as z:
+            fields = {k: z[k] for k in z.files}
+        fields[key][index] = value
+        np.savez(path, **fields)
+        with pytest.raises(DatasetError, match="finite means and deviations > 0"):
             load_feature_config(path)
 
     @pytest.mark.parametrize("key", ["norm_mean", "norm_std"])
@@ -320,6 +343,16 @@ class TestWavIO:
         assert back.dtype == np.float64
         assert np.array_equal(back, pcm.astype(np.float64) / 32768)
 
+    def test_header_cut_short_rejected(self, tmp_path):
+        # Cuts at 0-7 and 20-35 bytes escaped as EOFError.
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.zeros(100))
+        blob = path.read_bytes()
+        for n in range(44):  # the canonical PCM header is 44 bytes
+            path.write_bytes(blob[:n])
+            with pytest.raises(WavFormatError, match="not a valid WAV"):
+                load_wav(path)
+
     def test_data_ending_mid_sample_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"
         write_wav(path, np.zeros(100))
@@ -385,10 +418,9 @@ SPEAKER_PIECES = st.sampled_from(
 def test_which_set_cache_equals_the_formula(pieces, take):
     name = f"word/{''.join(pieces)}_nohash_{take}.wav"
     pct = speaker_pct_formula(name)
+    speaker = re.sub(r"_nohash_.*$", "", os.path.basename(name))
     for _ in range(2):  # the second round reads the cache
-        # Split boundaries at pct and just above it pin the percentage exactly.
-        assert which_set(name, val_pct=pct, test_pct=0.0) == "train"
-        assert which_set(name, val_pct=np.nextafter(pct, np.inf), test_pct=0.0) == "val"
+        assert _speaker_pct(speaker) == pct
         assert which_set(name) == ("val" if pct < 10.0 else "test" if pct < 20.0 else "train")
 
 
@@ -429,7 +461,7 @@ class TestBuildDataset:
         assert not speakers["train"] & speakers["val"]
 
     def test_ratios(self, toy_root):
-        manifest = build_dataset(toy_root, ["yes", "no"], silence_frac=0.1, unknown_frac=0.1)
+        manifest = build_dataset(toy_root, ["yes", "no"])
         n_kw = sum(1 for e in manifest.entries if e.label < 10)
         n_sil = sum(1 for e in manifest.entries if e.label == SILENCE_LABEL)
         n_unk = sum(1 for e in manifest.entries if e.label == UNKNOWN_LABEL)
@@ -472,7 +504,7 @@ class TestMaterializeFeatures:
         config = load_feature_config(tmp_path / "frontend.npz")
         picked = [i for i, e in enumerate(manifest.entries) if e.split == "test"]
         assert any(manifest.entries[i].label == SILENCE_LABEL for i in picked)
-        x = np.stack([featurize_utterance(load_clip(manifest, i, 16000), config)
+        x = np.stack([featurize_utterance(load_clip(manifest, i), config)
                       for i in picked])
         assert np.array_equal(x, data.test_x)
 
