@@ -17,10 +17,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import math
 import sys
-import tarfile
-import urllib.request
 import zipfile
 from collections import deque
 from pathlib import Path
@@ -317,6 +314,8 @@ def _sha256_file(path: Path) -> str:
 
 
 def _extract_archive(archive: Path, root: Path, keywords) -> int:
+    import tarfile  # only fetch-data reads archives; other commands skip the import
+
     count = 0
     with tarfile.open(archive, "r:gz") as tar:
         for member in tar:
@@ -359,6 +358,8 @@ def cmd_fetch_data(cfg: dict) -> int:
     archive = root / Path(cfg["url"]).name
     if not archive.exists():
         print(f"downloading {cfg['url']}")
+        import urllib.request  # only a download needs it; other commands skip the import
+
         try:
             urllib.request.urlretrieve(cfg["url"], archive)
         except Exception as e:

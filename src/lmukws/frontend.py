@@ -261,12 +261,17 @@ def load_wav(path) -> np.ndarray:
                 raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
             if f.getframerate() != rate:
                 raise WavFormatError(f"{path}: expected {rate} Hz, got {f.getframerate()} Hz")
-            raw = f.readframes(f.getnframes())
+            declared = f.getnframes()
+            raw = f.readframes(declared)
     except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
         why = str(exc) or "it ends inside its header"
         raise WavFormatError(f"{path}: not a valid WAV file ({why})") from exc
     if len(raw) % 2:
         raise WavFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
+    if len(raw) != 2 * declared:  # readframes returns what the file holds, silently
+        raise WavFormatError(
+            f"{path}: data chunk declares {declared} samples, the file holds {len(raw) // 2}"
+        )
     # k * 2^-15 is exact in float64: the same values as astype, then / 32768.
     # dtype= keeps float64 under numpy 1.x's value-based casting, too.
     return np.multiply(np.frombuffer(raw, dtype="<i2"), 2.0**-15, dtype=np.float64)

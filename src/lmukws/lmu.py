@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import legval
-from scipy.linalg import expm
 
 
 def legendre_state_space(order: int, theta: float) -> "ContinuousStateSpace":
@@ -65,6 +64,10 @@ def discretize(ss: ContinuousStateSpace, dt: float):
     Returns:
         (A_d, B_d) with spectral radius of A_d < 1 for the Legendre system.
     """
+    # Imported here, the only place scipy is used: loading and serving a
+    # frozen model builds no memory cell and so never imports scipy.
+    from scipy.linalg import expm
+
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     A_d = expm(ss.A * dt)

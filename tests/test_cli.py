@@ -3,11 +3,14 @@
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import tarfile
 import zlib
 from pathlib import Path
@@ -601,6 +604,15 @@ class TestStream:
         assert rc == 2
         assert "mid-sample" in capsys.readouterr().err
 
+    def test_wav_shorter_than_its_header_declares_is_data_error(self, toy_root, trained,
+                                                                tmp_path, capsys):
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(next((toy_root / "yes").glob("*.wav")).read_bytes()[:1000])
+        rc = main(["stream", "--model", str(trained / "model.lmuq"),
+                   "--wav", str(cut), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "the file holds 478" in capsys.readouterr().err
+
     def test_missing_wav_flag_is_usage_error(self, trained, tmp_path):
         rc = main(["stream", "--model", str(trained / "model.lmuq"),
                    "--out-dir", str(tmp_path / "out")])
@@ -618,6 +630,46 @@ class TestStream:
         assert rc == 1
         assert "chunk-samples >= 1" in capsys.readouterr().err
         assert not (out / "posteriors.csv").exists()
+
+
+_SERVE = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from lmukws.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+loaded = [m for m in ("scipy", "urllib.request", "tarfile") if sys.modules.get(m) is not None]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_serving_a_frozen_model_imports_no_scipy(toy_root, trained, tmp_path):
+    # The commands that load a frozen model need only numpy; scipy builds
+    # memory cells from a config, which serving never does.
+    model, wav = str(trained / "model.lmuq"), next((toy_root / "yes").glob("*.wav"))
+    commands = [
+        ["eval", "--model", model, "--data-root", str(toy_root), "--split", "val",
+         "--mode", "streaming", "--out-dir", "eval"],
+        ["stream", "--model", model, "--wav", str(wav), "--out-dir", "stream"],
+        ["size-report", "--model", model, "--out-dir", "size"],
+        ["hw-report", "--model", model, "--out-dir", "hw"],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    runs = {}
+    for mode in ("block", "plain"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _SERVE, mode, json.dumps(commands)],
+                              cwd=cwd, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        *stdout, summary = proc.stdout.splitlines()
+        assert json.loads(summary) == {"codes": [0, 0, 0, 0], "loaded": []}
+        files = {p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        runs[mode] = stdout, files
+    assert runs["block"] == runs["plain"]
+    assert {p.parent.name for p in runs["block"][1]} == {"eval", "stream", "size", "hw"}
 
 
 def _edited_checkpoint(edit):

@@ -360,6 +360,22 @@ class TestWavIO:
         with pytest.raises(WavFormatError, match="mid-sample"):
             load_wav(path)
 
+    def test_data_shorter_than_declared_rejected(self, tmp_path):
+        # readframes returns only the bytes the file holds, without error, so
+        # only the header's declared count shows the loss.
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.zeros(1000))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:44 + 200])
+        with pytest.raises(WavFormatError, match="declares 1000 samples, the file holds 100"):
+            load_wav(path)
+        for n in range(44, len(blob)):  # every cut after the 44-byte header
+            path.write_bytes(blob[:n])
+            with pytest.raises(WavFormatError, match="mid-sample" if n % 2 else "declares"):
+                load_wav(path)
+        path.write_bytes(blob)
+        np.testing.assert_array_equal(load_wav(path), np.zeros(1000))
+
     def test_pad_or_crop(self):
         short = np.ones(100)
         padded = pad_or_crop(short, 160)
