@@ -137,14 +137,19 @@ def weight_quant_spec(w: np.ndarray, bits: int) -> QuantSpec:
     return QuantSpec(bits=bits, scale_exp=scale_exp_for_max(float(np.max(np.abs(w), initial=0.0)), bits))
 
 
-def activation_quant_spec(samples: np.ndarray) -> QuantSpec:
+def activation_quant_spec(samples: np.ndarray, overwrite_input: bool = False) -> QuantSpec:
     """Activation format sized to the 99.9th percentile of observed magnitudes.
 
     The tail beyond the percentile is deliberately allowed to saturate; that
     trades rare clipping for one extra bit of resolution everywhere else.
+    With ``overwrite_input``, a float64 ``samples`` that nothing reads again
+    is used as the scratch space: its values are destroyed, and no copy of
+    its size is made.
     """
-    samples = np.abs(np.asarray(samples, dtype=np.float64).ravel())
-    # np.abs made a copy of its own, so the percentile may reorder it in place
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    # without overwrite_input, np.abs makes the copy that the percentile may
+    # then reorder in place, and the caller's array is never written
+    samples = np.abs(samples, out=samples if overwrite_input else None)
     target = (float(np.percentile(samples, 99.9, overwrite_input=True))
               if samples.size else 0.0)
     return QuantSpec(bits=ACTIVATION_BITS, scale_exp=scale_exp_for_max(target, ACTIVATION_BITS))

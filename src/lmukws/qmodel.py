@@ -135,24 +135,37 @@ def model_size_kbits(qm: QuantizedModel) -> float:
 def calibrate_activation_scales(model: ModelGraph, sequences) -> ActivationScales:
     """Choose frozen activation scales from the float graph's magnitudes.
 
-    ``sequences`` is (N, T, input_dim); the u, m and h samples come from one
-    float ``training.hat_forward`` over all of them.
+    ``sequences`` is (N, T, input_dim) with N >= 1; the u, m and h samples
+    come from ``training.layer_forward``, the float forward's layer step, run
+    on all N sequences at once, one layer after the other, so each product
+    is the one ``training.hat_forward`` computes.  Each site's percentile is
+    taken in place as soon as nothing reads it again, and the output head
+    never runs: the peak is one layer's u, m and h plus the h of the layer
+    below, not every layer's.  ``sequences`` itself is never written.
     """
-    from .training import hat_forward  # training imports this module
+    from .training import check_feats, layer_forward  # training imports this module
 
     feats = np.asarray(sequences, dtype=np.float64)
-    cache = hat_forward(model, feats)
-    layer_exps = tuple(
-        (
-            activation_quant_spec(lc.u).scale_exp,
-            activation_quant_spec(lc.m).scale_exp,
-            activation_quant_spec(lc.h).scale_exp,
-        )
-        for lc in cache.layers
-    )
-    return ActivationScales(
-        input_exp=activation_quant_spec(feats).scale_exp, layer_exps=layer_exps
-    )
+    check_feats(model, feats)
+    if feats.shape[0] < 1:
+        raise ValueError("calibration needs at least one sequence")
+    input_exp = activation_quant_spec(feats).scale_exp
+
+    def exp_in_place(a):
+        return activation_quant_spec(a, overwrite_input=True).scale_exp
+
+    layer_exps = []
+    x = feats
+    for layer in model.layers:
+        lc = layer_forward(layer, x)
+        if layer_exps:  # this layer was the last reader of the h below
+            layer_exps[-1].append(exp_in_place(x))
+        layer_exps.append([exp_in_place(lc.u), exp_in_place(lc.m)])
+        x = lc.h
+        del lc  # frees u, m and the h below before the next layer allocates
+    if layer_exps:
+        layer_exps[-1].append(exp_in_place(x))
+    return ActivationScales(input_exp=input_exp, layer_exps=tuple(map(tuple, layer_exps)))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,21 @@ def _memory_matrices(blocks):
     return A, B
 
 
+def check_feats(model: ModelGraph, feats: np.ndarray) -> None:
+    """Raise ValueError unless ``feats`` is (B, T, input_dim) with T >= 1."""
+    if feats.ndim != 3 or feats.shape[2] != model.input_dim:
+        raise ValueError(f"feats must be (B, T, {model.input_dim}), got {feats.shape}")
+    if feats.shape[1] < 1:
+        raise ValueError("feature sequences must contain at least one step")
+
+
+def _act_fq(x, exp):
+    """Fake-quantize an activation at grid ``exp``; None means float."""
+    if exp is None:
+        return x, None
+    return fake_quant(x, QuantSpec(ACTIVATION_BITS, exp))
+
+
 def hat_forward(
     model: ModelGraph,
     feats: np.ndarray,
@@ -159,86 +174,23 @@ def hat_forward(
     """Unrolled batch forward storing everything backward needs.
 
     feats is (B, T, input_dim) with T >= 1.  This is the one float forward:
-    training, evaluation and calibration all run it.  With quant_on,
-    ``scales`` must hold the frozen activation scales; the parameters are
-    then read from ``deployed_tensors(model, weight_bits, scales)`` and the
-    arithmetic matches deployment exactly.
+    training and evaluation run it, and calibration walks the same
+    ``layer_forward``.  With quant_on, ``scales`` must hold the frozen
+    activation scales; the parameters are then read from
+    ``deployed_tensors(model, weight_bits, scales)`` and the arithmetic
+    matches deployment exactly.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 3 or feats.shape[2] != model.input_dim:
-        raise ValueError(f"feats must be (B, T, {model.input_dim}), got {feats.shape}")
-    if feats.shape[1] < 1:
-        raise ValueError("feature sequences must contain at least one step")
+    check_feats(model, feats)
     if quant_on and scales is None:
         raise ValueError("quant_on requires calibrated activation scales")
-    B, T, _ = feats.shape
     qm = deployed_tensors(model, weight_bits, scales) if quant_on else None
 
-    def act_fq(x, exp):
-        if not quant_on:
-            return x, None
-        return fake_quant(x, QuantSpec(ACTIVATION_BITS, exp))
-
-    x, _ = act_fq(feats, qm.input_exp if quant_on else None)
+    x, _ = _act_fq(feats, qm.input_exp if quant_on else None)
     caches = []
-    names = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
     for li, layer in enumerate(model.layers):
-        if quant_on:
-            ql = qm.layers[li]
-            u_exp, m_exp, h_exp = ql.u_exp, ql.m_exp, ql.h_exp
-            w_fq = {name: getattr(ql, name).dequantize() for name in names}
-            bias_mask = in_range(layer.bias, ql.bias.spec)
-            A, B_in = _memory_matrices([(c.A.dequantize(), c.B.dequantize()) for c in ql.cells])
-        else:
-            u_exp = m_exp = h_exp = None
-            w_fq = {name: getattr(layer, name) for name in names}
-            bias_mask = None
-            A, B_in = _memory_matrices([(c.A_d, c.B_d) for c in layer.cells])
-        bias_fq = w_fq["bias"]
-
-        c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
-        U = np.empty((B, T, c_dim))
-        M = np.empty((B, T, D))
-        H = np.empty((B, T, h_dim))
-        mask_u = mask_m = mask_h = None
-        if quant_on:
-            mask_u = np.empty((B, T, c_dim), dtype=bool)
-            mask_m = np.empty((B, T, D), dtype=bool)
-            mask_h = np.empty((B, T, h_dim), dtype=bool)
-        h_prev = np.zeros((B, h_dim))
-        m_prev = np.zeros((B, D))
-        # Each product goes into a buffer made once per layer and is summed
-        # in the order the expressions (a @ b + c @ d) + bias would sum it.
-        # m alternates between two buffers, so m_prev is never the output.
-        u_pre, u_h = np.empty((B, c_dim)), np.empty((B, c_dim))
-        m_bufs, m_u = (np.empty((B, D)), np.empty((B, D))), np.empty((B, D))
-        pre, pre_m, relu = np.empty((B, h_dim)), np.empty((B, h_dim)), np.empty((B, h_dim))
-        WexT, WehT = w_fq["input_encoder"].T, w_fq["hidden_encoder"].T
-        WkT, WmT, AT = w_fq["input_kernel"].T, w_fq["memory_kernel"].T, A.T
-        for t in range(T):
-            x_t = x[:, t]
-            np.matmul(x_t, WexT, out=u_pre)
-            u_pre += np.matmul(h_prev, WehT, out=u_h)
-            u, mu = act_fq(u_pre, u_exp)
-            m_pre = m_bufs[t % 2]
-            np.matmul(m_prev, AT, out=m_pre)
-            m_pre += np.matmul(u, B_in, out=m_u)
-            m, mm = act_fq(m_pre, m_exp)
-            np.matmul(x_t, WkT, out=pre)
-            pre += np.matmul(m, WmT, out=pre_m)
-            pre += bias_fq
-            np.maximum(pre, 0.0, out=relu)
-            h, mh = act_fq(relu, h_exp)
-            U[:, t], M[:, t], H[:, t] = u, m, h
-            if quant_on:
-                mask_u[:, t], mask_m[:, t] = mu, mm
-                np.logical_and(mh, pre > 0.0, out=mask_h[:, t])
-            h_prev, m_prev = h, m
-        caches.append(
-            _LayerCache(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
-                        mask_h=mask_h, bias_mask=bias_mask, w_fq=w_fq, A=A, B=B_in)
-        )
-        x = H
+        caches.append(layer_forward(layer, x, qm.layers[li] if quant_on else None))
+        x = caches[-1].h
 
     if quant_on:
         out_w, out_b = qm.output_weight.dequantize(), qm.output_bias.dequantize()
@@ -252,6 +204,70 @@ def hat_forward(
         layers=caches, logits=logits, out_w_fq=out_w, out_b_fq=out_b,
         out_b_mask=out_b_mask, logits_exp=logits_exp,
     )
+
+
+def layer_forward(layer, x: np.ndarray, ql=None) -> _LayerCache:
+    """One layer unrolled over all T steps of its (B, T, n) input ``x``.
+
+    ``ql`` is the layer's deployed tensors (``QuantizedModel.layers[i]``) for
+    the fake-quant graph, or None for the float one.  The returned cache
+    holds ``x`` itself, not a copy.
+    """
+    names = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
+    quant_on = ql is not None
+    if quant_on:
+        u_exp, m_exp, h_exp = ql.u_exp, ql.m_exp, ql.h_exp
+        w_fq = {name: getattr(ql, name).dequantize() for name in names}
+        bias_mask = in_range(layer.bias, ql.bias.spec)
+        A, B_in = _memory_matrices([(c.A.dequantize(), c.B.dequantize()) for c in ql.cells])
+    else:
+        u_exp = m_exp = h_exp = None
+        w_fq = {name: getattr(layer, name) for name in names}
+        bias_mask = None
+        A, B_in = _memory_matrices([(c.A_d, c.B_d) for c in layer.cells])
+    bias_fq = w_fq["bias"]
+
+    B, T, _ = x.shape
+    c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
+    U = np.empty((B, T, c_dim))
+    M = np.empty((B, T, D))
+    H = np.empty((B, T, h_dim))
+    mask_u = mask_m = mask_h = None
+    if quant_on:
+        mask_u = np.empty((B, T, c_dim), dtype=bool)
+        mask_m = np.empty((B, T, D), dtype=bool)
+        mask_h = np.empty((B, T, h_dim), dtype=bool)
+    h_prev = np.zeros((B, h_dim))
+    m_prev = np.zeros((B, D))
+    # Each product goes into a buffer made once per layer and is summed
+    # in the order the expressions (a @ b + c @ d) + bias would sum it.
+    # m alternates between two buffers, so m_prev is never the output.
+    u_pre, u_h = np.empty((B, c_dim)), np.empty((B, c_dim))
+    m_bufs, m_u = (np.empty((B, D)), np.empty((B, D))), np.empty((B, D))
+    pre, pre_m, relu = np.empty((B, h_dim)), np.empty((B, h_dim)), np.empty((B, h_dim))
+    WexT, WehT = w_fq["input_encoder"].T, w_fq["hidden_encoder"].T
+    WkT, WmT, AT = w_fq["input_kernel"].T, w_fq["memory_kernel"].T, A.T
+    for t in range(T):
+        x_t = x[:, t]
+        np.matmul(x_t, WexT, out=u_pre)
+        u_pre += np.matmul(h_prev, WehT, out=u_h)
+        u, mu = _act_fq(u_pre, u_exp)
+        m_pre = m_bufs[t % 2]
+        np.matmul(m_prev, AT, out=m_pre)
+        m_pre += np.matmul(u, B_in, out=m_u)
+        m, mm = _act_fq(m_pre, m_exp)
+        np.matmul(x_t, WkT, out=pre)
+        pre += np.matmul(m, WmT, out=pre_m)
+        pre += bias_fq
+        np.maximum(pre, 0.0, out=relu)
+        h, mh = _act_fq(relu, h_exp)
+        U[:, t], M[:, t], H[:, t] = u, m, h
+        if quant_on:
+            mask_u[:, t], mask_m[:, t] = mu, mm
+            np.logical_and(mh, pre > 0.0, out=mask_h[:, t])
+        h_prev, m_prev = h, m
+    return _LayerCache(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
+                       mask_h=mask_h, bias_mask=bias_mask, w_fq=w_fq, A=A, B=B_in)
 
 
 # ---------------------------------------------------------------------------

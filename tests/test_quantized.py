@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -12,6 +13,7 @@ from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import (
     QuantSpec,
     QuantTensor,
+    activation_quant_spec,
     apply_mask,
     prune_magnitude,
     quantize,
@@ -21,6 +23,7 @@ from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.hwmodel import profile_workload
 from lmukws.modelfile import MAGIC, ModelFormatError, _tensor_record, load_model, save_model
 from lmukws.qmodel import (
+    ActivationScales,
     QuantStreamState,
     assert_accumulator_safe,
     calibrate_activation_scales,
@@ -28,7 +31,7 @@ from lmukws.qmodel import (
     model_size_kbits,
     quantized_forward,
 )
-from lmukws.training import evaluate
+from lmukws.training import evaluate, hat_forward
 
 from stepwise import engine_steps, hat_steps
 
@@ -58,6 +61,82 @@ def _calibrated(seed, weight_bits=8):
     calib = [rng.standard_normal((20, 5)) for _ in range(8)]
     scales = calibrate_activation_scales(model, calib)
     return model, scales, freeze(model, weight_bits, scales), rng
+
+
+class TestCalibration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 9), st.lists(st.integers(1, 8), min_size=1, max_size=3)),
+            min_size=0, max_size=3,
+        ),
+        input_dim=st.integers(1, 6),
+        n=st.integers(1, 6),
+        t=st.integers(1, 12),
+        zero_input=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scales_equal_full_forward_definition(self, topology, input_dim, n, t,
+                                                   zero_input, seed):
+        # Layer by layer, in place, the scales are those of the percentile of
+        # the input and of every site in one full float hat_forward cache.
+        # An all-zero input is how `--model-preset` freezes a random model.
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(
+            input_dim=input_dim,
+            layers=tuple(
+                LayerConfig(hidden=hidden, cells=tuple(
+                    CellConfig(order, float(rng.uniform(0.05, 0.5))) for order in orders))
+                for hidden, orders in topology
+            ),
+        )
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.4, 0.4, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        feats = np.zeros((n, t, input_dim)) if zero_input else rng.standard_normal((n, t, input_dim))
+        cache = hat_forward(model, feats)
+        expected = ActivationScales(
+            input_exp=activation_quant_spec(feats).scale_exp,
+            layer_exps=tuple(tuple(activation_quant_spec(a).scale_exp for a in (lc.u, lc.m, lc.h))
+                             for lc in cache.layers),
+        )
+        assert calibrate_activation_scales(model, feats) == expected
+
+    def test_rejects_what_hat_forward_rejects_and_empty_batches(self):
+        model, _ = _trained_like_model(0)
+        for bad in (np.zeros((3, 5)), np.zeros((2, 4, 4))):
+            with pytest.raises(ValueError, match=r"feats must be \(B, T, 5\)"):
+                calibrate_activation_scales(model, bad)
+        with pytest.raises(ValueError, match="at least one step"):
+            calibrate_activation_scales(model, np.zeros((2, 0, 5)))
+        with pytest.raises(ValueError, match="at least one sequence"):
+            calibrate_activation_scales(model, np.zeros((0, 49, 5)))
+
+    def test_never_writes_the_callers_array(self):
+        model, rng = _trained_like_model(1)
+        whole = rng.standard_normal((6, 10, 5))
+        for feats in (whole, whole[:4]):  # an array and a view into one
+            before = feats.copy()
+            calibrate_activation_scales(model, feats)
+            np.testing.assert_array_equal(feats, before)
+
+    def test_peak_memory_below_one_full_forward_cache(self):
+        # Each site is dropped once its percentile is taken, so the traced
+        # peak holds at most two layers' activations (about 0.75 of the
+        # cache here), where a full cache plus a copy would be about 1.9.
+        model, rng = _trained_like_model(2)
+        feats = rng.standard_normal((64, 50, 5))
+        cache = hat_forward(model, feats)
+        full = sum(a.nbytes for lc in cache.layers for a in (lc.u, lc.m, lc.h))
+        del cache
+        tracemalloc.start()
+        try:
+            calibrate_activation_scales(model, feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full
 
 
 class TestFreeze:

@@ -239,7 +239,9 @@ class TestTrainLoop:
             calibration_sequences=50,
             seed=5,
         )
+        before = data.train_x.copy()
         result = train(cfg, data)
+        np.testing.assert_array_equal(data.train_x, before)  # calibrated on a view of it
         scales = calibrate_activation_scales(result.model, data.train_x[:50])
         assert result.scales == scales
         expected = freeze(result.model, 4, scales, mask=result.mask,
