@@ -20,6 +20,7 @@ from lmukws.configs import REFERENCE_CONFIGS
 from lmukws.hwmodel import (
     CoefficientTable,
     DesignPoint,
+    MCU_CYCLES_PER_S,
     estimate_power,
     mcu_power,
     profile_workload,
@@ -55,7 +56,7 @@ def main():
     print(f"  {pb.throughput_ms:.2f} ms/frame, {pb.latency_ms:.2f} ms latency "
           f"-> realtime: {pb.realtime}")
 
-    m4f = mcu_power(17.24e6, 12.26)
+    m4f = mcu_power(MCU_CYCLES_PER_S, 12.26)
     print(f"\nfor scale: running the same workload in software on an MCU at")
     print(f"12.26 uW/MHz costs about {m4f:.0f} uW -- roughly {m4f / pb.total_uW:.0f}x more.")
 

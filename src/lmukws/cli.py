@@ -28,6 +28,7 @@ import numpy as np
 from .configs import REFERENCE_NAMES, reference_config
 from .frontend import (
     SILENCE_LABEL,
+    TOY_WORD_TONES,
     UNKNOWN_LABEL,
     DatasetError,
     FeatureConfig,
@@ -41,11 +42,13 @@ from .frontend import (
     load_wav,
     materialize_features,
     save_feature_config,
+    twelve_label_names,
 )
 from .hwmodel import (
     CoefficientError,
     CoefficientTable,
     DesignPoint,
+    MCU_CYCLES_PER_S,
     energy_per_frame_power,
     estimate_power,
     mcu_power,
@@ -68,7 +71,6 @@ from .training import (
     TrainConfig,
     TrainingError,
     check_init_tensors,
-    check_prune_steps,
     evaluate,
     majority_baseline,
     train,
@@ -111,7 +113,10 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key in values:
+            raise UsageError(f"{path}:{ln}: {key} is set twice")
+        values[key] = val
     return values
 
 
@@ -235,6 +240,16 @@ def _words(text: str) -> tuple:
     return items
 
 
+def _keywords(text: str) -> tuple:
+    """A train or eval keyword list that ``twelve_label_names`` accepts."""
+    words = _words(text)
+    try:
+        twelve_label_names(words)
+    except ValueError as e:
+        raise UsageError(f"keywords: {e}") from None
+    return words
+
+
 def _positive_int_list(text: str) -> tuple:
     try:
         items = tuple(int(v) for v in text.split(",") if v.strip())
@@ -334,6 +349,10 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
 def cmd_fetch_data(cfg: dict) -> int:
     if cfg["toy"]:
         keywords, unknown_words = _words(cfg["keywords"]), _words(cfg["unknown_words"])
+        missing = [w for w in keywords + unknown_words if w not in TOY_WORD_TONES]
+        if missing:
+            raise UsageError(f"no synthetic recipe for {', '.join(map(repr, missing))}; "
+                             f"--toy knows {', '.join(TOY_WORD_TONES)}")
     else:  # an empty list extracts every word
         keywords = _words(cfg["keywords"]) if cfg["keywords"] else None
     _run_dir(cfg, "fetch-data")
@@ -392,13 +411,8 @@ TRAIN_SETTINGS = {
     "learning_rate": Setting(1e-2, Limit(float, lo=0.0, hi=1.0, lo_open=True)),
     "weight_bits": Setting(None, Limit(int, choices=(4, 8), optional=True)),
     "target_sparsity": Setting(None, Limit(float, lo=0.0, hi=1.0, hi_open=True, optional=True)),
-    "hat": Setting(True, Limit(bool), "train against the deployed integer arithmetic"),
-    "quant_on_step": Setting(None, Limit(int, lo=0, optional=True)),
-    "prune_start": Setting(None, Limit(int, lo=0, optional=True)),
-    "prune_end": Setting(None, Limit(int, lo=0, optional=True)),
-    "calibration_sequences": Setting(256, Limit(int, lo=1)),
+    "hat": Setting(True, Limit(bool), "from step steps // 2, train against the deployed integers"),
     "resume": Setting(None, TEXT_OR_NONE, "checkpoint.npz to initialize weights from"),
-    "log_every": Setting(20, Limit(int, lo=1)),
     **COMMON,
 }
 
@@ -416,12 +430,7 @@ def _read_checkpoint(path: Path, model_cfg) -> dict:
 
 
 def cmd_train(cfg: dict) -> int:
-    prune_start, prune_end = cfg["prune_start"], cfg["prune_end"]
-    try:
-        check_prune_steps(prune_start, prune_end)
-    except ValueError as exc:
-        raise UsageError(f"prune-start and prune-end: {exc}") from None
-    keywords = _words(cfg["keywords"])
+    keywords = _keywords(cfg["keywords"])
     out = _run_dir(cfg, "train")
     root = Path(cfg["data_root"])
     if not root.is_dir():
@@ -444,25 +453,19 @@ def cmd_train(cfg: dict) -> int:
         print(f"resuming from {ckpt}")
     ds = materialize_features(manifest, FeatureConfig())
 
+    # The one schedule: float warm-up, HAT from half-way, and the pruning
+    # ramp over the middle half (a model without sparsity never prunes).
     steps = cfg["steps"]
-    quant_on = None
-    if cfg["hat"]:
-        quant_on = cfg["quant_on_step"] if cfg["quant_on_step"] is not None else steps // 2
-    if model_cfg.target_sparsity > 0.0 and prune_start is None:
-        prune_start, prune_end = steps // 4, (3 * steps) // 4
-
     train_cfg = TrainConfig(
         model=model_cfg,
         learning_rate=float(cfg["learning_rate"]),
         batch_size=cfg["batch_size"],
         steps=steps,
-        quant_on_step=quant_on,
-        prune_start=prune_start,
-        prune_end=prune_end,
+        quant_on_step=steps // 2 if cfg["hat"] else None,
+        prune_start=steps // 4,
+        prune_end=3 * steps // 4,
         target_sparsity=model_cfg.target_sparsity,
-        calibration_sequences=cfg["calibration_sequences"],
         seed=cfg["seed"],
-        log_every=cfg["log_every"],
     )
 
     result = train(train_cfg, ds, init_tensors=init_tensors)
@@ -511,7 +514,7 @@ EVAL_SETTINGS = {
 
 
 def cmd_eval(cfg: dict) -> int:
-    keywords = _words(cfg["keywords"])
+    keywords = _keywords(cfg["keywords"])
     out = _run_dir(cfg, "eval")
     qm = load_model(_input_file(cfg["model"], "model file"))
     feat_cfg = _sidecar_config(cfg, qm)
@@ -550,7 +553,6 @@ STREAM_SETTINGS = {
     "smooth": Setting(5, Limit(int, lo=1), "posterior moving-average window in hops"),
     "threshold": Setting(0.7, Limit(float, lo=0.0, hi=1.0, lo_open=True)),
     "refractory": Setting(10, Limit(int, lo=0), "hops to suppress after a detection"),
-    "chunk_samples": Setting(320, Limit(int, lo=1)),
     **COMMON,
 }
 
@@ -559,8 +561,7 @@ def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
     out = _run_dir(cfg, "stream")
-    smooth, threshold = cfg["smooth"], cfg["threshold"]
-    refractory, chunk = cfg["refractory"], cfg["chunk_samples"]
+    smooth, threshold, refractory = cfg["smooth"], cfg["threshold"], cfg["refractory"]
     qm = load_model(_input_file(cfg["model"], "model file"))
     feat_cfg = _sidecar_config(cfg, qm)
     samples = load_wav(_input_file(cfg["wav"], "wav file"))
@@ -573,8 +574,9 @@ def cmd_stream(cfg: dict) -> int:
     cooldown = 0
     detections = []
     rows = ["time_s," + ",".join(qm.label_names)]
-    for start in range(0, len(samples), chunk):
-        for frame in featurizer.push(samples[start:start + chunk]):
+    hop = feat_cfg.hop_samples  # one read per hop; outputs equal any other chunking
+    for start in range(0, len(samples), hop):
+        for frame in featurizer.push(samples[start:start + hop]):
             logits, state = quantized_forward(qm, frame[None, :], state)
             posterior = _softmax(logits[-1] * 2.0 ** qm.logits_exp)
             recent.append(posterior)
@@ -638,9 +640,6 @@ HW_REPORT_SETTINGS = {
     "coefficients": Setting(None, TEXT_OR_NONE, COEFFICIENTS_HELP),
     "clock_hz": Setting(92000.0, Limit(float, lo=0.0, lo_open=True)),
     "lanes": Setting(128, Limit(int, lo=1)),
-    "sram_width_bits": Setting(4096, Limit(int, lo=1)),
-    "overhead_cycles": Setting(64, Limit(int, lo=0)),
-    "mcu_cycles_per_s": Setting(17.24e6, Limit(float, lo=0.0)),
     **COMMON,
 }
 
@@ -649,14 +648,8 @@ def cmd_hw_report(cfg: dict) -> int:
     out = _run_dir(cfg, "hw-report")
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
-    dp = DesignPoint(
-        clock_hz=float(cfg["clock_hz"]),
-        lanes=cfg["lanes"],
-        sram_width_bits=cfg["sram_width_bits"],
-        overhead_cycles=cfg["overhead_cycles"],
-    )
+    dp = DesignPoint(clock_hz=float(cfg["clock_hz"]), lanes=cfg["lanes"])
     pb = estimate_power(w, dp, coeffs)
-    mcu = float(cfg["mcu_cycles_per_s"])
     lines = [
         f"workload: {w.macs_per_frame} MACs/frame, {w.storage_bits} stored bits",
         f"design: clock {dp.clock_hz:.6g} Hz, {dp.lanes} lanes",
@@ -670,8 +663,8 @@ def cmd_hw_report(cfg: dict) -> int:
         f"realtime={'yes' if pb.realtime else 'no'}",
         "comparisons:",
         f"  this design          {pb.total_uW:10.3f} uW   (modeled)",
-        f"  MCU at 12.26 uW/MHz  {mcu_power(mcu, 12.26):10.3f} uW   (reported cycle count x datasheet efficiency)",
-        f"  MCU at 6.88 uW/MHz   {mcu_power(mcu, 6.88):10.3f} uW   (reported cycle count x datasheet efficiency)",
+        f"  MCU at 12.26 uW/MHz  {mcu_power(MCU_CYCLES_PER_S, 12.26):10.3f} uW   (reported cycle count x datasheet efficiency)",
+        f"  MCU at 6.88 uW/MHz   {mcu_power(MCU_CYCLES_PER_S, 6.88):10.3f} uW   (reported cycle count x datasheet efficiency)",
         f"  3.4 uJ/frame ASIC    {energy_per_frame_power(3.4, 50.0):10.3f} uW   (reported energy per frame x 50 fps)",
     ]
     (out / "hw-report.txt").write_text("\n".join(lines) + "\n")
@@ -687,8 +680,6 @@ HW_SWEEP_SETTINGS = {
     "clock_max": Setting(1e7, Limit(float, lo=0.0, lo_open=True)),
     "clock_points": Setting(25, Limit(int, lo=1)),
     "lanes": Setting("1,2,4,8,16,32,64,128,256,512", TEXT),
-    "sram_width_bits": Setting(4096, Limit(int, lo=1)),
-    "overhead_cycles": Setting(64, Limit(int, lo=0)),
     **COMMON,
 }
 
@@ -702,9 +693,7 @@ def cmd_hw_sweep(cfg: dict) -> int:
     coeffs = _coefficients(cfg)
     clocks = np.geomspace(float(cfg["clock_min"]), float(cfg["clock_max"]),
                           cfg["clock_points"])
-    records = sweep(w, clocks, lanes, coeffs,
-                    sram_width_bits=cfg["sram_width_bits"],
-                    overhead_cycles=cfg["overhead_cycles"])
+    records = sweep(w, clocks, lanes, coeffs)
     csv_path = out / "sweep.csv"
     csv_path.write_text(sweep_to_csv(records))
     feasible = [r for r in records if r.realtime]

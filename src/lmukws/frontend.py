@@ -345,6 +345,8 @@ def twelve_label_names(keywords) -> list:
     keywords = list(keywords)
     if len(keywords) > 10:
         raise ValueError("at most 10 keywords")
+    if len(set(keywords)) < len(keywords):
+        raise ValueError("keywords must be distinct")
     names = keywords + [f"(unused{i})" for i in range(len(keywords), 10)]
     return names + ["_silence_", "_unknown_"]
 
@@ -538,11 +540,13 @@ def generate_toy_dataset(
     Words are distinct tone bursts, speakers add pitch jitter, and file names
     carry synthetic speaker ids so which_set exercises the real split logic.
     """
-    rate = 16000
-    rng = np.random.default_rng(seed)
-    for word in list(keywords) + list(unknown_words):
+    words = list(keywords) + list(unknown_words)
+    for word in words:  # before any file is written
         if word not in TOY_WORD_TONES:
             raise ValueError(f"no synthetic recipe for word {word!r}")
+    rate = 16000
+    rng = np.random.default_rng(seed)
+    for word in words:
         word_dir = os.path.join(str(root), word)
         os.makedirs(word_dir, exist_ok=True)
         for sid in range(speakers):

@@ -5,7 +5,10 @@ read off the integer engine's stages (``qmodel.stages``), so the cost model
 and the engine describe the same work; a cycle model (compute + memory
 stalls + fixed overhead); and an energy model driven by a coefficient
 table.  The modeled datapath is dense: it does not skip pruned weights,
-which are stored zeros whose MACs it executes.  The default
+which are stored zeros whose MACs it executes.  A design point varies only
+its clock and MAC lanes; its SRAM port (``SRAM_WIDTH_BITS`` bits per cycle)
+and fixed per-frame overhead (``OVERHEAD_CYCLES``) are constants, as is the
+software baseline's cycle rate (``MCU_CYCLES_PER_S``).  The default
 coefficients (``CoefficientTable``) are representative values assembled
 from public low-power process estimates; they bound designs to the right
 order of magnitude and are not a substitute for synthesis.  A coefficient
@@ -101,6 +104,8 @@ class CoefficientTable:
             f = by_key.get(key)
             if f is None:
                 raise CoefficientError(f"{path}:{ln}: unknown coefficient {key!r}")
+            if f.name in values:
+                raise CoefficientError(f"{path}:{ln}: {key} is set twice")
             try:
                 value = float(text)
             except ValueError:
@@ -144,6 +149,12 @@ class WorkloadProfile:
 
 # The head's sums are the logits, kept at the 32-bit accumulator width.
 LOGIT_BITS = 32
+# Bits the SRAM port moves per cycle, and the fixed cycles of each frame.
+SRAM_WIDTH_BITS = 4096
+OVERHEAD_CYCLES = 64
+# The MCU baseline's cycles per second of audio: the paper's reported
+# figure, not one computed from a model here.
+MCU_CYCLES_PER_S = 17.24e6
 
 
 def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
@@ -182,27 +193,23 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One accelerator configuration: clock, MAC lanes, memory port."""
+    """One accelerator configuration: clock and MAC lanes."""
 
     clock_hz: float
     lanes: int
-    sram_width_bits: int = 4096
-    overhead_cycles: int = 64
 
     def __post_init__(self):
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
         if self.lanes < 1:
             raise ValueError("need at least one MAC lane")
-        if self.sram_width_bits < 1:
-            raise ValueError("sram_width_bits must be positive")
 
 
 def cycles_per_frame(w: WorkloadProfile, dp: DesignPoint) -> int:
     """Compute cycles + memory-stall cycles + fixed per-frame overhead."""
     compute = math.ceil(w.macs_per_frame / dp.lanes)
-    stalls = math.ceil((w.read_bits_per_frame + w.write_bits_per_frame) / dp.sram_width_bits)
-    return compute + stalls + dp.overhead_cycles
+    stalls = math.ceil((w.read_bits_per_frame + w.write_bits_per_frame) / SRAM_WIDTH_BITS)
+    return compute + stalls + OVERHEAD_CYCLES
 
 
 @dataclass
@@ -296,21 +303,12 @@ def mark_pareto(records: list) -> None:
         r.pareto = not dominated
 
 
-def sweep(w: WorkloadProfile, clocks, lanes_list, coeffs: CoefficientTable,
-          sram_width_bits: int = 4096, overhead_cycles: int = 64) -> list:
+def sweep(w: WorkloadProfile, clocks, lanes_list, coeffs: CoefficientTable) -> list:
     """Evaluate a clock x lanes grid; rows sorted by (clock, lanes)."""
     points = sorted((float(c), int(p)) for c in clocks for p in lanes_list)
     if not points:
         raise ValueError("empty sweep grid")
-    records = [
-        estimate_power(
-            w,
-            DesignPoint(clock_hz=c, lanes=p, sram_width_bits=sram_width_bits,
-                        overhead_cycles=overhead_cycles),
-            coeffs,
-        )
-        for c, p in points
-    ]
+    records = [estimate_power(w, DesignPoint(clock_hz=c, lanes=p), coeffs) for c, p in points]
     mark_pareto(records)
     return records
 

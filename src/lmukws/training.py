@@ -59,16 +59,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.target_sparsity < 1.0:
             raise ValueError("target_sparsity must be in [0, 1)")
-        check_prune_steps(self.prune_start, self.prune_end)
-
-
-def check_prune_steps(prune_start: int | None, prune_end: int | None) -> None:
-    """Raise ValueError unless both pruning steps are unset, or both set with
-    start <= end."""
-    if (prune_start is None) != (prune_end is None):
-        raise ValueError("prune_start and prune_end must be set together")
-    if prune_start is not None and prune_end < prune_start:
-        raise ValueError("pruning schedule must be monotone")
+        if (self.prune_start is None) != (self.prune_end is None):
+            raise ValueError("prune_start and prune_end must be set together")
+        if self.prune_start is not None and self.prune_end < self.prune_start:
+            raise ValueError("pruning schedule must be monotone")
 
 
 def check_init_tensors(model: ModelGraph, tensors: dict) -> None:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface (in-process, no network)."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from lmukws import cli, training
 from lmukws.cli import COMMANDS, build_parser, main, resolve_config
-from lmukws.configs import REFERENCE_NAMES
+from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import QuantTensor
 from lmukws.frontend import (
     FeatureConfig,
@@ -58,9 +59,7 @@ def toy_root(tmp_path_factory):
 def trained(tmp_path_factory, toy_root):
     out = tmp_path_factory.mktemp("train-out")
     rc = main(["train", "--data-root", str(toy_root), "--steps", "60",
-               "--batch-size", "16", "--quant-on-step", "30",
-               "--calibration-sequences", "64", "--log-every", "10",
-               "--out-dir", str(out)])
+               "--batch-size", "16", "--out-dir", str(out)])
     assert rc == 0
     return out
 
@@ -83,6 +82,16 @@ class TestParsing:
         assert rc == 1
         assert "not_a_real_key" in capsys.readouterr().err
 
+    def test_config_file_key_set_twice_rejected(self, tmp_path, capsys):
+        # The last value won: this swept 8 lanes and exited 0.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lanes = 1\nlanes = 8\n")
+        rc = main(["hw-sweep", "--model-preset", "toy", "--config", str(cfg),
+                   "--out-dir", "out"])
+        assert rc == 1
+        assert f"{cfg}:2: lanes is set twice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_config_file_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = \xff\n")
@@ -92,6 +101,28 @@ class TestParsing:
         assert rc == 1
         assert f"cannot read config file {cfg}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train"], key) for key in ("quant_on_step", "prune_start", "prune_end",
+                                     "calibration_sequences", "log_every")
+    ] + [(["stream", "--wav", "a.wav"], "chunk_samples")] + [
+        ([cmd, "--model-preset", "toy"], key) for cmd, keys in (
+            ("hw-report", ("sram_width_bits", "overhead_cycles", "mcu_cycles_per_s")),
+            ("hw-sweep", ("sram_width_bits", "overhead_cycles"))) for key in keys
+    ])
+    def test_removed_setting_is_usage_error(self, tmp_path, capsys, argv, key):
+        # Fixed by design: train's schedule follows --steps, stream reads
+        # one hop at a time, and the cost model's port, overhead and MCU
+        # rate are hwmodel constants.  Neither a flag nor a config-file key
+        # may set one.
+        flag = "--" + key.replace("_", "-")
+        assert main(argv + [flag, "3", "--out-dir", "out"]) == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 3\n")
+        assert main(argv + ["--config", str(cfg), "--out-dir", "out"]) == 1
+        assert f"unknown config keys for '{argv[0]}': {key}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -114,12 +145,18 @@ class TestParsing:
         ["hw-sweep", "--clock-min", "10", "--clock-max", "5"],
         ["hw-sweep", "--lanes", "0"],
         ["hw-sweep", "--lanes", "1,x"],
-        ["train", "--prune-start", "3"],
+        ["train", "--keywords", "yes,yes"],
         ["train", "--keywords", ","],
         ["eval", "--keywords", ","],
         ["fetch-data", "--toy", "--unknown-words", " , "],
         # a local URL, so that a regression cannot start a download
         ["fetch-data", "--keywords", ",", "--url", "file:///nonexistent/corpus.tar.gz"],
+        # a repeated word trained two labels named yes; 11 words exited 3
+        ["train", "--keywords", ",".join(f"w{i}" for i in range(11))],
+        ["eval", "--keywords", "yes,no,yes"],
+        ["eval", "--keywords", ",".join(f"w{i}" for i in range(11))],
+        # exited 3 with every yes/*.wav written and no .complete marker
+        ["fetch-data", "--toy", "--keywords", "yes,up"],
     ])
     def test_usage_error_in_a_handler_writes_nothing(self, tmp_path, argv):
         # These left runs/<command>/resolved-config.txt behind; train and eval
@@ -211,15 +248,42 @@ class TestTrain:
 
     def test_resume_is_deterministic(self, tmp_path, toy_root, trained):
         args = ["train", "--data-root", str(toy_root), "--steps", "8",
-                "--batch-size", "8", "--quant-on-step", "2",
-                "--calibration-sequences", "16",
-                "--resume", str(trained / "checkpoint.npz")]
+                "--batch-size", "8", "--resume", str(trained / "checkpoint.npz")]
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
             assert main(args + ["--out-dir", str(out)]) == 0
             outs.append((out / "model.lmuq").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flags", [["--target-sparsity", "0.5"], ["--no-hat"]])
+    def test_writes_what_train_gives_on_the_documented_schedule(self, toy_root, tmp_path,
+                                                                flags):
+        # HAT from steps // 2 unless --no-hat, the pruning ramp from
+        # steps // 4 to 3 * steps // 4, 256 calibration sequences and a log
+        # line every 20 steps and at the last.
+        steps = 44
+        out = tmp_path / "out"
+        assert main(["train", "--data-root", str(toy_root), "--steps", str(steps),
+                     "--batch-size", "8", "--out-dir", str(out)] + flags) == 0
+        ds = materialize_features(build_dataset(toy_root, ["yes", "no"]), FeatureConfig())
+        model_cfg = dataclasses.replace(reference_config("toy"),
+                                        label_names=tuple(ds.label_names))
+        if "--target-sparsity" in flags:
+            model_cfg = dataclasses.replace(model_cfg, target_sparsity=0.5)
+        result = training.train(training.TrainConfig(
+            model=model_cfg, batch_size=8, steps=steps,
+            quant_on_step=None if "--no-hat" in flags else steps // 2,
+            prune_start=steps // 4, prune_end=3 * steps // 4,
+            target_sparsity=model_cfg.target_sparsity,
+            calibration_sequences=256, log_every=20), ds)
+        save_model(result.quantized, tmp_path / "expected.lmuq")
+        assert (out / "model.lmuq").read_bytes() == (tmp_path / "expected.lmuq").read_bytes()
+        log = (out / "train-log.txt").read_text().splitlines()
+        assert log == [
+            f"step={row['step']} loss={row['loss']:.6f} quant_on={row['quant_on']} "
+            f"sparsity={row['sparsity']:.4f}" for row in result.log]
+        assert [line.split()[0] for line in log] == ["step=0", "step=20", "step=40", "step=43"]
 
     def test_missing_data_root_is_data_error(self, tmp_path, capsys):
         rc = main(["train", "--data-root", str(tmp_path / "nope"),
@@ -285,10 +349,8 @@ class TestSettingLimits:
     @pytest.mark.parametrize("line, name", [
         ("batch_size = -3", "batch-size"),       # numpy "negative dimensions", exit 3
         ("learning_rate = nan", "learning-rate"),  # exit 3
-        ("log_every = 0", "log-every"),          # modulo by zero, exit 3
         ("steps = -1", "steps"),                 # exit 0, a model with "final loss nan"
         ("weight_bits = 5", "weight-bits"),      # exit 3 in freeze, after training
-        ("prune_start = 3", "prune-end"),        # exit 3 in TrainConfig
     ])
     def test_train_setting_outside_its_limit_is_usage_error(
             self, toy_root, tmp_path, capsys, line, name):
@@ -305,7 +367,6 @@ class TestSettingLimits:
         ("smooth = 2.5", "smooth"),               # ran, as smooth = 2
         ("threshold = nan", "threshold"),
         ("refractory = true", "refractory"),      # ran, as refractory = 1
-        ("chunk_samples = none", "chunk-samples"),  # uncaught TypeError
     ])
     def test_stream_setting_outside_its_limit_is_usage_error(
             self, toy_root, trained, tmp_path, capsys, line, name):
@@ -383,8 +444,8 @@ def tiny_root(tmp_path_factory):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=_settings("train", caps={"steps": 2}))  # each run stays short
-@example(values={"steps": 2, "quant_on_step": 1, "target_sparsity": 0.5})
-@example(values={"steps": 1, "hat": False, "prune_start": 0, "prune_end": 0})
+@example(values={"steps": 2, "target_sparsity": 0.5})  # HAT from step 1
+@example(values={"steps": 1, "hat": False, "target_sparsity": 0.5})  # a ramp from 0 to 0
 def test_random_train_settings_run_or_are_usage_errors(tiny_root, tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("train-settings")
     out = tmp / "out"
@@ -555,18 +616,6 @@ class TestStream:
         assert lines[0].startswith("time_s,yes,no,")
         assert all(len(l.split(",")) == 13 for l in lines)
 
-    def test_chunk_size_does_not_change_outputs(self, toy_root, trained, tmp_path):
-        wav = next((toy_root / "no").glob("*.wav"))
-        texts = []
-        for chunk in ("160", "320", "1024"):
-            out = tmp_path / f"c{chunk}"
-            rc = main(["stream", "--model", str(trained / "model.lmuq"),
-                       "--wav", str(wav), "--chunk-samples", chunk,
-                       "--out-dir", str(out)])
-            assert rc == 0
-            texts.append((out / "posteriors.csv").read_text())
-        assert texts[0] == texts[1] == texts[2]
-
     def test_silence_yields_no_detection(self, trained, tmp_path, capsys):
         quiet = tmp_path / "quiet.wav"
         rng = np.random.default_rng(1)
@@ -618,18 +667,6 @@ class TestStream:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert not any(tmp_path.iterdir())  # not even resolved-config.txt
-
-    @pytest.mark.parametrize("chunk", ["0", "-5"])
-    def test_chunk_samples_below_one_is_usage_error(self, toy_root, trained, tmp_path,
-                                                    capsys, chunk):
-        # At 0 the chunk loop raised (exit 3); at -5 it ran no hop (exit 0).
-        wav = next((toy_root / "yes").glob("*.wav"))
-        out = tmp_path / "out"
-        rc = main(["stream", "--model", str(trained / "model.lmuq"), "--wav", str(wav),
-                   "--chunk-samples", chunk, "--out-dir", str(out)])
-        assert rc == 1
-        assert "chunk-samples >= 1" in capsys.readouterr().err
-        assert not (out / "posteriors.csv").exists()
 
 
 _SERVE = """
@@ -864,6 +901,7 @@ class TestHwCommands:
         ("transistors.mac_lane = 1.9", "mac_lane_transistors"),
         ("e_mac_j = abc", "e_mac_j"),
         ("transistors.mac_lane = 1e400", "mac_lane_transistors"),
+        ("activity = 0.5\nactivity = 0.25", "activity"),  # the last value won, exit 0
     ])
     def test_bad_coefficient_is_data_error(self, tmp_path, capsys, line, key):
         coeffs = tmp_path / "c.txt"

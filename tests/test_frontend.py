@@ -498,6 +498,18 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             twelve_label_names([str(i) for i in range(11)])
 
+    def test_repeated_keyword_rejected(self, toy_root):
+        # The manifest listed every yes clip twice, under two labels named yes.
+        with pytest.raises(ValueError, match="distinct"):
+            build_dataset(toy_root, ["yes", "no", "yes"])
+
+    def test_toy_word_without_a_recipe_writes_nothing(self, tmp_path):
+        # Every yes/*.wav was written before "up" was refused.
+        root = tmp_path / "toy"
+        with pytest.raises(ValueError, match="no synthetic recipe for word 'up'"):
+            generate_toy_dataset(root, keywords=("yes", "up"), speakers=1, takes=1)
+        assert not root.exists()
+
 
 class TestMaterializeFeatures:
     def test_shapes_and_normalization(self, toy_root):

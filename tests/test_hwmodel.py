@@ -11,7 +11,10 @@ from lmukws.hwmodel import (
     CoefficientError,
     CoefficientTable,
     DesignPoint,
+    MCU_CYCLES_PER_S,
+    OVERHEAD_CYCLES,
     PowerBreakdown,
+    SRAM_WIDTH_BITS,
     WorkloadProfile,
     cycles_per_frame,
     energy_per_frame_power,
@@ -135,7 +138,7 @@ class TestCoefficientTable:
     ])
     def test_bad_value_names_its_file_and_key(self, tmp_path, line, message):
         path = tmp_path / "c.txt"
-        path.write_text("activity = 0.5\n" + line + "\n")
+        path.write_text("e_sram_bit_j = 4e-14\n" + line + "\n")
         with pytest.raises(CoefficientError, match=str(path)) as info:
             CoefficientTable.from_file(path)
         assert message in str(info.value)
@@ -146,6 +149,12 @@ class TestCoefficientTable:
         for path in (binary, tmp_path, tmp_path / "missing.txt"):
             with pytest.raises(CoefficientError, match="cannot read coefficient file"):
                 CoefficientTable.from_file(path)
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("e_mac_j = 1e-12\n# again\ne_mac_j = 2e-12\n")
+        with pytest.raises(CoefficientError, match=":3: e_mac_j is set twice"):
+            CoefficientTable.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -228,17 +237,18 @@ class TestWorkloadProfile:
 
 class TestCyclesAndArea:
     def test_cycle_formula(self):
-        w = WorkloadProfile(100, 900, 100, 0, 0, 0)
-        dp = DesignPoint(clock_hz=1000.0, lanes=10, sram_width_bits=100,
-                         overhead_cycles=7)
-        # ceil(100/10) + ceil(1000/100) + 7
-        assert cycles_per_frame(w, dp) == 10 + 10 + 7
+        # the one design's memory port, frame overhead and MCU baseline
+        assert (SRAM_WIDTH_BITS, OVERHEAD_CYCLES, MCU_CYCLES_PER_S) == (4096, 64, 17.24e6)
+        w = WorkloadProfile(100, 3 * 4096 - 1000, 1000, 0, 0, 0)
+        dp = DesignPoint(clock_hz=1000.0, lanes=10)
+        # compute ceil(100/10) + stalls ceil(3 * 4096 / 4096) + overhead 64
+        assert cycles_per_frame(w, dp) == 10 + 3 + 64
 
     def test_ceiling_rounds_up(self):
-        w = WorkloadProfile(101, 1, 0, 0, 0, 0)
-        dp = DesignPoint(clock_hz=1.0, lanes=10, sram_width_bits=4096,
-                         overhead_cycles=0)
-        assert cycles_per_frame(w, dp) == 11 + 1
+        w = WorkloadProfile(101, 4096, 1, 0, 0, 0)
+        dp = DesignPoint(clock_hz=1.0, lanes=10)
+        # compute ceil(10.1) + stalls ceil(4097 / 4096) + overhead
+        assert cycles_per_frame(w, dp) == 11 + 2 + 64
 
     def test_more_lanes_never_more_cycles(self):
         rng = np.random.default_rng(7)
@@ -263,35 +273,33 @@ class TestCyclesAndArea:
 class TestEstimatePower:
     def test_unit_arithmetic(self):
         # engineered so every term is a short hand calculation
-        w = WorkloadProfile(100, 800, 200, 5000, 0, 0)
-        dp = DesignPoint(clock_hz=1000.0, lanes=10, sram_width_bits=100,
-                         overhead_cycles=0)
+        w = WorkloadProfile(300, 5 * 4096, 4096, 5000, 0, 0)
+        dp = DesignPoint(clock_hz=1000.0, lanes=10)
         coeffs = CoefficientTable(
             e_mac_j=1e-12, e_sram_bit_j=1e-13, p_static_bit_w=1e-12,
             p_dyn_transistor_j=1e-15, activity=0.5, misc_transistors=1000,
         )
         pb = estimate_power(w, dp, coeffs)
-        # cycles = 10 + 10 = 20; 5 MACs/cycle, 50 bits/cycle
-        assert pb.mac_dynamic_uW == pytest.approx(1e-12 * 5 * 1000 * 1e6)
-        assert pb.sram_dynamic_uW == pytest.approx(1e-13 * 50 * 1000 * 1e6)
+        # cycles = 30 + 6 + 64 = 100; 3 MACs/cycle, 245.76 bits/cycle
+        assert pb.mac_dynamic_uW == pytest.approx(1e-12 * 3 * 1000 * 1e6)
+        assert pb.sram_dynamic_uW == pytest.approx(1e-13 * 245.76 * 1000 * 1e6)
         assert pb.sram_static_uW == pytest.approx(1e-12 * 5000 * 1e6)
         assert pb.other_dynamic_uW == pytest.approx(1e-15 * 0.5 * 1000 * 1000 * 1e6)
         assert pb.total_uW == pytest.approx(
             pb.mac_dynamic_uW + pb.sram_dynamic_uW + pb.sram_static_uW
             + pb.other_dynamic_uW
         )
-        assert pb.throughput_ms == pytest.approx(20.0)
-        assert pb.latency_ms == pytest.approx(40.0 + coeffs.latency_residual_ms)
+        assert pb.throughput_ms == pytest.approx(100.0)
+        assert pb.latency_ms == pytest.approx(200.0 + coeffs.latency_residual_ms)
 
     @pytest.mark.parametrize("coefficients, term", [
         ({"e_mac_j": 1e300}, "mac_dynamic_uW"),
-        # each term finite, their sum not
-        ({"e_mac_j": 3e298, "e_sram_bit_j": 3e297}, "total_uW"),
+        # each term finite (about 1.33e308 uW), their sum not
+        ({"e_mac_j": 1e299, "e_sram_bit_j": 1e298}, "total_uW"),
     ])
     def test_non_finite_power_rejected(self, coefficients, term):
-        w = WorkloadProfile(100, 800, 200, 5000, 0, 0)
-        dp = DesignPoint(clock_hz=1000.0, lanes=10, sram_width_bits=100,
-                         overhead_cycles=0)
+        w = WorkloadProfile(100, 800, 200, 5000, 0, 0)  # 10 + 1 + 64 = 75 cycles
+        dp = DesignPoint(clock_hz=1000.0, lanes=10)
         with pytest.raises(CoefficientError, match=term):
             estimate_power(w, dp, CoefficientTable(**coefficients))
 
@@ -332,7 +340,7 @@ class TestEstimatePower:
         coeffs = CoefficientTable()
         w = WorkloadProfile(1000, 0, 0, 0, 0, 0)
         # cycles = 1000 + 0 + 64 = 1064 at lanes=1, no traffic
-        dp = DesignPoint(clock_hz=1064.0 / 0.019, lanes=1, overhead_cycles=64)
+        dp = DesignPoint(clock_hz=1064.0 / 0.019, lanes=1)
         pb = estimate_power(w, dp, coeffs)
         assert pb.throughput_ms == pytest.approx(19.0)
         # 2 * 19 + 12.83 = 50.83 > 40: throughput fits, latency does not
