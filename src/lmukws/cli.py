@@ -349,10 +349,16 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
 def cmd_fetch_data(cfg: dict) -> int:
     if cfg["toy"]:
         keywords, unknown_words = _words(cfg["keywords"]), _words(cfg["unknown_words"])
-        missing = [w for w in keywords + unknown_words if w not in TOY_WORD_TONES]
+        words = keywords + unknown_words
+        missing = [w for w in words if w not in TOY_WORD_TONES]
         if missing:
             raise UsageError(f"no synthetic recipe for {', '.join(map(repr, missing))}; "
                              f"--toy knows {', '.join(TOY_WORD_TONES)}")
+        repeated = sorted({w for w in words if words.count(w) > 1})
+        if repeated:
+            raise UsageError(f"--keywords and --unknown-words list "
+                             f"{', '.join(map(repr, repeated))} more than once; "
+                             "--toy synthesizes each word once")
     else:  # an empty list extracts every word
         keywords = _words(cfg["keywords"]) if cfg["keywords"] else None
     _run_dir(cfg, "fetch-data")

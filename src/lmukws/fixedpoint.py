@@ -137,22 +137,79 @@ def weight_quant_spec(w: np.ndarray, bits: int) -> QuantSpec:
     return QuantSpec(bits=bits, scale_exp=scale_exp_for_max(float(np.max(np.abs(w), initial=0.0)), bits))
 
 
-def activation_quant_spec(samples: np.ndarray, overwrite_input: bool = False) -> QuantSpec:
+def activation_quant_spec(samples: np.ndarray) -> QuantSpec:
     """Activation format sized to the 99.9th percentile of observed magnitudes.
 
     The tail beyond the percentile is deliberately allowed to saturate; that
     trades rare clipping for one extra bit of resolution everywhere else.
-    With ``overwrite_input``, a float64 ``samples`` that nothing reads again
-    is used as the scratch space: its values are destroyed, and no copy of
-    its size is made.
     """
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    # without overwrite_input, np.abs makes the copy that the percentile may
-    # then reorder in place, and the caller's array is never written
-    samples = np.abs(samples, out=samples if overwrite_input else None)
-    target = (float(np.percentile(samples, 99.9, overwrite_input=True))
-              if samples.size else 0.0)
-    return QuantSpec(bits=ACTIVATION_BITS, scale_exp=scale_exp_for_max(target, ACTIVATION_BITS))
+    tail = MagnitudeTail(np.size(samples))
+    tail.feed(samples)
+    return tail.spec()
+
+
+class MagnitudeTail:
+    """``np.percentile(np.abs(samples), 99.9)`` of ``n`` samples fed in chunks,
+    holding only the magnitudes that can decide it.
+
+    numpy's linear percentile of n sorted values reads the two at floor(v)
+    and floor(v) + 1, where v = (n - 1) * (99.9 / 100), and interpolates
+    between them.  Both are among the n - floor(v) largest, so the tail keeps
+    that many.  Once it holds them, a magnitude at or below the smallest kept
+    cannot change the two (a tie has the same value), so each chunk is
+    filtered against it before it is merged.  The value is numpy's bit for
+    bit, and between calls at most n - floor(v) values are held.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.fed = n, 0
+        # numpy's virtual index, computed as np.percentile computes it
+        self.v = (n - 1) * float(np.true_divide(99.9, 100))
+        self.keep = n - math.floor(self.v) if n else 0
+        self.kept = np.empty(0)
+        self.floor = -math.inf  # the smallest kept, once ``keep`` are held
+        self.nan = False
+
+    def feed(self, samples) -> None:
+        a = np.abs(np.asarray(samples, dtype=np.float64)).ravel()
+        self.fed += a.size
+        if self.fed > self.n:
+            raise ValueError(f"{self.fed} samples fed to a tail of {self.n}")
+        a = a[~(a <= self.floor)]  # NaN passes: numpy sorts it above every number
+        if not a.size or self.nan:
+            return
+        if np.isnan(a).any():  # the percentile is NaN; nothing else matters
+            self.nan = True
+            return
+        kept = np.concatenate((self.kept, a)) if self.kept.size else a
+        if kept.size >= self.keep:
+            kept.partition(kept.size - self.keep)
+            kept = kept[kept.size - self.keep:].copy()
+            self.floor = kept[0]
+        self.kept = kept
+
+    def value(self) -> float:
+        """The percentile of all ``n`` magnitudes; 0.0 when n is 0."""
+        if self.fed != self.n:
+            raise ValueError(f"{self.fed} of {self.n} samples fed")
+        if self.nan:
+            return math.nan
+        if not self.n:
+            return 0.0
+        # The sorted values at floor(v) and floor(v) + 1 are the two smallest
+        # kept.  For n = 1 numpy reads the one value twice with weight 1, not
+        # the 0 here; with equal ends both weights give the same result.
+        two = self.kept if self.keep > 1 else np.repeat(self.kept, 2)
+        lo, hi = (float(x) for x in np.partition(two, 1)[:2])
+        gamma = self.v - math.floor(self.v)
+        # np.percentile's interpolation, operation for operation
+        diff = hi - lo
+        return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
+
+    def spec(self) -> QuantSpec:
+        """The activation format that covers ``value()``."""
+        return QuantSpec(bits=ACTIVATION_BITS,
+                         scale_exp=scale_exp_for_max(self.value(), ACTIVATION_BITS))
 
 
 def round_half_even_rshift(acc: np.ndarray, shift: int) -> np.ndarray:

@@ -544,6 +544,8 @@ def generate_toy_dataset(
     for word in words:  # before any file is written
         if word not in TOY_WORD_TONES:
             raise ValueError(f"no synthetic recipe for word {word!r}")
+        if words.count(word) > 1:
+            raise ValueError(f"word {word!r} is listed more than once")
     rate = 16000
     rng = np.random.default_rng(seed)
     for word in words:

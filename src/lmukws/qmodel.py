@@ -28,10 +28,10 @@ import numpy as np
 from .fixedpoint import (
     ACTIVATION_BITS,
     MAX_FAN_IN,
+    MagnitudeTail,
     PruneMask,
     QuantSpec,
     QuantTensor,
-    activation_quant_spec,
     quantize,
     requantize,  # noqa: F401  (unused here; perfbench's HOOKS rebind qmodel.requantize)
     round_saturate,
@@ -135,37 +135,40 @@ def model_size_kbits(qm: QuantizedModel) -> float:
 def calibrate_activation_scales(model: ModelGraph, sequences) -> ActivationScales:
     """Choose frozen activation scales from the float graph's magnitudes.
 
-    ``sequences`` is (N, T, input_dim) with N >= 1; the u, m and h samples
-    come from ``training.layer_forward``, the float forward's layer step, run
-    on all N sequences at once, one layer after the other, so each product
-    is the one ``training.hat_forward`` computes.  Each site's percentile is
-    taken in place as soon as nothing reads it again, and the output head
-    never runs: the peak is one layer's u, m and h plus the h of the layer
-    below, not every layer's.  ``sequences`` itself is never written.
+    ``sequences`` is (N, T, input_dim) with N >= 1.  Every layer's
+    ``training.LayerStep``, the float forward's step, runs on all N
+    sequences at once, one time step at a time: layer i + 1 reads layer i's
+    h for the step straight from its buffer, so each product is the one
+    ``training.hat_forward`` computes and no (N, T, width) array is made.
+    Each site (the input, then u, m and h per layer) feeds every step's
+    magnitudes to its own ``MagnitudeTail``, which keeps only those that can
+    decide its 99.9th percentile.  The output head never runs, and
+    ``sequences`` itself is never written.
     """
-    from .training import check_feats, layer_forward  # training imports this module
+    from .training import LayerStep, check_feats  # training imports this module
 
     feats = np.asarray(sequences, dtype=np.float64)
     check_feats(model, feats)
-    if feats.shape[0] < 1:
+    N, T, _ = feats.shape
+    if N < 1:
         raise ValueError("calibration needs at least one sequence")
-    input_exp = activation_quant_spec(feats).scale_exp
-
-    def exp_in_place(a):
-        return activation_quant_spec(a, overwrite_input=True).scale_exp
-
-    layer_exps = []
-    x = feats
-    for layer in model.layers:
-        lc = layer_forward(layer, x)
-        if layer_exps:  # this layer was the last reader of the h below
-            layer_exps[-1].append(exp_in_place(x))
-        layer_exps.append([exp_in_place(lc.u), exp_in_place(lc.m)])
-        x = lc.h
-        del lc  # frees u, m and the h below before the next layer allocates
-    if layer_exps:
-        layer_exps[-1].append(exp_in_place(x))
-    return ActivationScales(input_exp=input_exp, layer_exps=tuple(map(tuple, layer_exps)))
+    steps = [LayerStep(layer, N) for layer in model.layers]
+    input_tail = MagnitudeTail(feats.size)
+    layer_tails = [[MagnitudeTail(N * T * width)
+                    for width in (len(layer.cells), layer.memory_dim, layer.hidden_dim)]
+                   for layer in model.layers]
+    for t in range(T):
+        x = feats[:, t]
+        input_tail.feed(x)
+        for step, tails in zip(steps, layer_tails):
+            u, m, x, *_ = step(x)
+            for tail, a in zip(tails, (u, m, x)):
+                tail.feed(a)
+    return ActivationScales(
+        input_exp=input_tail.spec().scale_exp,
+        layer_exps=tuple(tuple(tail.spec().scale_exp for tail in tails)
+                         for tails in layer_tails),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,13 @@ class TrainConfig:
     log_every: int = 20
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "log_every", "calibration_sequences"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.quant_on_step is not None and self.quant_on_step < 0:
+            raise ValueError(f"quant_on_step must be None or >= 0, got {self.quant_on_step!r}")
         if not 0.0 <= self.target_sparsity < 1.0:
             raise ValueError("target_sparsity must be in [0, 1)")
         if (self.prune_start is None) != (self.prune_end is None):
@@ -168,8 +175,8 @@ def hat_forward(
     """Unrolled batch forward storing everything backward needs.
 
     feats is (B, T, input_dim) with T >= 1.  This is the one float forward:
-    training and evaluation run it, and calibration walks the same
-    ``layer_forward``.  With quant_on, ``scales`` must hold the frozen
+    training and evaluation run it, and calibration drives the same
+    ``LayerStep``.  With quant_on, ``scales`` must hold the frozen
     activation scales; the parameters are then read from
     ``deployed_tensors(model, weight_bits, scales)`` and the arithmetic
     matches deployment exactly.
@@ -207,61 +214,88 @@ def layer_forward(layer, x: np.ndarray, ql=None) -> _LayerCache:
     the fake-quant graph, or None for the float one.  The returned cache
     holds ``x`` itself, not a copy.
     """
-    names = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
-    quant_on = ql is not None
-    if quant_on:
-        u_exp, m_exp, h_exp = ql.u_exp, ql.m_exp, ql.h_exp
-        w_fq = {name: getattr(ql, name).dequantize() for name in names}
-        bias_mask = in_range(layer.bias, ql.bias.spec)
-        A, B_in = _memory_matrices([(c.A.dequantize(), c.B.dequantize()) for c in ql.cells])
-    else:
-        u_exp = m_exp = h_exp = None
-        w_fq = {name: getattr(layer, name) for name in names}
-        bias_mask = None
-        A, B_in = _memory_matrices([(c.A_d, c.B_d) for c in layer.cells])
-    bias_fq = w_fq["bias"]
-
     B, T, _ = x.shape
+    step = LayerStep(layer, B, ql)
     c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
     U = np.empty((B, T, c_dim))
     M = np.empty((B, T, D))
     H = np.empty((B, T, h_dim))
+    quant_on = ql is not None
     mask_u = mask_m = mask_h = None
     if quant_on:
         mask_u = np.empty((B, T, c_dim), dtype=bool)
         mask_m = np.empty((B, T, D), dtype=bool)
         mask_h = np.empty((B, T, h_dim), dtype=bool)
-    h_prev = np.zeros((B, h_dim))
-    m_prev = np.zeros((B, D))
-    # Each product goes into a buffer made once per layer and is summed
-    # in the order the expressions (a @ b + c @ d) + bias would sum it.
-    # m alternates between two buffers, so m_prev is never the output.
-    u_pre, u_h = np.empty((B, c_dim)), np.empty((B, c_dim))
-    m_bufs, m_u = (np.empty((B, D)), np.empty((B, D))), np.empty((B, D))
-    pre, pre_m, relu = np.empty((B, h_dim)), np.empty((B, h_dim)), np.empty((B, h_dim))
-    WexT, WehT = w_fq["input_encoder"].T, w_fq["hidden_encoder"].T
-    WkT, WmT, AT = w_fq["input_kernel"].T, w_fq["memory_kernel"].T, A.T
     for t in range(T):
-        x_t = x[:, t]
-        np.matmul(x_t, WexT, out=u_pre)
-        u_pre += np.matmul(h_prev, WehT, out=u_h)
-        u, mu = _act_fq(u_pre, u_exp)
-        m_pre = m_bufs[t % 2]
-        np.matmul(m_prev, AT, out=m_pre)
-        m_pre += np.matmul(u, B_in, out=m_u)
-        m, mm = _act_fq(m_pre, m_exp)
-        np.matmul(x_t, WkT, out=pre)
-        pre += np.matmul(m, WmT, out=pre_m)
-        pre += bias_fq
-        np.maximum(pre, 0.0, out=relu)
-        h, mh = _act_fq(relu, h_exp)
+        u, m, h, mu, mm, mh = step(x[:, t])
         U[:, t], M[:, t], H[:, t] = u, m, h
         if quant_on:
-            mask_u[:, t], mask_m[:, t] = mu, mm
-            np.logical_and(mh, pre > 0.0, out=mask_h[:, t])
-        h_prev, m_prev = h, m
+            mask_u[:, t], mask_m[:, t], mask_h[:, t] = mu, mm, mh
     return _LayerCache(x=x, u=U, m=M, h=H, mask_u=mask_u, mask_m=mask_m,
-                       mask_h=mask_h, bias_mask=bias_mask, w_fq=w_fq, A=A, B=B_in)
+                       mask_h=mask_h, bias_mask=step.bias_mask, w_fq=step.w_fq,
+                       A=step.A, B=step.B)
+
+
+class LayerStep:
+    """One layer's recurrence, advanced one time step per call on a batch of
+    rows: the body of the one float forward.
+
+    ``ql`` is the layer's deployed tensors (``QuantizedModel.layers[i]``) for
+    the fake-quant graph, or None for the float one.  Each call takes the
+    layer's (rows, n) input at the next step and returns (u, m, h, mask_u,
+    mask_m, mask_h); the straight-through masks are None without fake-quant,
+    and mask_h combines the relu's and the fake-quant's.  Without fake-quant,
+    u, m and h are the step's own buffers: a later call overwrites them.
+    """
+
+    NAMES = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
+
+    def __init__(self, layer, rows: int, ql=None):
+        if ql is not None:
+            self.exps = (ql.u_exp, ql.m_exp, ql.h_exp)
+            self.w_fq = {name: getattr(ql, name).dequantize() for name in self.NAMES}
+            self.bias_mask = in_range(layer.bias, ql.bias.spec)
+            self.A, self.B = _memory_matrices(
+                [(c.A.dequantize(), c.B.dequantize()) for c in ql.cells])
+        else:
+            self.exps = (None, None, None)
+            self.w_fq = {name: getattr(layer, name) for name in self.NAMES}
+            self.bias_mask = None
+            self.A, self.B = _memory_matrices([(c.A_d, c.B_d) for c in layer.cells])
+        c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
+        self.h_prev, self.m_prev = np.zeros((rows, h_dim)), np.zeros((rows, D))
+        # Each product goes into a buffer made once per layer and is summed
+        # in the order the expressions (a @ b + c @ d) + bias would sum it.
+        # m alternates between two buffers, so m_prev is never the output.
+        self.u_pre, self.u_h = np.empty((rows, c_dim)), np.empty((rows, c_dim))
+        self.m_bufs, self.m_u = (np.empty((rows, D)), np.empty((rows, D))), np.empty((rows, D))
+        self.pre, self.pre_m = np.empty((rows, h_dim)), np.empty((rows, h_dim))
+        self.relu = np.empty((rows, h_dim))
+        w = self.w_fq
+        self.WexT, self.WehT = w["input_encoder"].T, w["hidden_encoder"].T
+        self.WkT, self.WmT, self.AT = w["input_kernel"].T, w["memory_kernel"].T, self.A.T
+        self.t = 0
+
+    def __call__(self, x_t: np.ndarray):
+        u_exp, m_exp, h_exp = self.exps
+        u_pre, pre = self.u_pre, self.pre
+        np.matmul(x_t, self.WexT, out=u_pre)
+        u_pre += np.matmul(self.h_prev, self.WehT, out=self.u_h)
+        u, mu = _act_fq(u_pre, u_exp)
+        m_pre = self.m_bufs[self.t % 2]
+        np.matmul(self.m_prev, self.AT, out=m_pre)
+        m_pre += np.matmul(u, self.B, out=self.m_u)
+        m, mm = _act_fq(m_pre, m_exp)
+        np.matmul(x_t, self.WkT, out=pre)
+        pre += np.matmul(m, self.WmT, out=self.pre_m)
+        pre += self.w_fq["bias"]
+        np.maximum(pre, 0.0, out=self.relu)
+        h, mh = _act_fq(self.relu, h_exp)
+        if mh is not None:
+            np.logical_and(mh, pre > 0.0, out=mh)
+        self.h_prev, self.m_prev = h, m
+        self.t += 1
+        return u, m, h, mu, mm, mh
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +376,7 @@ def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
     w = lc.w_fq
     B, T, n = lc.x.shape
     h_dim, c_dim, D = lc.h.shape[2], lc.u.shape[2], lc.m.shape[2]
-    grad = {name: np.zeros_like(w[name]) for name in
-            ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")}
+    grad = {name: np.zeros_like(w[name]) for name in LayerStep.NAMES}
     dWex, dWeh = grad["input_encoder"], grad["hidden_encoder"]
     dWx, dWm, db = grad["input_kernel"], grad["memory_kernel"], grad["bias"]
     prod = {name: np.empty_like(g) for name, g in grad.items() if name != "bias"}

@@ -157,6 +157,10 @@ class TestParsing:
         ["eval", "--keywords", ",".join(f"w{i}" for i in range(11))],
         # exited 3 with every yes/*.wav written and no .complete marker
         ["fetch-data", "--toy", "--keywords", "yes,up"],
+        # a word listed twice was synthesized twice, the second pass overwriting the first
+        ["fetch-data", "--toy", "--keywords", "yes,yes", "--speakers", "1", "--takes", "1"],
+        ["fetch-data", "--toy", "--keywords", "yes,no", "--unknown-words", "wow,no",
+         "--speakers", "1", "--takes", "1"],
     ])
     def test_usage_error_in_a_handler_writes_nothing(self, tmp_path, argv):
         # These left runs/<command>/resolved-config.txt behind; train and eval

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmukws.fixedpoint import (
     MAX_FAN_IN,
+    MagnitudeTail,
     PruneMask,
     QuantSpec,
     QuantTensor,
@@ -136,6 +138,89 @@ class TestScaleSelection:
         p = np.percentile(np.abs(samples), 99.9)
         assert spec.qmax * spec.step >= p
         assert spec.bits == 7
+
+
+# Sizes where numpy's virtual index (n - 1) * (99.9 / 100) is a whole number.
+WHOLE_INDEX_SIZES = (1, 33001, 66001)
+
+
+def _magnitude_sample(kind, n, rng):
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "ties":
+        return rng.integers(-3, 4, n).astype(np.float64)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 0.5, -0.5], n)
+    if kind == "all equal":
+        return np.full(n, rng.choice([0.0, -0.0, 1.5, -2.0]))
+    if kind == "infinities":
+        return np.where(rng.random(n) < 0.01, np.inf, rng.standard_normal(n))
+    return rng.uniform(-1.5, 1.5, n) * 10.0 ** rng.uniform(-300, 300, n)  # wide range
+
+
+class TestMagnitudeTail:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 2500), st.sampled_from((1, 2) + WHOLE_INDEX_SIZES)),
+        kind=st.sampled_from(("normal", "ties", "signed zeros", "all equal", "wide range",
+                              "infinities")),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_percentile_bytes(self, n, kind, cuts, seed):
+        a = _magnitude_sample(kind, n, np.random.default_rng(seed))
+        tail = MagnitudeTail(n)
+        for part in np.split(a, sorted(int(c * n) for c in cuts)):
+            tail.feed(part)
+        with np.errstate(invalid="ignore"):  # numpy's inf - inf
+            expected = np.percentile(np.abs(a), 99.9)
+        assert np.float64(tail.value()).tobytes() == expected.tobytes()
+
+    def test_whole_virtual_index_sizes(self):
+        q = np.true_divide(99.9, 100)
+        for n in WHOLE_INDEX_SIZES:
+            assert (n - 1) * q == np.floor((n - 1) * q)
+
+    def test_keeps_only_the_top(self):
+        # 100,000 - floor(99,999 * 0.999) = 101 values can decide the percentile.
+        tail = MagnitudeTail(100_000)
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            tail.feed(rng.standard_normal((10, 100)))
+            assert tail.kept.size <= tail.keep == 101
+
+    def test_any_nan_gives_nan(self):
+        a = np.arange(5000.0)
+        a[17] = np.nan
+        tail = MagnitudeTail(a.size)
+        tail.feed(a[:2500])
+        tail.feed(a[2500:])
+        assert np.isnan(tail.value()) and np.isnan(np.percentile(a, 99.9))
+        with pytest.raises(ValueError, match="finite"):
+            activation_quant_spec(a)
+
+    @pytest.mark.parametrize("a", [[np.inf], [-np.inf], [1.0, np.inf], [np.inf, np.inf, 1.0],
+                                   [np.inf] + [1.0] * 2000])
+    def test_infinities_interpolate_as_numpy_does(self, a):
+        # numpy's interpolation turns an infinite neighbour into NaN (inf - inf).
+        a = np.array(a)
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(np.abs(a), 99.9)
+        tail = MagnitudeTail(a.size)
+        tail.feed(a)
+        assert np.float64(tail.value()).tobytes() == expected.tobytes()
+
+    def test_count_must_match(self):
+        tail = MagnitudeTail(4)
+        tail.feed(np.ones(3))
+        with pytest.raises(ValueError, match="3 of 4"):
+            tail.value()
+        with pytest.raises(ValueError, match="5 samples fed to a tail of 4"):
+            tail.feed(np.ones(2))
+
+    def test_no_samples(self):
+        assert MagnitudeTail(0).value() == 0.0
+        assert activation_quant_spec(np.zeros(0)).scale_exp == scale_exp_for_max(0.0, 7)
 
 
 class TestRounding:

@@ -510,6 +510,19 @@ class TestBuildDataset:
             generate_toy_dataset(root, keywords=("yes", "up"), speakers=1, takes=1)
         assert not root.exists()
 
+    @pytest.mark.parametrize("keywords, unknown_words", [
+        (("yes", "yes"), ("wow",)),
+        (("yes", "no"), ("zero", "no")),
+        (("yes",), ("wow", "wow")),
+    ])
+    def test_toy_word_listed_twice_writes_nothing(self, tmp_path, keywords, unknown_words):
+        # The second pass over a word overwrote the first with later draws.
+        root = tmp_path / "toy"
+        with pytest.raises(ValueError, match="listed more than once"):
+            generate_toy_dataset(root, keywords=keywords, unknown_words=unknown_words,
+                                 speakers=1, takes=1)
+        assert not root.exists()
+
 
 class TestMaterializeFeatures:
     def test_shapes_and_normalization(self, toy_root):

@@ -18,6 +18,7 @@ from lmukws.fixedpoint import (
     prune_magnitude,
     quantize,
     round_half_even_rshift,
+    scale_exp_for_max,
 )
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.hwmodel import profile_workload
@@ -31,7 +32,7 @@ from lmukws.qmodel import (
     model_size_kbits,
     quantized_forward,
 )
-from lmukws.training import evaluate, hat_forward
+from lmukws.training import LayerStep, evaluate, hat_forward
 
 from stepwise import engine_steps, hat_steps
 
@@ -96,12 +97,60 @@ class TestCalibration:
             layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
         feats = np.zeros((n, t, input_dim)) if zero_input else rng.standard_normal((n, t, input_dim))
         cache = hat_forward(model, feats)
+
+        def percentile_exp(a):  # the definition, straight from numpy
+            return scale_exp_for_max(float(np.percentile(np.abs(a), 99.9)), 7)
+
         expected = ActivationScales(
+            input_exp=percentile_exp(feats),
+            layer_exps=tuple(tuple(percentile_exp(a) for a in (lc.u, lc.m, lc.h))
+                             for lc in cache.layers),
+        )
+        assert calibrate_activation_scales(model, feats) == expected
+        assert expected == ActivationScales(
             input_exp=activation_quant_spec(feats).scale_exp,
             layer_exps=tuple(tuple(activation_quant_spec(a).scale_exp for a in (lc.u, lc.m, lc.h))
                              for lc in cache.layers),
         )
-        assert calibrate_activation_scales(model, feats) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 9), st.lists(st.integers(1, 8), min_size=1, max_size=3)),
+            min_size=1, max_size=3,
+        ),
+        input_dim=st.integers(1, 6),
+        n=st.integers(1, 40),
+        t=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_steps_equal_hat_forward_bytes(self, topology, input_dim, n, t, seed):
+        # Calibration's order: every layer advances one step before any
+        # takes the next, each reading the h below from its step buffer.
+        # Every u, m and h is byte for byte the float hat_forward cache's.
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(
+            input_dim=input_dim,
+            layers=tuple(
+                LayerConfig(hidden=hidden, cells=tuple(
+                    CellConfig(order, float(rng.uniform(0.05, 0.5))) for order in orders))
+                for hidden, orders in topology
+            ),
+        )
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.4, 0.4, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        feats = rng.standard_normal((n, t, input_dim))
+        cache = hat_forward(model, feats)
+        steps = [LayerStep(layer, n) for layer in model.layers]
+        for k in range(t):
+            x = feats[:, k]
+            for step, lc in zip(steps, cache.layers):
+                u, m, x, *masks = step(x)
+                assert masks == [None, None, None]
+                for got, full in ((u, lc.u), (m, lc.m), (x, lc.h)):
+                    assert got.tobytes() == np.ascontiguousarray(full[:, k]).tobytes()
 
     def test_rejects_what_hat_forward_rejects_and_empty_batches(self):
         model, _ = _trained_like_model(0)
@@ -122,9 +171,9 @@ class TestCalibration:
             np.testing.assert_array_equal(feats, before)
 
     def test_peak_memory_below_one_full_forward_cache(self):
-        # Each site is dropped once its percentile is taken, so the traced
-        # peak holds at most two layers' activations (about 0.75 of the
-        # cache here), where a full cache plus a copy would be about 1.9.
+        # Calibration holds one time step of each layer and each site's top
+        # 0.1% of magnitudes, not a full cache (a full cache plus a copy
+        # would be about 1.9 of it).
         model, rng = _trained_like_model(2)
         feats = rng.standard_normal((64, 50, 5))
         cache = hat_forward(model, feats)
@@ -137,6 +186,24 @@ class TestCalibration:
         finally:
             tracemalloc.stop()
         assert peak < full
+
+    def test_peak_memory_does_not_grow_with_sequence_length(self):
+        # One time step of every layer and each site's top 0.1% are held, so
+        # eight times the steps may add at most a few (N, width) buffers; a
+        # full (N, T, width) cache would add about 7 MB here.
+        model, rng = _trained_like_model(4)
+        n = 64
+        widest = max(max(layer.hidden_dim, layer.memory_dim) for layer in model.layers)
+        peaks = []
+        for t in (50, 400):
+            feats = rng.standard_normal((n, t, 5))
+            tracemalloc.start()
+            try:
+                calibrate_activation_scales(model, feats)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * n * widest * 8
 
 
 class TestFreeze:

@@ -182,6 +182,42 @@ class TestPruningSchedule:
             TrainConfig(model=TINY, target_sparsity=1.0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("steps", -1), ("batch_size", 0), ("log_every", 0),
+        ("calibration_sequences", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("quant_on_step", -1),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(model=TINY, **{field: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(model=TINY, steps=1, batch_size=1, log_every=1, calibration_sequences=1,
+                    learning_rate=1e-12, quant_on_step=0)
+        TrainConfig(model=TINY, quant_on_step=None)
+
+    def test_log_every_zero_fails_before_any_step(self):
+        # It raised ZeroDivisionError at step 0, after the first update.
+        with pytest.raises(ValueError, match="log_every"):
+            train(TrainConfig(model=TINY, steps=2, log_every=0), _never_read())
+
+    def test_no_calibration_sequences_fails_before_any_step(self):
+        # It trained every step, then calibrate_activation_scales raised.
+        with pytest.raises(ValueError, match="calibration_sequences"):
+            train(TrainConfig(model=TINY, steps=2, quant_on_step=1, calibration_sequences=0),
+                  _never_read())
+
+
+def _never_read():
+    """A dataset whose every attribute read fails the test."""
+    class Dataset:
+        def __getattr__(self, name):
+            raise AssertionError(f"dataset.{name} read")
+    return Dataset()
+
+
 class TestTrainLoop:
     def test_loss_falls_and_beats_baseline(self):
         data = _toy_dataset(0)
