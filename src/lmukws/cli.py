@@ -295,6 +295,9 @@ def _sidecar_config(cfg: dict, qm) -> FeatureConfig:
     feat_cfg = load_feature_config(path)
     if feat_cfg.config_hash() != qm.frontend_hash:
         raise DatasetError(f"frontend sidecar {path} does not match the model's frontend hash")
+    if qm.input_dim != feat_cfg.mel_bins:
+        raise DatasetError(f"model {cfg['model']} takes {qm.input_dim}-wide features; "
+                           f"its frontend makes {feat_cfg.mel_bins}")
     return feat_cfg
 
 

@@ -179,13 +179,14 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
     *body, head = every
     writes = sum(len(st.terms[0].q) for st in body) * ACTIVATION_BITS
     writes += len(head.terms[0].q) * LOGIT_BITS
-    constants = [qt for layer in qm.layers for cell in layer.cells for qt in (cell.A, cell.B)]
+    params = sum(qt.q.size * qt.spec.bits for _, qt in qm.weight_tensor_items())
+    stored = sum(qt.q.size * qt.spec.bits for _, qt in qm.tensor_items())
     return WorkloadProfile(
         macs_per_frame=macs,
         read_bits_per_frame=reads,
         write_bits_per_frame=writes,
-        parameter_bits=sum(qt.q.size * qt.spec.bits for _, qt in qm.weight_tensor_items()),
-        constant_bits=sum(qt.q.size * qt.spec.bits for qt in constants),
+        parameter_bits=params,
+        constant_bits=stored - params,
         activation_bits=writes,
         frame_period_s=qm.dt,
     )

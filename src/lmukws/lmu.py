@@ -119,14 +119,49 @@ def decode_window(cell: MemoryCell, r: float, m: np.ndarray | None = None) -> fl
     return float(shifted_legendre(cell.order, r) @ m)
 
 
+# The trainable tensors of one layer, in the order they are stored.
+LAYER_TENSORS = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
+
+
+def tensor_shapes(input_dim: int, topology) -> dict:
+    """name -> shape of every trainable tensor of a model, in stored order.
+
+    ``topology`` lists each layer as (hidden width, its cells' orders).
+    For layer input width n, hidden width h and c cells of total memory size
+    D: input_encoder (c, n), hidden_encoder (c, h), input_kernel (h, n),
+    memory_kernel (h, D), bias (h,); then the head maps the last width to
+    12 label logits.
+    """
+    shapes = {}
+    n = input_dim
+    for i, (h, orders) in enumerate(topology):
+        c, D = len(orders), sum(orders)
+        for name, shape in zip(LAYER_TENSORS, ((c, n), (c, h), (h, n), (h, D), (h,))):
+            shapes[f"layer{i}.{name}"] = shape
+        n = h
+    shapes["output.weight"], shapes["output.bias"] = (12, n), (12,)
+    return shapes
+
+
+def memory_system(blocks):
+    """One layer's memory cells, given as each cell's (A, B), as a single
+    linear system m' = m A^T + u B: each A fills its own diagonal block, and
+    row k of B holds cell k's B in that block."""
+    D = sum(len(B_k) for _, B_k in blocks)
+    A = np.zeros((D, D))
+    B = np.zeros((len(blocks), D))
+    off = 0
+    for k, (A_k, B_k) in enumerate(blocks):
+        sl = slice(off, off + len(B_k))
+        A[sl, sl], B[k, sl] = A_k, B_k
+        off += len(B_k)
+    return A, B
+
+
 @dataclass
 class LmuLayerParams:
-    """Trainable tensors of one layer plus its (fixed) memory cells.
-
-    Shapes for input width n, hidden width h, c cells of total memory size D:
-    input_encoder (c, n), hidden_encoder (c, h), input_kernel (h, n),
-    memory_kernel (h, D), bias (h,).
-    """
+    """Trainable tensors of one layer (shapes in ``tensor_shapes``) plus its
+    fixed memory cells."""
 
     input_encoder: np.ndarray
     hidden_encoder: np.ndarray
@@ -136,29 +171,12 @@ class LmuLayerParams:
     cells: list = field(default_factory=list)
 
     @property
-    def input_dim(self) -> int:
-        return self.input_kernel.shape[1]
-
-    @property
     def hidden_dim(self) -> int:
         return self.input_kernel.shape[0]
 
     @property
     def memory_dim(self) -> int:
         return sum(c.order for c in self.cells)
-
-    def validate(self) -> None:
-        n, h, c = self.input_dim, self.hidden_dim, len(self.cells)
-        if self.input_encoder.shape != (c, n):
-            raise ValueError(f"input_encoder shape {self.input_encoder.shape} != {(c, n)}")
-        if self.hidden_encoder.shape != (c, h):
-            raise ValueError(f"hidden_encoder shape {self.hidden_encoder.shape} != {(c, h)}")
-        if self.memory_kernel.shape != (h, self.memory_dim):
-            raise ValueError(
-                f"memory_kernel shape {self.memory_kernel.shape} != {(h, self.memory_dim)}"
-            )
-        if self.bias.shape != (h,):
-            raise ValueError(f"bias shape {self.bias.shape} != {(h,)}")
 
 
 @dataclass
@@ -172,16 +190,11 @@ class ModelGraph:
     label_names: list
 
     def validate(self) -> None:
-        n = self.input_dim
-        for layer in self.layers:
-            layer.validate()
-            if layer.input_dim != n:
-                raise ValueError(f"layer expects input {layer.input_dim}, got {n}")
-            n = layer.hidden_dim
-        if self.output_weight.shape != (12, n):
-            raise ValueError(f"output_weight shape {self.output_weight.shape} != {(12, n)}")
-        if self.output_bias.shape != (12,):
-            raise ValueError("output bias must have 12 entries")
+        topology = [(layer.hidden_dim, [c.order for c in layer.cells]) for layer in self.layers]
+        shapes = tensor_shapes(self.input_dim, topology)
+        for name, tensor in self.trainable_tensors():
+            if tensor.shape != shapes[name]:
+                raise ValueError(f"{name} shape {tensor.shape} != {shapes[name]}")
         if len(self.label_names) != 12:
             raise ValueError("exactly 12 label names required")
 
@@ -192,11 +205,8 @@ class ModelGraph:
         trained, pruned, or counted as parameters.
         """
         for i, layer in enumerate(self.layers):
-            yield f"layer{i}.input_encoder", layer.input_encoder
-            yield f"layer{i}.hidden_encoder", layer.hidden_encoder
-            yield f"layer{i}.input_kernel", layer.input_kernel
-            yield f"layer{i}.memory_kernel", layer.memory_kernel
-            yield f"layer{i}.bias", layer.bias
+            for name in LAYER_TENSORS:
+                yield f"layer{i}.{name}", getattr(layer, name)
         yield "output.weight", self.output_weight
         yield "output.bias", self.output_bias
 
@@ -233,36 +243,31 @@ class ModelConfig:
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelGraph:
-    """Instantiate a ModelGraph from a config; weights random unless rng is None (zeros)."""
-    def init(shape, fan_in, zero=False):
-        if rng is None or zero:
-            return np.zeros(shape)
-        bound = np.sqrt(3.0 / max(fan_in, 1))
-        return rng.uniform(-bound, bound, size=shape)
+    """Instantiate a ModelGraph from a config; weights random unless rng is None (zeros).
 
-    layers = []
-    n = config.input_dim
-    for lc in config.layers:
-        cells = [MemoryCell(cc.order, cc.theta, config.dt) for cc in lc.cells]
-        D = sum(c.order for c in cells)
-        layers.append(
-            LmuLayerParams(
-                input_encoder=init((len(cells), n), n),
-                hidden_encoder=np.zeros((len(cells), lc.hidden)),
-                input_kernel=init((lc.hidden, n), n),
-                memory_kernel=init((lc.hidden, D), D),
-                bias=np.zeros(lc.hidden),
-                cells=cells,
-            )
-        )
-        n = lc.hidden
-    labels = list(config.label_names) or [f"label{i}" for i in range(12)]
+    Encoders, kernels and the head's weight are drawn uniform in
+    +-sqrt(3 / fan-in), in stored order; hidden encoders and biases start at
+    zero.
+    """
+    topology = [(lc.hidden, [cc.order for cc in lc.cells]) for lc in config.layers]
+    tensors = {}
+    for name, shape in tensor_shapes(config.input_dim, topology).items():
+        if rng is None or name.endswith(("hidden_encoder", "bias")):
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = np.sqrt(3.0 / max(shape[-1], 1))
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+    layers = [
+        LmuLayerParams(**{name: tensors[f"layer{i}.{name}"] for name in LAYER_TENSORS},
+                       cells=[MemoryCell(cc.order, cc.theta, config.dt) for cc in lc.cells])
+        for i, lc in enumerate(config.layers)
+    ]
     model = ModelGraph(
         layers=layers,
-        output_weight=init((12, n), n),
-        output_bias=np.zeros(12),
+        output_weight=tensors["output.weight"],
+        output_bias=tensors["output.bias"],
         input_dim=config.input_dim,
-        label_names=labels,
+        label_names=list(config.label_names) or [f"label{i}" for i in range(12)],
     )
     model.validate()
     return model

@@ -27,6 +27,7 @@ import zlib
 import numpy as np
 
 from .fixedpoint import WEIGHT_BIT_CHOICES, QuantSpec, QuantTensor, pack_nibbles, unpack_nibbles
+from .lmu import LAYER_TENSORS, tensor_shapes
 from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel, compile_model
 
 MAGIC = b"LMUQ"
@@ -92,12 +93,7 @@ def save_model(qm: QuantizedModel, path) -> None:
         out.append(struct.pack("<H", len(layer.cells)))
         for cell in layer.cells:
             out.append(struct.pack("<Hd", cell.order, cell.theta))
-    records = []
-    for i, layer in enumerate(qm.layers):
-        for k, cell in enumerate(layer.cells):
-            records.append((f"layer{i}.cell{k}.A", cell.A))
-            records.append((f"layer{i}.cell{k}.B", cell.B))
-    records.extend(qm.weight_tensor_items())
+    records = list(qm.tensor_items())
     out.append(struct.pack("<I", len(records)))
     for name, qt in records:
         out.append(_tensor_record(name, qt, qm.keep_masks.get(name)))
@@ -135,20 +131,13 @@ class _Reader:
 def _expected_tensors(input_dim: int, weight_bits: int, layer_meta) -> dict:
     """name -> (shape, bits) of every tensor the stored topology implies."""
     expected = {}
-    n = input_dim
-    for i, (hidden, _, _, _, cells) in enumerate(layer_meta):
-        D = sum(order for order, _ in cells)
+    for i, (*_, cells) in enumerate(layer_meta):
         for k, (order, _) in enumerate(cells):
             expected[f"layer{i}.cell{k}.A"] = ((order, order), 8)
             expected[f"layer{i}.cell{k}.B"] = ((order,), 8)
-        expected[f"layer{i}.input_encoder"] = ((len(cells), n), weight_bits)
-        expected[f"layer{i}.hidden_encoder"] = ((len(cells), hidden), weight_bits)
-        expected[f"layer{i}.input_kernel"] = ((hidden, n), weight_bits)
-        expected[f"layer{i}.memory_kernel"] = ((hidden, D), weight_bits)
-        expected[f"layer{i}.bias"] = ((hidden,), 32)
-        n = hidden
-    expected["output.weight"] = ((12, n), weight_bits)
-    expected["output.bias"] = ((12,), 32)
+    topology = [(hidden, [order for order, _ in cells]) for hidden, *_, cells in layer_meta]
+    for name, shape in tensor_shapes(input_dim, topology).items():
+        expected[name] = (shape, 32 if name.endswith("bias") else weight_bits)
     return expected
 
 
@@ -238,29 +227,14 @@ def load_model(path) -> QuantizedModel:
             raise ModelFormatError(f"tensor {name!r} has a nonzero payload in a pruned slot")
 
     layers = []
-    for i, (hidden, u_exp, m_exp, h_exp, cell_meta) in enumerate(layer_meta):
-        cells = [
-            QuantizedCell(
-                A=tensors[f"layer{i}.cell{k}.A"],
-                B=tensors[f"layer{i}.cell{k}.B"],
-                order=order,
-                theta=theta,
-            )
-            for k, (order, theta) in enumerate(cell_meta)
-        ]
-        layers.append(
-            QuantizedLayer(
-                input_encoder=tensors[f"layer{i}.input_encoder"],
-                hidden_encoder=tensors[f"layer{i}.hidden_encoder"],
-                input_kernel=tensors[f"layer{i}.input_kernel"],
-                memory_kernel=tensors[f"layer{i}.memory_kernel"],
-                bias=tensors[f"layer{i}.bias"],
-                cells=cells,
-                u_exp=u_exp,
-                m_exp=m_exp,
-                h_exp=h_exp,
-            )
-        )
+    for i, (_, u_exp, m_exp, h_exp, cell_meta) in enumerate(layer_meta):
+        cells = [QuantizedCell(A=tensors[f"layer{i}.cell{k}.A"],
+                               B=tensors[f"layer{i}.cell{k}.B"], theta=theta)
+                 for k, (_, theta) in enumerate(cell_meta)]
+        layers.append(QuantizedLayer(
+            **{name: tensors[f"layer{i}.{name}"] for name in LAYER_TENSORS},
+            cells=cells, u_exp=u_exp, m_exp=m_exp, h_exp=h_exp,
+        ))
     qm = QuantizedModel(
         input_dim=input_dim,
         dt=dt,

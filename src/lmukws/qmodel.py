@@ -37,7 +37,7 @@ from .fixedpoint import (
     round_saturate,
     weight_quant_spec,
 )
-from .lmu import ModelGraph
+from .lmu import LAYER_TENSORS, ModelGraph, memory_system
 
 ACC_LIMIT = 2**31  # worst-case |accumulator| must stay below this
 
@@ -56,8 +56,11 @@ class QuantizedCell:
 
     A: QuantTensor
     B: QuantTensor
-    order: int
     theta: float
+
+    @property
+    def order(self) -> int:
+        return len(self.B.q)
 
 
 @dataclass
@@ -102,13 +105,19 @@ class QuantizedModel:
     def weight_tensor_items(self):
         """(name, QuantTensor) for every stored trainable tensor, fixed order."""
         for i, layer in enumerate(self.layers):
-            yield f"layer{i}.input_encoder", layer.input_encoder
-            yield f"layer{i}.hidden_encoder", layer.hidden_encoder
-            yield f"layer{i}.input_kernel", layer.input_kernel
-            yield f"layer{i}.memory_kernel", layer.memory_kernel
-            yield f"layer{i}.bias", layer.bias
+            for name in LAYER_TENSORS:
+                yield f"layer{i}.{name}", getattr(layer, name)
         yield "output.weight", self.output_weight
         yield "output.bias", self.output_bias
+
+    def tensor_items(self):
+        """(name, QuantTensor) for every stored tensor, in model-file order:
+        each cell's A and B, then the trainable tensors."""
+        for i, layer in enumerate(self.layers):
+            for k, cell in enumerate(layer.cells):
+                yield f"layer{i}.cell{k}.A", cell.A
+                yield f"layer{i}.cell{k}.B", cell.B
+        yield from self.weight_tensor_items()
 
 
 def kept_parameters(qm: QuantizedModel) -> dict:
@@ -205,8 +214,7 @@ def deployed_tensors(model: ModelGraph, weight_bits: int,
             input_kernel=w_x,
             memory_kernel=w_m,
             bias=quantize(layer.bias, QuantSpec(32, pre_exp)),
-            cells=[QuantizedCell(A=qw(cell.A_d, 8), B=qw(cell.B_d, 8),
-                                 order=cell.order, theta=cell.theta)
+            cells=[QuantizedCell(A=qw(cell.A_d, 8), B=qw(cell.B_d, 8), theta=cell.theta)
                    for cell in layer.cells],
             u_exp=u_exp,
             m_exp=m_exp,
@@ -392,7 +400,7 @@ class CompiledLayer:
     """
 
     U: np.ndarray  # (nh + nx, c): [W_eh | W_ex].T
-    M: np.ndarray  # (D + c, D): [A block-diagonal | each cell's B in its own column].T
+    M: np.ndarray  # (D + c, D): [A.T ; B] of lmu.memory_system, over the cells' folded A and B
     H: np.ndarray  # (nx + D, nh): [W_x | W_m].T
     bias: np.ndarray  # (nh,), on the output grid
 
@@ -421,12 +429,10 @@ class CompiledModel:
 
 def _source(qm: "QuantizedModel") -> tuple:
     """Every exponent and integer the stages are built from."""
-    tensors = [qt for _, qt in qm.weight_tensor_items()]
-    tensors += [t for layer in qm.layers for cell in layer.cells for t in (cell.A, cell.B)]
     return (
         qm.input_exp,
         tuple((layer.u_exp, layer.m_exp, layer.h_exp) for layer in qm.layers),
-        tuple((qt.spec, qt.shape, qt.q.tobytes()) for qt in tensors),
+        tuple((qt.spec, qt.shape, qt.q.tobytes()) for _, qt in qm.tensor_items()),
     )
 
 
@@ -447,17 +453,11 @@ def compile_model(qm: QuantizedModel) -> CompiledModel:
     layers = []
     for layer in qm.layers:
         U, _ = next(folded)
-        D, c = sum(cell.order for cell in layer.cells), len(layer.cells)
-        M = np.zeros((D, D + c))
-        lo = 0
-        for k, cell in enumerate(layer.cells):
-            hi = lo + cell.order
-            AB, _ = next(folded)  # [A | B]: the cell's m, then its u
-            M[lo:hi, lo:hi], M[lo:hi, D + k] = AB[:, :-1], AB[:, -1]
-            lo = hi
+        cells = [next(folded)[0] for _ in layer.cells]  # each [A | B]: its m, then its u
+        A, B = memory_system([(AB[:, :-1], AB[:, -1]) for AB in cells])
         H, bias = next(folded)
         layers.append(CompiledLayer(
-            U=np.ascontiguousarray(U.T), M=np.ascontiguousarray(M.T),
+            U=np.ascontiguousarray(U.T), M=np.concatenate([A.T, B]),
             H=np.ascontiguousarray(H.T), bias=bias,
         ))
     out_W, out_b = next(folded)

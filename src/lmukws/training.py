@@ -14,7 +14,7 @@ zero outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .fixedpoint import (
     in_range,
     prune_magnitude,
 )
-from .lmu import ModelConfig, ModelGraph, build_model
+from .lmu import LAYER_TENSORS, ModelConfig, ModelGraph, build_model, memory_system
 from .qmodel import (
     ActivationScales,
     QuantizedModel,
@@ -85,13 +85,6 @@ def check_init_tensors(model: ModelGraph, tensors: dict) -> None:
             raise ValueError(f"tensor {name!r} is not finite real numbers")
 
 
-@dataclass
-class GradientSet:
-    """Per-trainable-tensor gradients, keyed like ModelGraph.trainable_tensors."""
-
-    tensors: dict = field(default_factory=dict)
-
-
 def sparsity_at(step: int, cfg: TrainConfig) -> float:
     """Cubic pruning ramp: 0 before start, exact target at and after end."""
     if cfg.prune_start is None or cfg.target_sparsity == 0.0 or step < cfg.prune_start:
@@ -133,21 +126,6 @@ class ForwardCache:
     out_b_fq: np.ndarray
     out_b_mask: np.ndarray | None  # None where every entry would be True
     logits_exp: int | None  # grid of the logits when quant_on, else None
-
-
-def _memory_matrices(blocks):
-    """One layer's memory cells, given as each cell's (A, B), as a single
-    linear system m' = m A^T + u B: each A fills its own diagonal block, and
-    row k of B holds cell k's B in that block."""
-    D = sum(len(B_k) for _, B_k in blocks)
-    A = np.zeros((D, D))
-    B = np.zeros((len(blocks), D))
-    off = 0
-    for k, (A_k, B_k) in enumerate(blocks):
-        sl = slice(off, off + len(B_k))
-        A[sl, sl], B[k, sl] = A_k, B_k
-        off += len(B_k)
-    return A, B
 
 
 def check_feats(model: ModelGraph, feats: np.ndarray) -> None:
@@ -248,20 +226,18 @@ class LayerStep:
     u, m and h are the step's own buffers: a later call overwrites them.
     """
 
-    NAMES = ("input_encoder", "hidden_encoder", "input_kernel", "memory_kernel", "bias")
-
     def __init__(self, layer, rows: int, ql=None):
         if ql is not None:
             self.exps = (ql.u_exp, ql.m_exp, ql.h_exp)
-            self.w_fq = {name: getattr(ql, name).dequantize() for name in self.NAMES}
+            self.w_fq = {name: getattr(ql, name).dequantize() for name in LAYER_TENSORS}
             self.bias_mask = in_range(layer.bias, ql.bias.spec)
-            self.A, self.B = _memory_matrices(
+            self.A, self.B = memory_system(
                 [(c.A.dequantize(), c.B.dequantize()) for c in ql.cells])
         else:
             self.exps = (None, None, None)
-            self.w_fq = {name: getattr(layer, name) for name in self.NAMES}
+            self.w_fq = {name: getattr(layer, name) for name in LAYER_TENSORS}
             self.bias_mask = None
-            self.A, self.B = _memory_matrices([(c.A_d, c.B_d) for c in layer.cells])
+            self.A, self.B = memory_system([(c.A_d, c.B_d) for c in layer.cells])
         c_dim, h_dim, D = len(layer.cells), layer.hidden_dim, layer.memory_dim
         self.h_prev, self.m_prev = np.zeros((rows, h_dim)), np.zeros((rows, D))
         # Each product goes into a buffer made once per layer and is summed
@@ -322,8 +298,9 @@ def forward_backward(
 ):
     """Loss and exact reverse-mode gradients on a (features, labels) batch.
 
-    Loss is softmax cross entropy on the final-frame logits.  The fixed
-    memory matrices get no gradient entries.
+    Loss is softmax cross entropy on the final-frame logits.  The gradients
+    are a dict keyed like ``ModelGraph.trainable_tensors``; the fixed memory
+    matrices get no entries.
     """
     feats, labels = batch
     labels = np.asarray(labels)
@@ -355,7 +332,7 @@ def forward_backward(
             grad["bias"] *= lc.bias_mask
         for name, g in grad.items():
             grads[f"layer{li}.{name}"] = g
-    return loss, GradientSet(tensors=grads)
+    return loss, grads
 
 
 def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
@@ -376,7 +353,7 @@ def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
     w = lc.w_fq
     B, T, n = lc.x.shape
     h_dim, c_dim, D = lc.h.shape[2], lc.u.shape[2], lc.m.shape[2]
-    grad = {name: np.zeros_like(w[name]) for name in LayerStep.NAMES}
+    grad = {name: np.zeros_like(w[name]) for name in LAYER_TENSORS}
     dWex, dWeh = grad["input_encoder"], grad["hidden_encoder"]
     dWx, dWm, db = grad["input_kernel"], grad["memory_kernel"], grad["bias"]
     prod = {name: np.empty_like(g) for name, g in grad.items() if name != "bias"}
@@ -424,12 +401,12 @@ class Adam:
         self.m = {name: np.zeros_like(w) for name, w in model.trainable_tensors()}
         self.v = {name: np.zeros_like(w) for name, w in model.trainable_tensors()}
 
-    def step(self, grads: GradientSet) -> None:
+    def step(self, grads: dict) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, w in self.model.trainable_tensors():
-            g = grads.tensors[name]
+            g = grads[name]
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             w -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)

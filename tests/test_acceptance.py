@@ -146,7 +146,7 @@ def test_criterion_3_gradient_check():
     h = 1e-5
     worst = 0.0
     for name, w in model.trainable_tensors():
-        g = grads.tensors[name]
+        g = grads[name]
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + h

@@ -28,12 +28,14 @@ from lmukws.frontend import (
     FeatureConfig,
     build_dataset,
     generate_toy_dataset,
+    load_feature_config,
     materialize_features,
     save_feature_config,
     write_wav,
 )
+from lmukws.lmu import build_model
 from lmukws.modelfile import _tensor_record, load_model, save_model
-from lmukws.qmodel import kept_parameters, model_size_kbits
+from lmukws.qmodel import calibrate_activation_scales, freeze, kept_parameters, model_size_kbits
 from lmukws.training import evaluate
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -62,6 +64,18 @@ def trained(tmp_path_factory, toy_root):
                "--batch-size", "16", "--out-dir", str(out)])
     assert rc == 0
     return out
+
+
+def _narrow_model(trained, path):
+    """A model file at ``path`` that takes 39-wide features, with the trained
+    model's labels and frontend digest: it loads and matches the sidecar."""
+    labels = load_model(trained / "model.lmuq").label_names
+    cfg = dataclasses.replace(reference_config("toy"), input_dim=39, label_names=tuple(labels))
+    model = build_model(cfg, np.random.default_rng(0))
+    zero = calibrate_activation_scales(model, np.zeros((1, 2, 39)))
+    digest = load_feature_config(trained / "frontend.npz").config_hash()
+    save_model(freeze(model, cfg.weight_bits, zero, frontend_hash=digest), path)
+    return path
 
 
 class TestParsing:
@@ -607,8 +621,31 @@ class TestEval:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_model_of_another_input_width_is_data_error(self, toy_root, trained, tmp_path,
+                                                       capsys):
+        # It passes the sidecar's digest check; the engine then refused the
+        # 40-wide features with exit 3.
+        narrow = _narrow_model(trained, tmp_path / "narrow.lmuq")
+        rc = main(["eval", "--model", str(narrow), "--frontend", str(trained / "frontend.npz"),
+                   "--data-root", str(toy_root), "--split", "val",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(narrow) in err and "39" in err and "40" in err
+
 
 class TestStream:
+    def test_model_of_another_input_width_is_data_error(self, toy_root, trained, tmp_path,
+                                                       capsys):
+        narrow = _narrow_model(trained, tmp_path / "narrow.lmuq")
+        wav = next((toy_root / "yes").glob("*.wav"))
+        rc = main(["stream", "--model", str(narrow), "--wav", str(wav),
+                   "--frontend", str(trained / "frontend.npz"),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(narrow) in err and "39" in err and "40" in err
+
     def test_posterior_csv_shape(self, toy_root, trained, tmp_path):
         wav = next((toy_root / "yes").glob("*.wav"))
         out = tmp_path / "out"
@@ -856,6 +893,25 @@ REPORT_DIGESTS = {
         "sweep.csv": "053179e5d4c2230821d74ff4766d66166a07c6660df014caf8bf69d1ae2afd6e",
     },
 }
+
+
+# SHA-256 of each preset's model file, frozen from seed-0 random weights as
+# the reports above read it.
+MODEL_DIGESTS = {
+    "lmu1": "6dfe730b1dd86cb6cb3edd78f9cd2fb2e642acc05a8deaeb75133751998216ad",
+    "lmu2": "86f253e5bd831c47ab7707d7810a59361d973fdc4a40353cd504216894f02bb1",
+    "lmu3": "8f2f5ad9dfeb2618a293fe7cadd3bd78290e8f65e34de63485d8f629342f1938",
+    "lmu4": "4c3ca374db4e1a33b7c4525aecdae8b146f0f7fb0e1c22756f9e8dc6d655b426",
+    "toy": "73cf0b4007fe83b0e923a98af8cadd8f0c655d6ef93cfedc05d189dfeddf205a",
+}
+
+
+@pytest.mark.parametrize("preset", REFERENCE_NAMES)
+def test_model_file_bytes_are_pinned(preset, tmp_path):
+    save_model(cli._quantized_model({"model": None, "model_preset": preset, "seed": 0}),
+               tmp_path / "m.lmuq")
+    assert hashlib.sha256((tmp_path / "m.lmuq").read_bytes()).hexdigest() == \
+        MODEL_DIGESTS[preset]
 
 
 @pytest.mark.parametrize("preset", REFERENCE_NAMES)

@@ -13,6 +13,7 @@ from lmukws.lmu import (
     discretize,
     legendre_state_space,
     shifted_legendre,
+    tensor_shapes,
 )
 from lmukws.training import hat_forward
 
@@ -223,6 +224,19 @@ class TestModelForward:
         model = build_model(_small_config(), np.random.default_rng(0))
         model.layers[0].memory_kernel = model.layers[0].memory_kernel[:, :-1]
         with pytest.raises(ValueError):
+            model.validate()
+
+    @pytest.mark.parametrize("name", tensor_shapes(3, [(5, [3, 2]), (4, [4])]))  # _small_config
+    def test_validate_checks_every_tensor_shape(self, name):
+        # Every trainable tensor, cut by one entry on its last axis.
+        model = build_model(_small_config(), np.random.default_rng(0))
+        owner, attr = name.split(".")
+        if owner == "output":
+            owner, attr = model, f"output_{attr}"
+        else:
+            owner = model.layers[int(owner.removeprefix("layer"))]
+        setattr(owner, attr, getattr(owner, attr)[..., :-1])
+        with pytest.raises(ValueError, match=name):
             model.validate()
 
 

@@ -1,9 +1,12 @@
 """Tests for calibration, freezing, integer inference, and model files."""
 
 import itertools
+import math
 import struct
+import tempfile
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from lmukws.fixedpoint import (
     round_half_even_rshift,
     scale_exp_for_max,
 )
-from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
+from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model, tensor_shapes
 from lmukws.hwmodel import profile_workload
 from lmukws.modelfile import MAGIC, ModelFormatError, _tensor_record, load_model, save_model
 from lmukws.qmodel import (
@@ -705,7 +708,98 @@ def small_model_files(tmp_path_factory):
     return paths
 
 
+def _record_names(blob: bytes) -> list:
+    """The tensor record names of a model file, in file order, read by the
+    layout in ``modelfile``'s docstring."""
+    pos = len(MAGIC) + 2 + 32 + struct.calcsize("<HBdh")
+
+    def take(fmt):
+        nonlocal pos
+        values = struct.unpack_from(fmt, blob, pos)
+        pos += struct.calcsize(fmt)
+        return values
+
+    def skip_counted(fmt, unit=1):
+        """Move past a count in fmt and that many units of bytes."""
+        nonlocal pos
+        (count,) = take(fmt)
+        pos += count * unit
+
+    for _ in range(take("<H")[0]):  # labels
+        skip_counted("<H")
+    for _ in range(take("<H")[0]):  # layers
+        take("<Hhhh")
+        skip_counted("<H", struct.calcsize("<Hd"))
+    names = []
+    for _ in range(take("<I")[0]):
+        (n,) = take("<H")
+        names.append(blob[pos:pos + n].decode())
+        pos += n
+        take("<Bh")
+        dims = take(f"<{take('<B')[0]}I")
+        if take("<B")[0]:
+            pos += (math.prod(dims) + 7) // 8
+        skip_counted("<Q")
+    assert pos == len(blob) - 4  # then the CRC
+    return names
+
+
 class TestModelFile:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 6), st.lists(st.integers(1, 5), min_size=1, max_size=3)),
+            min_size=0, max_size=3,
+        ),
+        input_dim=st.integers(1, 6),
+        weight_bits=st.sampled_from([4, 8]),
+        sparsity=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_load_save_is_byte_identical(self, topology, input_dim, weight_bits, sparsity,
+                                              seed):
+        # Models without layers and layers of one cell included; the records
+        # are tensor_items() in its order, keep-masks and all.
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(input_dim=input_dim, layers=tuple(
+            LayerConfig(hidden=hidden, cells=tuple(
+                CellConfig(order, float(rng.uniform(0.05, 0.5))) for order in orders))
+            for hidden, orders in topology))
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.4, 0.4, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        mask = prune_magnitude(model, sparsity) if sparsity else None
+        if mask is not None:
+            apply_mask(model, mask)
+        scales = calibrate_activation_scales(model, rng.standard_normal((3, 6, input_dim)))
+        qm = freeze(model, weight_bits, scales, mask=mask)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.lmuq", Path(tmp) / "b.lmuq"
+            save_model(qm, first)
+            loaded = load_model(first)
+            save_model(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+            names = [name for name, _ in qm.tensor_items()]
+            assert _record_names(first.read_bytes()) == names
+            assert [name for name, _ in loaded.tensor_items()] == names
+
+    @pytest.mark.parametrize("name", tensor_shapes(5, [(9, [4, 3]), (7, [5])]))  # _config()
+    def test_every_tensor_shape_is_checked(self, tmp_path, name):
+        # Every trainable tensor, cut by one entry on its last axis.
+        _, _, qm, _ = _calibrated(23)
+        owner, attr = name.split(".")
+        if owner == "output":
+            owner, attr = qm, f"output_{attr}"
+        else:
+            owner = qm.layers[int(owner.removeprefix("layer"))]
+        qt = getattr(owner, attr)
+        setattr(owner, attr, QuantTensor(qt.q[..., :-1], qt.spec))
+        path = tmp_path / "model.lmuq"
+        save_model(qm, path)
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(path)
+
     @settings(max_examples=300, deadline=None)
     @given(which=st.integers(0, 1), at=st.floats(0, 1, exclude_max=True),
            edit=st.binary(min_size=1, max_size=8))

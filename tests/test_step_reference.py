@@ -248,8 +248,8 @@ def test_step_is_bit_identical_to_reference(case):
     ref_loss, ref_grads, ref_layers, ref_logits = ref_forward_backward(
         model, (feats, labels), **kw)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-    assert grads.tensors.keys() == ref_grads.keys()
-    for name, g in grads.tensors.items():
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
         assert g.tobytes() == ref_grads[name].tobytes(), name
 
     cache = hat_forward(model, feats, **kw)
@@ -273,8 +273,8 @@ def test_saturated_output_bias_gets_no_gradient():
     scales = ActivationScales(input_exp=scales.input_exp,
                               layer_exps=((u_exp, m_exp, h_exp - 40),))
     _, grads = forward_backward(model, (feats, labels), quant_on=True, scales=scales)
-    assert np.all(grads.tensors["output.bias"] == 0.0)
-    assert np.any(grads.tensors["output.weight"] != 0.0)
+    assert np.all(grads["output.bias"] == 0.0)
+    assert np.any(grads["output.weight"] != 0.0)
     cache = hat_forward(model, feats, quant_on=True, scales=scales)
     assert np.all(cache.out_b_fq < 1e-5)
     assert not cache.out_b_mask.any()

@@ -47,7 +47,7 @@ def _worst_fd_error(model, feats, labels, h=1e-5):
     _, grads = forward_backward(model, (feats, labels))
     worst = 0.0
     for name, w in model.trainable_tensors():
-        g = grads.tensors[name]
+        g = grads[name]
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + h
@@ -110,7 +110,7 @@ class TestLossAndGradients:
     def test_memory_matrices_have_no_gradients(self):
         model, rng = _tiny_model(2)
         _, grads = forward_backward(model, (rng.standard_normal((2, 8, 4)), np.array([1, 3])))
-        assert set(grads.tensors) == {name for name, _ in model.trainable_tensors()}
+        assert set(grads) == {name for name, _ in model.trainable_tensors()}
 
     def test_saturated_activations_block_gradient(self):
         # Calibrate scales, then inflate the encoders so u saturates at every
@@ -123,8 +123,8 @@ class TestLossAndGradients:
         _, grads = forward_backward(
             model, (feats, np.array([0, 1])), quant_on=True, scales=scales, weight_bits=8
         )
-        np.testing.assert_array_equal(grads.tensors["layer0.input_encoder"], 0.0)
-        np.testing.assert_array_equal(grads.tensors["layer0.hidden_encoder"], 0.0)
+        np.testing.assert_array_equal(grads["layer0.input_encoder"], 0.0)
+        np.testing.assert_array_equal(grads["layer0.hidden_encoder"], 0.0)
 
     def test_non_finite_loss_raises(self):
         model, rng = _tiny_model(4)
@@ -152,12 +152,7 @@ class TestAdam:
         model = build_model(TINY, np.random.default_rng(0))
         before = {n: w.copy() for n, w in model.trainable_tensors()}
         opt = Adam(model, lr=0.01)
-        from lmukws.training import GradientSet
-
-        grads = GradientSet(
-            tensors={n: np.full_like(w, 2.0) for n, w in model.trainable_tensors()}
-        )
-        opt.step(grads)
+        opt.step({n: np.full_like(w, 2.0) for n, w in model.trainable_tensors()})
         for name, w in model.trainable_tensors():
             np.testing.assert_allclose(before[name] - w, 0.01 * 2.0 / (2.0 + 1e-8))
 
