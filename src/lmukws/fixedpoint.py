@@ -137,17 +137,6 @@ def weight_quant_spec(w: np.ndarray, bits: int) -> QuantSpec:
     return QuantSpec(bits=bits, scale_exp=scale_exp_for_max(float(np.max(np.abs(w), initial=0.0)), bits))
 
 
-def activation_quant_spec(samples: np.ndarray) -> QuantSpec:
-    """Activation format sized to the 99.9th percentile of observed magnitudes.
-
-    The tail beyond the percentile is deliberately allowed to saturate; that
-    trades rare clipping for one extra bit of resolution everywhere else.
-    """
-    tail = MagnitudeTail(np.size(samples))
-    tail.feed(samples)
-    return tail.spec()
-
-
 class MagnitudeTail:
     """``np.percentile(np.abs(samples), 99.9)`` of ``n`` samples fed in chunks,
     holding only the magnitudes that can decide it.
@@ -207,7 +196,7 @@ class MagnitudeTail:
         return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
 
     def spec(self) -> QuantSpec:
-        """The activation format that covers ``value()``."""
+        """The activation format that covers ``value()``; the rarer, larger saturate."""
         return QuantSpec(bits=ACTIVATION_BITS,
                          scale_exp=scale_exp_for_max(self.value(), ACTIVATION_BITS))
 
@@ -283,9 +272,6 @@ class PruneMask:
 
     masks: dict = field(default_factory=dict)
     target_sparsity: float = 0.0
-
-    def pruned_count(self) -> int:
-        return sum(int((~m).sum()) for m in self.masks.values())
 
 
 def prune_magnitude(model, sparsity: float) -> PruneMask:

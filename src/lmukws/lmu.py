@@ -54,6 +54,22 @@ class ContinuousStateSpace:
     B: np.ndarray
 
 
+def expm(X: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham 2005): the Taylor
+    series of X / 2^s, with s the least that brings its 1-norm to at most 1,
+    squared s times.  21 terms leave a remainder near 1/21! ~ 2e-20."""
+    norm = np.linalg.norm(X, 1)
+    s = max(0, int(np.ceil(np.log2(norm)))) if norm > 0 else 0
+    X = X / 2.0**s
+    E = term = np.eye(len(X))
+    for k in range(1, 21):
+        term = term @ X / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def discretize(ss: ContinuousStateSpace, dt: float):
     """Zero-order-hold discretization of ``ss`` at timestep ``dt``.
 
@@ -64,12 +80,8 @@ def discretize(ss: ContinuousStateSpace, dt: float):
     Returns:
         (A_d, B_d) with spectral radius of A_d < 1 for the Legendre system.
     """
-    # Imported here, the only place scipy is used: loading and serving a
-    # frozen model builds no memory cell and so never imports scipy.
-    from scipy.linalg import expm
-
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
     A_d = expm(ss.A * dt)
     B_d = np.linalg.solve(ss.A, (A_d - np.eye(ss.order)) @ ss.B)
     return A_d, B_d

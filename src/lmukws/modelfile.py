@@ -20,6 +20,7 @@ as int8, 32-bit as int32.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -144,11 +145,11 @@ def _expected_tensors(input_dim: int, weight_bits: int, layer_meta) -> dict:
 def load_model(path) -> QuantizedModel:
     """Read a model file, verifying magic, version, structure, and CRC.
 
-    Every tensor's shape and width must match the stored topology and
-    weight width, every pruned slot must hold zero, and there must be 12
-    labels.  The model is then compiled, which re-runs the 32-bit
-    accumulator proof that freeze runs, so no file the engine accepts can
-    overflow it.
+    The tensor records must be those the stored topology implies, in order
+    and of the shapes and widths it gives; every pruned slot must hold zero,
+    and there must be 12 labels.  The model is then compiled, which re-runs
+    the 32-bit accumulator proof that freeze runs, so no file the engine
+    accepts can overflow it.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -211,9 +212,10 @@ def load_model(path) -> QuantizedModel:
     if not (math.isfinite(dt) and dt > 0):  # the hop the hardware model times
         raise ModelFormatError(f"frame period dt = {dt!r} is not a positive number")
     expected = _expected_tensors(input_dim, weight_bits, layer_meta)
+    for i, (name, want) in enumerate(itertools.zip_longest(tensors, expected)):
+        if name != want:  # an extra, missing, renamed or reordered record
+            raise ModelFormatError(f"tensor record {i} is {name!r}; the topology implies {want!r}")
     for name, (shape, bits) in expected.items():
-        if name not in tensors:
-            raise ModelFormatError(f"missing tensor {name!r}")
         qt = tensors[name]
         if qt.shape != shape or qt.spec.bits != bits:
             raise ModelFormatError(

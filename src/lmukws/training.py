@@ -283,7 +283,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     B = logits.shape[0]
-    loss = -logp[np.arange(B), labels].mean()
+    loss = 0.0 - logp[np.arange(B), labels].mean()  # +0.0, never -0.0
     probs = np.exp(logp)
     probs[np.arange(B), labels] -= 1.0
     return loss, probs / B

@@ -721,11 +721,17 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_serving_a_frozen_model_imports_no_scipy(toy_root, trained, tmp_path):
-    # The commands that load a frozen model need only numpy; scipy builds
-    # memory cells from a config, which serving never does.
+def test_no_command_imports_scipy(toy_root, trained, tmp_path):
+    # Every command needs only numpy: serving a frozen model, and building
+    # memory cells from a config, whose matrix exponential is lmu.expm.
     model, wav = str(trained / "model.lmuq"), next((toy_root / "yes").glob("*.wav"))
     commands = [
+        ["fetch-data", "--toy", "--root", "data", "--speakers", "3", "--takes", "1",
+         "--out-dir", "fetch"],
+        ["train", "--data-root", "data", "--steps", "2", "--out-dir", "train"],
+        ["size-report", "--model-preset", "toy", "--out-dir", "size-preset"],
+        ["hw-report", "--model-preset", "lmu2", "--out-dir", "hw-preset"],
+        ["hw-sweep", "--model-preset", "lmu2", "--out-dir", "sweep"],
         ["eval", "--model", model, "--data-root", str(toy_root), "--split", "val",
          "--mode", "streaming", "--out-dir", "eval"],
         ["stream", "--model", model, "--wav", str(wav), "--out-dir", "stream"],
@@ -743,11 +749,12 @@ def test_serving_a_frozen_model_imports_no_scipy(toy_root, trained, tmp_path):
                               cwd=cwd, env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         *stdout, summary = proc.stdout.splitlines()
-        assert json.loads(summary) == {"codes": [0, 0, 0, 0], "loaded": []}
+        assert json.loads(summary) == {"codes": [0] * len(commands), "loaded": []}
         files = {p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
         runs[mode] = stdout, files
     assert runs["block"] == runs["plain"]
-    assert {p.parent.name for p in runs["block"][1]} == {"eval", "stream", "size", "hw"}
+    assert {p.parts[0] for p in runs["block"][1]} == {
+        "data", "fetch", "train", "size-preset", "hw-preset", "sweep", "eval", "stream", "size", "hw"}
 
 
 def _edited_checkpoint(edit):

@@ -1,8 +1,12 @@
 """Tests for the Legendre memory unit and the float forward over a model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from lmukws.configs import REFERENCE_CONFIGS
+from lmukws.fixedpoint import quantize, weight_quant_spec
 from lmukws.lmu import (
     CellConfig,
     LayerConfig,
@@ -11,6 +15,7 @@ from lmukws.lmu import (
     build_model,
     decode_window,
     discretize,
+    expm,
     legendre_state_space,
     shifted_legendre,
     tensor_shapes,
@@ -79,6 +84,88 @@ class TestDiscretize:
             discretize(ss, 0.0)
         with pytest.raises(ValueError):
             discretize(ss, -0.02)
+        with pytest.raises(ValueError, match="finite"):  # expm of an infinite matrix
+            discretize(ss, float("inf"))
+
+
+class TestExpm:
+    # Each tolerance is ten times the worst error scipy.linalg.expm gave on
+    # the same check, rounded up to one significant digit.  Where scipy is
+    # exact (it exponentiates a triangular matrix's diagonal directly), the
+    # zero matrix stays exact and the diagonal allows 1e-14 relative.
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_zero_is_identity(self, n):
+        np.testing.assert_array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+    def test_diagonal(self):
+        d = np.array([-7.5, -3.0, -0.5, 0.0, 0.25, 1.0, 2.0, 4.5])
+        E = expm(np.diag(d))
+        np.testing.assert_array_equal(E - np.diag(np.diag(E)), 0.0)
+        np.testing.assert_allclose(np.diag(E), np.exp(d), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 2.5, 3.0, 10.0, 40.0])
+    def test_rotation(self, a):
+        R = expm(np.array([[0.0, -a], [a, 0.0]]))
+        c, s = np.cos(a), np.sin(a)
+        np.testing.assert_allclose(R, [[c, -s], [s, c]], rtol=0, atol=3e-13)  # scipy: 2.9e-14
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_strictly_upper_triangular_is_a_finite_series(self, n, scale):
+        N = np.triu(np.random.default_rng(n).uniform(-scale, scale, (n, n)), 1)
+        series, term = np.eye(n), np.eye(n)
+        for k in range(1, n):  # N^n = 0
+            term = term @ N / k
+            series = series + term
+        err = np.max(np.abs(expm(N) - series)) / np.max(np.abs(series))
+        assert err <= 4e-15  # scipy: 3.0e-16
+
+    @pytest.mark.parametrize("order,theta", [(o, t) for o in (8, 12, 16) for t in (0.1, 0.2, 0.4, 0.8)])
+    def test_legendre_inverse_and_commutation(self, order, theta):
+        X = legendre_state_space(order, theta).A * 0.02
+        E, E_inv = expm(X), expm(-X)
+        scale = np.linalg.norm(E, 1)
+        inverse_err = np.max(np.abs(E @ E_inv - np.eye(order))) / (scale * np.linalg.norm(E_inv, 1))
+        commute_err = np.max(np.abs(E @ X - X @ E)) / (scale * np.linalg.norm(X, 1))
+        assert inverse_err <= 8e-16  # scipy: 7.5e-17
+        assert commute_err <= 6e-16  # scipy: 5.1e-17
+
+
+# SHA-256 of each preset cell's deployed 8-bit A and B at dt = 0.02: payload
+# and scale_exp of A, then of B, as freeze quantizes them.  Taken from
+# scipy.linalg.expm's A_d, before lmu had its own expm.
+DEPLOYED_CELL_DIGESTS = {
+    (8, 0.1): "729f1f75c20e5e759b20178b9a0afe62d4e9778ab04fd6f3bd02f4ca44d6cd6e",
+    (8, 0.2): "7dd578d14c9304f2fa801f3189f39b0b90681e421dc0f03e7d697396c0481f8d",
+    (8, 0.4): "f36d77a470f9050af8f2349bcecbade23d13ef23a9cee500e7b6ea1ea0480c5d",
+    (8, 0.8): "cb3ba47b6a1a69af3b56c7ba65f4950d9dd5ec5d655d83bb6008530216001809",
+    (12, 0.1): "568c148ff30e2f1e78d5d7b27e389e23984809956e8292debd331646b547327f",
+    (12, 0.2): "a398a29c4cc349f86ec64dffd355a5c219fb418c5d9cc9d778551521c44c7b0f",
+    (12, 0.4): "f9e7b99399f0ce816ed81a41bcf90ded7a7fdfb22bcde97e7ce8cb7e02070ebf",
+    (12, 0.8): "ebf09af6b1b5142b61f57541717d6c31dbe57093619e54f98e62147f89257a12",
+    (16, 0.1): "241f79f82fcdae4b477969729a33d39ac8bba131e6448bbeb86f810c82063bb1",
+    (16, 0.2): "a7b3a6d275744b1449b4fbe9b5e3d9695a0e72c09d3fa0264b3de86ebd8234a2",
+    (16, 0.4): "5ea0701695573181b9610b893689d9cd43b65ae69a64b6d993cfaf63a4bd32ed",
+    (16, 0.8): "b3aec3294e8b47536950e79c8cb4ff47e6b0bc3dd2c98792f256763f3ecae3a9",
+}
+
+
+def test_digests_cover_every_preset_cell():
+    cells = {(c.order, c.theta) for cfg in REFERENCE_CONFIGS.values()
+             for layer in cfg.layers for c in layer.cells}
+    assert cells == set(DEPLOYED_CELL_DIGESTS)
+
+
+@pytest.mark.parametrize("order,theta", DEPLOYED_CELL_DIGESTS)
+def test_deployed_cell_matrices_are_pinned(order, theta):
+    cell = MemoryCell(order, theta, 0.02)
+    h = hashlib.sha256()
+    for m in (cell.A_d, cell.B_d):
+        qt = quantize(m, weight_quant_spec(m, 8))
+        h.update(qt.q.astype("<i8").tobytes())
+        h.update(str(qt.spec.scale_exp).encode())
+    assert h.hexdigest() == DEPLOYED_CELL_DIGESTS[order, theta]
 
 
 class TestDecodeWindow:

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import (
+    MagnitudeTail,
     QuantSpec,
     QuantTensor,
-    activation_quant_spec,
     apply_mask,
     prune_magnitude,
     quantize,
@@ -104,6 +104,11 @@ class TestCalibration:
         def percentile_exp(a):  # the definition, straight from numpy
             return scale_exp_for_max(float(np.percentile(np.abs(a), 99.9)), 7)
 
+        def tail_exp(a):
+            tail = MagnitudeTail(a.size)
+            tail.feed(a)
+            return tail.spec().scale_exp
+
         expected = ActivationScales(
             input_exp=percentile_exp(feats),
             layer_exps=tuple(tuple(percentile_exp(a) for a in (lc.u, lc.m, lc.h))
@@ -111,8 +116,8 @@ class TestCalibration:
         )
         assert calibrate_activation_scales(model, feats) == expected
         assert expected == ActivationScales(
-            input_exp=activation_quant_spec(feats).scale_exp,
-            layer_exps=tuple(tuple(activation_quant_spec(a).scale_exp for a in (lc.u, lc.m, lc.h))
+            input_exp=tail_exp(feats),
+            layer_exps=tuple(tuple(tail_exp(a) for a in (lc.u, lc.m, lc.h))
                              for lc in cache.layers),
         )
 
@@ -905,6 +910,41 @@ class TestModelFile:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(ModelFormatError, match="layer0.cell0.A.*appears twice"):
             load_model(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(which=st.integers(0, 1), edit=st.sampled_from(["insert", "drop", "rename", "reorder"]),
+           data=st.data())
+    def test_records_other_than_the_topology_implies_rejected(self, small_model_files, which,
+                                                              edit, data):
+        # A record inserted, dropped, renamed or moved, with the count and
+        # the CRC fixed up.  Such a file used to load when a record was
+        # extra or out of order, and saving it again dropped the extra.
+        path = small_model_files[which]
+        qm = load_model(path)
+        items = list(qm.tensor_items())
+        records = [_tensor_record(name, qt, qm.keep_masks.get(name)) for name, qt in items]
+        body = path.read_bytes()[:-4]
+        tail = struct.pack("<I", len(records)) + b"".join(records)
+        assert body.endswith(tail)
+        head = body[: len(body) - len(tail)]
+        i = data.draw(st.integers(0, len(records) - 1), label="record")
+        name, qt = items[i]
+        if edit == "insert":
+            new = data.draw(st.sampled_from(["layer7.unused"]) | st.text(min_size=1, max_size=24))
+            records.insert(data.draw(st.integers(0, len(records))), _tensor_record(new, qt, None))
+        elif edit == "drop":
+            del records[i]
+        elif edit == "rename":
+            new = data.draw(st.text(min_size=1, max_size=24).filter(lambda n: n != name))
+            records[i] = _tensor_record(new, qt, qm.keep_masks.get(name))
+        else:
+            order = data.draw(st.permutations(range(len(records))).filter(
+                lambda p: list(p) != sorted(p)))
+            records = [records[k] for k in order]
+        edited = path.with_name("edited-records.lmuq")
+        _with_crc(edited, head + struct.pack("<I", len(records)) + b"".join(records))
+        with pytest.raises(ModelFormatError, match="tensor"):
+            load_model(edited)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lmuq"

@@ -368,7 +368,7 @@ def test_prune_is_the_stable_argsort_selection(case):
     model = _Tensors(tensors)
     mask = prune_magnitude(model, sparsity)
     ref = ref_prune_magnitude(model, sparsity)
-    assert mask.pruned_count() == k
+    assert sum(int((~m).sum()) for m in mask.masks.values()) == k
     assert mask.masks.keys() == ref.masks.keys()
     for name in ref.masks:
         assert mask.masks[name].tobytes() == ref.masks[name].tobytes(), name

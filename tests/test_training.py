@@ -1,5 +1,6 @@
 """Tests for gradients, the optimizer, pruning schedule, and the train loop."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,11 @@ class TestLossAndGradients:
         feats = np.random.default_rng(0).standard_normal((3, 10, 4))
         loss, _ = forward_backward(model, (feats, np.array([0, 5, 11])))
         np.testing.assert_allclose(loss, np.log(12.0), rtol=1e-12)
+
+    def test_certain_predictions_give_positive_zero_loss(self):
+        # Every log-probability rounds to 0; train-log.txt printed -0.000000.
+        loss, _ = softmax_cross_entropy(np.array([[800.0, 0, 0], [0, 900.0, 0]]), np.array([0, 1]))
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
     def test_finite_difference_check(self):
         # Closed-form reverse mode vs central differences, double precision.
@@ -298,9 +304,10 @@ class TestTrainLoop:
         )
         result = train(cfg, data)
         n = result.model.parameter_count()
-        assert result.mask.pruned_count() == int(0.75 * n)
+        pruned = sum(int((~m).sum()) for m in result.mask.masks.values())
+        assert pruned == int(0.75 * n)
         zeros = sum(int((w == 0).sum()) for _, w in result.model.trainable_tensors())
-        assert zeros >= result.mask.pruned_count()
+        assert zeros >= pruned
 
     def test_seeded_run_reproducible(self):
         data = _toy_dataset(3)
