@@ -59,7 +59,6 @@ def main():
         prune_start=STEPS // 4,
         prune_end=(3 * STEPS) // 4,  # cubic sparsity ramp to 50%
         target_sparsity=0.5,
-        calibration_sequences=64,
         seed=0,
         log_every=25,
     )

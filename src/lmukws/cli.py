@@ -19,17 +19,15 @@ import functools
 import hashlib
 import sys
 import zipfile
-from collections import deque
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .configs import REFERENCE_NAMES, reference_config
+from .detect import Detector
 from .frontend import (
-    SILENCE_LABEL,
     TOY_WORD_TONES,
-    UNKNOWN_LABEL,
     DatasetError,
     FeatureConfig,
     StreamFeaturizer,
@@ -301,11 +299,6 @@ def _sidecar_config(cfg: dict, qm) -> FeatureConfig:
     return feat_cfg
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
 # ---------------------------------------------------------------------------
 # fetch-data
 # ---------------------------------------------------------------------------
@@ -570,42 +563,30 @@ def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
     out = _run_dir(cfg, "stream")
-    smooth, threshold, refractory = cfg["smooth"], cfg["threshold"], cfg["refractory"]
     qm = load_model(_input_file(cfg["model"], "model file"))
     feat_cfg = _sidecar_config(cfg, qm)
     samples = load_wav(_input_file(cfg["wav"], "wav file"))
 
     featurizer = StreamFeaturizer(feat_cfg)
     state = QuantStreamState(qm)
-    recent = deque(maxlen=smooth)
-    hop_s = feat_cfg.hop_samples / feat_cfg.sample_rate
-    hop_index = 0
-    cooldown = 0
+    detector = Detector(qm, cfg["smooth"], cfg["threshold"], cfg["refractory"])
     detections = []
     rows = ["time_s," + ",".join(qm.label_names)]
     hop = feat_cfg.hop_samples  # one read per hop; outputs equal any other chunking
     for start in range(0, len(samples), hop):
         for frame in featurizer.push(samples[start:start + hop]):
             logits, state = quantized_forward(qm, frame[None, :], state)
-            posterior = _softmax(logits[-1] * 2.0 ** qm.logits_exp)
-            recent.append(posterior)
-            smoothed = np.mean(recent, axis=0)
-            t = hop_index * hop_s
-            rows.append(f"{t:.2f}," + ",".join(f"{p:.4f}" for p in smoothed))
-            best = int(np.argmax(smoothed))
-            if cooldown > 0:
-                cooldown -= 1
-            elif best not in (SILENCE_LABEL, UNKNOWN_LABEL) and smoothed[best] >= threshold:
-                detections.append((t, qm.label_names[best], float(smoothed[best])))
-                cooldown = refractory
-            hop_index += 1
+            smoothed, detection = detector.step(logits[-1])
+            rows.append(f"{detector.t:.2f}," + ",".join(f"{p:.4f}" for p in smoothed))
+            if detection is not None:
+                detections.append(detection)
 
     (out / "posteriors.csv").write_text("\n".join(rows) + "\n")
     for t, label, p in detections:
         print(f"t={t:.2f}s  {label}  p={p:.3f}")
     if not detections:
         print("no detections")
-    print(f"processed {hop_index} hops; wrote {out / 'posteriors.csv'}")
+    print(f"processed {detector.hops} hops; wrote {out / 'posteriors.csv'}")
     return 0
 
 

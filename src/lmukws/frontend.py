@@ -546,7 +546,7 @@ def generate_toy_dataset(
             raise ValueError(f"no synthetic recipe for word {word!r}")
         if words.count(word) > 1:
             raise ValueError(f"word {word!r} is listed more than once")
-    rate = 16000
+    rate = FeatureConfig.sample_rate
     rng = np.random.default_rng(seed)
     for word in words:
         word_dir = os.path.join(str(root), word)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .fixedpoint import ACTIVATION_BITS
+from .frontend import FeatureConfig
 from .qmodel import QuantizedModel, stages
 
 CSV_COLUMNS = (
@@ -129,7 +130,6 @@ class WorkloadProfile:
     parameter_bits: int
     constant_bits: int
     activation_bits: int
-    frame_period_s: float = 0.02
 
     def __post_init__(self):
         for name in ("macs_per_frame", "read_bits_per_frame", "write_bits_per_frame",
@@ -140,11 +140,6 @@ class WorkloadProfile:
     @property
     def storage_bits(self) -> int:
         return self.parameter_bits + self.constant_bits + self.activation_bits
-
-    @property
-    def window_s(self) -> float:
-        """The two-frame latency budget."""
-        return 2 * self.frame_period_s
 
 
 # The head's sums are the logits, kept at the 32-bit accumulator width.
@@ -188,7 +183,6 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
         parameter_bits=params,
         constant_bits=stored - params,
         activation_bits=writes,
-        frame_period_s=qm.dt,
     )
 
 
@@ -246,8 +240,8 @@ def estimate_power(w: WorkloadProfile, dp: DesignPoint, coeffs: CoefficientTable
     cycles = cycles_per_frame(w, dp)
     throughput_ms = cycles / dp.clock_hz * 1000.0
     latency_ms = 2.0 * throughput_ms + coeffs.latency_residual_ms
-    realtime = (throughput_ms <= w.frame_period_s * 1000.0
-                and latency_ms <= w.window_s * 1000.0)
+    realtime = (throughput_ms <= FeatureConfig.hop_ms
+                and latency_ms <= 2 * FeatureConfig.hop_ms)
     macs_per_cycle = w.macs_per_frame / cycles
     bits_per_cycle = (w.read_bits_per_frame + w.write_bits_per_frame) / cycles
     mac_uW = coeffs.e_mac_j * macs_per_cycle * dp.clock_hz * 1e6

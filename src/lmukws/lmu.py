@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import legval
 
+from .frontend import FeatureConfig
+
 
 def legendre_state_space(order: int, theta: float) -> "ContinuousStateSpace":
     """Closed-form continuous-time system that optimally buffers a sliding window.
@@ -248,7 +250,6 @@ class ModelConfig:
 
     input_dim: int
     layers: tuple
-    dt: float = 0.02
     label_names: tuple = ()
     weight_bits: int = 8
     target_sparsity: float = 0.0
@@ -259,8 +260,9 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
 
     Encoders, kernels and the head's weight are drawn uniform in
     +-sqrt(3 / fan-in), in stored order; hidden encoders and biases start at
-    zero.
+    zero.  The memory cells step once per frontend hop.
     """
+    dt = FeatureConfig.hop_ms / 1000
     topology = [(lc.hidden, [cc.order for cc in lc.cells]) for lc in config.layers]
     tensors = {}
     for name, shape in tensor_shapes(config.input_dim, topology).items():
@@ -271,7 +273,7 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
             tensors[name] = rng.uniform(-bound, bound, size=shape)
     layers = [
         LmuLayerParams(**{name: tensors[f"layer{i}.{name}"] for name in LAYER_TENSORS},
-                       cells=[MemoryCell(cc.order, cc.theta, config.dt) for cc in lc.cells])
+                       cells=[MemoryCell(cc.order, cc.theta, dt) for cc in lc.cells])
         for i, lc in enumerate(config.layers)
     ]
     model = ModelGraph(

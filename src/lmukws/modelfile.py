@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
   magic "LMUQ" | u16 version | 32-byte frontend-config digest
-  u16 input_dim | u8 weight_bits | f64 dt | i16 input_exp
+  u16 input_dim | u8 weight_bits | f64 dt (the frontend's hop, 0.02) | i16 input_exp
   u16 n_labels, then per label u16 length + utf-8 bytes
   u16 n_layers, then per layer:
       u16 hidden | i16 u_exp | i16 m_exp | i16 h_exp
@@ -28,11 +28,14 @@ import zlib
 import numpy as np
 
 from .fixedpoint import WEIGHT_BIT_CHOICES, QuantSpec, QuantTensor, pack_nibbles, unpack_nibbles
+from .frontend import FeatureConfig
 from .lmu import LAYER_TENSORS, tensor_shapes
 from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel, compile_model
 
 MAGIC = b"LMUQ"
 VERSION = 1
+# The one frame period a model file may hold: the frontend's hop.
+FRAME_PERIOD_S = FeatureConfig.hop_ms / 1000
 
 
 class ModelFormatError(ValueError):
@@ -78,7 +81,7 @@ def _tensor_record(name: str, qt: QuantTensor, mask: np.ndarray | None) -> bytes
 def save_model(qm: QuantizedModel, path) -> None:
     """Write the deployable model to path; load_model inverts it bit-exactly."""
     out = [MAGIC, struct.pack("<H", VERSION), qm.frontend_hash]
-    out.append(struct.pack("<HBdh", qm.input_dim, qm.weight_bits, qm.dt, qm.input_exp))
+    out.append(struct.pack("<HBdh", qm.input_dim, qm.weight_bits, FRAME_PERIOD_S, qm.input_exp))
     out.append(struct.pack("<H", len(qm.label_names)))
     for label in qm.label_names:
         enc = label.encode()
@@ -209,8 +212,9 @@ def load_model(path) -> QuantizedModel:
         raise ModelFormatError(f"{len(labels)} labels; a model has exactly 12")
     if weight_bits not in WEIGHT_BIT_CHOICES:
         raise ModelFormatError(f"weight width {weight_bits} is not 4 or 8")
-    if not (math.isfinite(dt) and dt > 0):  # the hop the hardware model times
-        raise ModelFormatError(f"frame period dt = {dt!r} is not a positive number")
+    if dt != FRAME_PERIOD_S:  # the engine runs, and the cost model times, 20 ms hops
+        raise ModelFormatError(f"frame period dt = {dt!r} is not the frontend's "
+                               f"{FRAME_PERIOD_S!r} s hop")
     expected = _expected_tensors(input_dim, weight_bits, layer_meta)
     for i, (name, want) in enumerate(itertools.zip_longest(tensors, expected)):
         if name != want:  # an extra, missing, renamed or reordered record
@@ -239,7 +243,6 @@ def load_model(path) -> QuantizedModel:
         ))
     qm = QuantizedModel(
         input_dim=input_dim,
-        dt=dt,
         weight_bits=weight_bits,
         label_names=labels,
         input_exp=input_exp,

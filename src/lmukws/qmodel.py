@@ -85,7 +85,6 @@ class QuantizedModel:
     """Everything deployment needs; holds no floating-point weight data."""
 
     input_dim: int
-    dt: float
     weight_bits: int
     label_names: list
     input_exp: int
@@ -225,7 +224,6 @@ def deployed_tensors(model: ModelGraph, weight_bits: int,
     w_out = qw(model.output_weight)
     return QuantizedModel(
         input_dim=model.input_dim,
-        dt=model.layers[0].cells[0].dt if model.layers and model.layers[0].cells else 0.02,
         weight_bits=weight_bits,
         label_names=list(model.label_names),
         input_exp=scales.input_exp,

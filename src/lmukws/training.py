@@ -38,6 +38,10 @@ from .qmodel import (
 )
 
 
+# Training sequences the activation scales are calibrated on.
+CALIBRATION_SEQUENCES = 256
+
+
 class TrainingError(RuntimeError):
     """Raised when training diverges (non-finite loss)."""
 
@@ -52,12 +56,11 @@ class TrainConfig:
     prune_start: int | None = None
     prune_end: int | None = None
     target_sparsity: float = 0.0
-    calibration_sequences: int = 256
     seed: int = 0
     log_every: int = 20
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "log_every", "calibration_sequences"):
+        for name in ("steps", "batch_size", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -430,7 +433,7 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
     """Full pipeline: float warmup, HAT fine-tuning, pruning ramp, freeze.
 
     A run without HAT steps calibrates its activation scales on the first
-    ``calibration_sequences`` training sequences before it freezes.
+    ``CALIBRATION_SEQUENCES`` training sequences before it freezes.
 
     ``dataset`` needs train_x (N, T, F), train_y (N,), label_names, and
     frontend_hash; see frontend.FeatureDataset.  ``init_tensors`` (a name ->
@@ -453,7 +456,7 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
     for step in range(config.steps):
         quant_on = config.quant_on_step is not None and step >= config.quant_on_step
         if quant_on and scales is None:
-            take = min(config.calibration_sequences, n)
+            take = min(CALIBRATION_SEQUENCES, n)
             idx = rng.choice(n, size=take, replace=False)
             scales = calibrate_activation_scales(model, dataset.train_x[idx])
         target = sparsity_at(step, config)
@@ -477,7 +480,7 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
         mask = prune_magnitude(model, config.target_sparsity)
         apply_mask(model, mask)
     if scales is None:  # no HAT step ran: calibrate the float model
-        scales = calibrate_activation_scales(model, dataset.train_x[:config.calibration_sequences])
+        scales = calibrate_activation_scales(model, dataset.train_x[:CALIBRATION_SEQUENCES])
     quantized = freeze(
         model, weight_bits, scales, mask=mask,
         frontend_hash=getattr(dataset, "frontend_hash", bytes(32)),

@@ -277,8 +277,7 @@ def _train_cfg(ds, seed, steps, quant_on=None, weight_bits=4):
         weight_bits=weight_bits,
     )
     return TrainConfig(model=model_cfg, learning_rate=1e-2, batch_size=32,
-                       steps=steps, quant_on_step=quant_on,
-                       calibration_sequences=64, seed=seed, log_every=5)
+                       steps=steps, quant_on_step=quant_on, seed=seed, log_every=5)
 
 
 def test_criterion_8_desk_scale_training(toy_features):

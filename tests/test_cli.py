@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from detect_reference import inline_detect, stream_logits
 from lmukws import cli, training
 from lmukws.cli import COMMANDS, build_parser, main, resolve_config
 from lmukws.configs import REFERENCE_NAMES, reference_config
@@ -29,6 +30,7 @@ from lmukws.frontend import (
     build_dataset,
     generate_toy_dataset,
     load_feature_config,
+    load_wav,
     materialize_features,
     save_feature_config,
     write_wav,
@@ -293,8 +295,7 @@ class TestTrain:
             model=model_cfg, batch_size=8, steps=steps,
             quant_on_step=None if "--no-hat" in flags else steps // 2,
             prune_start=steps // 4, prune_end=3 * steps // 4,
-            target_sparsity=model_cfg.target_sparsity,
-            calibration_sequences=256, log_every=20), ds)
+            target_sparsity=model_cfg.target_sparsity, log_every=20), ds)
         save_model(result.quantized, tmp_path / "expected.lmuq")
         assert (out / "model.lmuq").read_bytes() == (tmp_path / "expected.lmuq").read_bytes()
         log = (out / "train-log.txt").read_text().splitlines()
@@ -656,6 +657,39 @@ class TestStream:
         assert len(lines) == 1 + 49  # header + one row per 20 ms hop
         assert lines[0].startswith("time_s,yes,no,")
         assert all(len(l.split(",")) == 13 for l in lines)
+
+    @pytest.mark.parametrize("smooth, threshold, refractory, detects, suppresses", [
+        (5, 0.7, 10, 0, 0),  # the defaults
+        (1, 0.5, 0, 101, 0),
+        (3, 0.6, 10, 1, 1),  # the cooldown holds back hops above the threshold
+    ])
+    def test_equals_the_inline_detection_loop(self, toy_root, trained, tmp_path, capsys,
+                                              smooth, threshold, refractory, detects,
+                                              suppresses):
+        # Six toy clips in a row (299 hops): stdout and posteriors.csv are,
+        # byte for byte, what the loop cmd_stream ran inline writes.
+        words = ("yes", "no", "wow", "yes", "zero", "no")
+        wav = tmp_path / "six.wav"
+        write_wav(wav, np.concatenate([load_wav(sorted((toy_root / w).glob("*.wav"))[0])
+                                       for w in words]))
+        out = tmp_path / "out"
+        flags = [] if (smooth, threshold, refractory) == (5, 0.7, 10) else [
+            "--smooth", str(smooth), "--threshold", str(threshold),
+            "--refractory", str(refractory)]
+        assert main(["stream", "--model", str(trained / "model.lmuq"), "--wav", str(wav),
+                     "--out-dir", str(out)] + flags) == 0
+        qm = load_model(trained / "model.lmuq")
+        feat_cfg = load_feature_config(trained / "frontend.npz")
+        ref = inline_detect(qm, feat_cfg.hop_samples / feat_cfg.sample_rate,
+                            stream_logits(qm, feat_cfg, load_wav(wav)),
+                            smooth, threshold, refractory)
+        lines = [f"t={t:.2f}s  {label}  p={p:.3f}" for t, label, p in ref.detections]
+        lines = lines or ["no detections"]
+        lines.append(f"processed {ref.hops} hops; wrote {out / 'posteriors.csv'}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert (out / "posteriors.csv").read_bytes() == ("\n".join(ref.rows) + "\n").encode()
+        assert ref.hops == 299
+        assert len(ref.detections) >= detects and ref.suppressed >= suppresses
 
     def test_silence_yields_no_detection(self, trained, tmp_path, capsys):
         quiet = tmp_path / "quiet.wav"

@@ -79,8 +79,7 @@ def _closed_form(qm):
     reads += 12 * n * (wb + 7) + 12 * 32
     writes += 12 * 32
     params += 12 * n * wb + 12 * 32
-    return WorkloadProfile(macs, reads, writes, params, consts, activation_bits=writes,
-                           frame_period_s=qm.dt)
+    return WorkloadProfile(macs, reads, writes, params, consts, activation_bits=writes)
 
 
 class TestCoefficientTable:
@@ -226,9 +225,15 @@ class TestWorkloadProfile:
         assert profile_workload(qm) == _closed_form(qm)
 
     def test_frame_timing_defaults(self):
-        w = profile_workload(_model([(4, [4])], input_dim=3))
-        assert w.frame_period_s == pytest.approx(0.02)
-        assert w.window_s == pytest.approx(0.04)
+        # Two frames and the residual must fit twice the frontend's 20 ms
+        # hop: a design at exactly 40 ms is real time, and one hertz slower
+        # is not.  1000 MACs at one lane take 1064 cycles.
+        w = WorkloadProfile(1000, 0, 0, 0, 0, 0)
+        coeffs = CoefficientTable(latency_residual_ms=8.0)
+        at_window = estimate_power(w, DesignPoint(clock_hz=66500.0, lanes=1), coeffs)
+        assert (at_window.throughput_ms, at_window.latency_ms) == (16.0, 40.0)
+        assert at_window.realtime
+        assert not estimate_power(w, DesignPoint(clock_hz=66499.0, lanes=1), coeffs).realtime
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -230,7 +230,6 @@ def _small_config(seed_labels=False):
             LayerConfig(hidden=5, cells=(CellConfig(3, 0.3), CellConfig(2, 0.15))),
             LayerConfig(hidden=4, cells=(CellConfig(4, 0.2),)),
         ),
-        dt=0.02,
     )
 
 

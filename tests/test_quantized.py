@@ -812,7 +812,7 @@ class TestModelFile:
         # Any bytes of the file overwritten and the CRC recomputed: the file
         # is rejected as malformed, or it loads, passes the accumulator
         # proof, runs with every activation in range and has a hardware
-        # profile with a positive hop.
+        # profile.
         body = small_model_files[which].read_bytes()[:-4]
         pos = int(at * len(body))
         path = small_model_files[which].with_name("edited.lmuq")
@@ -827,11 +827,12 @@ class TestModelFile:
         assert logits.shape == (2, 6, 12) and np.abs(logits).max() < 2**31
         for h, m in zip(state.h, state.m):
             assert 0 <= h.min() and h.max() <= 63 and -64 <= m.min() and m.max() <= 63
-        assert profile_workload(qm).frame_period_s > 0
+        assert profile_workload(qm).macs_per_frame > 0
 
-    @pytest.mark.parametrize("dt", [0.0, -0.02, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [0.0, -0.02, float("nan"), float("inf"), 0.01, 0.04])
     def test_frame_period_that_is_not_positive_rejected(self, small_model_files, tmp_path, dt):
-        # The hardware model times a hop by the file's dt.
+        # The engine runs one 20 ms frontend hop per step, and the hardware
+        # model times that hop: a file may hold no other dt.
         body = small_model_files[1].read_bytes()[:-4]
         at = len(MAGIC) + 2 + 32 + 3  # magic, version, frontend hash, input_dim, weight_bits
         assert struct.unpack_from("<d", body, at)[0] == 0.02

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lmukws import training
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.modelfile import save_model
 from lmukws.qmodel import calibrate_activation_scales, freeze, quantized_forward
@@ -186,7 +187,7 @@ class TestPruningSchedule:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("steps", 0), ("steps", -1), ("batch_size", 0), ("log_every", 0),
-        ("calibration_sequences", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("quant_on_step", -1),
     ])
@@ -195,7 +196,7 @@ class TestTrainConfig:
             TrainConfig(model=TINY, **{field: value})
 
     def test_edge_values_accepted(self):
-        TrainConfig(model=TINY, steps=1, batch_size=1, log_every=1, calibration_sequences=1,
+        TrainConfig(model=TINY, steps=1, batch_size=1, log_every=1,
                     learning_rate=1e-12, quant_on_step=0)
         TrainConfig(model=TINY, quant_on_step=None)
 
@@ -203,12 +204,6 @@ class TestTrainConfig:
         # It raised ZeroDivisionError at step 0, after the first update.
         with pytest.raises(ValueError, match="log_every"):
             train(TrainConfig(model=TINY, steps=2, log_every=0), _never_read())
-
-    def test_no_calibration_sequences_fails_before_any_step(self):
-        # It trained every step, then calibrate_activation_scales raised.
-        with pytest.raises(ValueError, match="calibration_sequences"):
-            train(TrainConfig(model=TINY, steps=2, quant_on_step=1, calibration_sequences=0),
-                  _never_read())
 
 
 def _never_read():
@@ -258,9 +253,11 @@ class TestTrainLoop:
         q_acc = evaluate(result.quantized, data.val_x, data.val_y)
         assert fq_acc == q_acc
 
-    def test_float_run_freezes_on_the_first_training_sequences(self, tmp_path):
-        # Without HAT, train() calibrates on the first calibration_sequences
+    def test_float_run_freezes_on_the_first_training_sequences(self, tmp_path, monkeypatch):
+        # Without HAT, train() calibrates on the first CALIBRATION_SEQUENCES
         # training sequences, then freezes with the run's mask and frontend.
+        # The corpus has 192, so the count is lowered to show which are read.
+        monkeypatch.setattr(training, "CALIBRATION_SEQUENCES", 50)
         data = _toy_dataset(5)
         data.frontend_hash = bytes(range(32))
         cfg = TrainConfig(
@@ -273,7 +270,6 @@ class TestTrainLoop:
             prune_start=5,
             prune_end=20,
             target_sparsity=0.5,
-            calibration_sequences=50,
             seed=5,
         )
         before = data.train_x.copy()
