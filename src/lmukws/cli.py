@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .configs import REFERENCE_NAMES, reference_config
+from .configs import REFERENCE_NAMES, read_key_values, reference_config
 from .detect import Detector
 from .frontend import (
     TOY_WORD_TONES,
@@ -54,8 +54,8 @@ from .hwmodel import (
     sweep,
     sweep_to_csv,
 )
-from .lmu import build_model
-from .fixedpoint import apply_mask, prune_magnitude
+from .lmu import build_model, trainable_items
+from .fixedpoint import WEIGHT_BIT_CHOICES, apply_mask, prune_magnitude
 from .modelfile import ModelFormatError, load_model, save_model
 from .qmodel import (
     QuantStreamState,
@@ -96,27 +96,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Settings: one table per command; defaults < config file < explicit flags
 # ---------------------------------------------------------------------------
-
-def _read_config_file(path) -> dict:
-    """The ``key = value`` lines of a config file, each value as its text."""
-    values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise UsageError(f"cannot read config file {path}: {e}") from None
-    for ln, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{ln}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key in values:
-            raise UsageError(f"{path}:{ln}: {key} is set twice")
-        values[key] = val
-    return values
-
 
 @dataclasses.dataclass(frozen=True)
 class Limit:
@@ -201,7 +180,9 @@ def resolve_config(args, settings: dict) -> dict:
     outside its declared ``Limit``, whether it came from a flag or a file."""
     resolved = {key: setting.default for key, setting in settings.items()}
     if args.config is not None:
-        file_vals = _read_config_file(args.config)
+        # a key is a setting's name or its flag's (out-dir for out_dir)
+        file_vals = {key: text for _, key, text in read_key_values(
+            args.config, "config file", UsageError, lambda key: key.replace("-", "_"))}
         unknown = sorted(set(file_vals) - set(settings))
         if unknown:
             raise UsageError(
@@ -411,7 +392,7 @@ TRAIN_SETTINGS = {
     "batch_size": Setting(32, Limit(int, lo=1)),
     # Adam moves each weight by about the learning rate per step.
     "learning_rate": Setting(1e-2, Limit(float, lo=0.0, hi=1.0, lo_open=True)),
-    "weight_bits": Setting(None, Limit(int, choices=(4, 8), optional=True)),
+    "weight_bits": Setting(None, Limit(int, choices=WEIGHT_BIT_CHOICES, optional=True)),
     "target_sparsity": Setting(None, Limit(float, lo=0.0, hi=1.0, hi_open=True, optional=True)),
     "hat": Setting(True, Limit(bool), "from step steps // 2, train against the deployed integers"),
     "resume": Setting(None, TEXT_OR_NONE, "checkpoint.npz to initialize weights from"),
@@ -607,7 +588,7 @@ def cmd_size_report(cfg: dict) -> int:
     _run_dir(cfg, "size-report")
     name = Path(cfg["model"]).name if cfg["model"] else cfg["model_preset"]
     qm = _quantized_model(cfg)
-    total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
+    total = sum(qt.q.size for _, qt in trainable_items(qm))
     kept = sum(kept_parameters(qm).values())
     sparsity = 1.0 - kept / total
     kbits = model_size_kbits(qm)
@@ -640,6 +621,7 @@ def cmd_hw_report(cfg: dict) -> int:
     coeffs = _coefficients(cfg)
     dp = DesignPoint(clock_hz=float(cfg["clock_hz"]), lanes=cfg["lanes"])
     pb = estimate_power(w, dp, coeffs)
+    fps = 1000 / FeatureConfig.hop_ms
     lines = [
         f"workload: {w.macs_per_frame} MACs/frame, {w.storage_bits} stored bits",
         f"design: clock {dp.clock_hz:.6g} Hz, {dp.lanes} lanes",
@@ -655,7 +637,7 @@ def cmd_hw_report(cfg: dict) -> int:
         f"  this design          {pb.total_uW:10.3f} uW   (modeled)",
         f"  MCU at 12.26 uW/MHz  {mcu_power(MCU_CYCLES_PER_S, 12.26):10.3f} uW   (reported cycle count x datasheet efficiency)",
         f"  MCU at 6.88 uW/MHz   {mcu_power(MCU_CYCLES_PER_S, 6.88):10.3f} uW   (reported cycle count x datasheet efficiency)",
-        f"  3.4 uJ/frame ASIC    {energy_per_frame_power(3.4, 50.0):10.3f} uW   (reported energy per frame x 50 fps)",
+        f"  3.4 uJ/frame ASIC    {energy_per_frame_power(3.4, fps):10.3f} uW   (reported energy per frame x {fps:g} fps)",
     ]
     (out / "hw-report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))

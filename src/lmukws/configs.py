@@ -6,13 +6,17 @@ were chosen so the kbits size metric lands on round targets (1683 / 361 /
 105 / 49 kbits); cells within a layer use a ladder of window lengths so the
 memory covers multiple timescales of a one-second utterance.  A small "toy"
 preset exists for smoke tests and the bundled synthetic dataset.
+
+Settings and coefficients are read from ``key = value`` text files by the
+one reader here, ``read_key_values``.
 """
 
 from __future__ import annotations
 
-from .lmu import CellConfig, LayerConfig, ModelConfig
+from pathlib import Path
 
-N_MEL = 40
+from .frontend import FeatureConfig
+from .lmu import CellConfig, LayerConfig, ModelConfig
 
 THETA_LADDER = (0.1, 0.2, 0.4, 0.8)
 
@@ -24,7 +28,7 @@ def _cells(order: int) -> tuple:
 def _preset(hidden, order, weight_bits, target_sparsity=0.0) -> ModelConfig:
     h1, h2 = hidden
     return ModelConfig(
-        input_dim=N_MEL,
+        input_dim=FeatureConfig.mel_bins,
         layers=(
             LayerConfig(hidden=h1, cells=_cells(order)),
             LayerConfig(hidden=h2, cells=_cells(order)),
@@ -45,7 +49,7 @@ REFERENCE_CONFIGS = {
     "lmu4": _preset((307, 312), 8, weight_bits=4, target_sparsity=0.91),
     # small single-layer model for demos and the synthetic dataset
     "toy": ModelConfig(
-        input_dim=N_MEL,
+        input_dim=FeatureConfig.mel_bins,
         layers=(
             LayerConfig(
                 hidden=32,
@@ -67,3 +71,31 @@ def reference_config(name: str) -> ModelConfig:
         raise KeyError(
             f"unknown model preset {name!r}; choose from {', '.join(REFERENCE_NAMES)}"
         ) from None
+
+
+def read_key_values(path, what: str, error: type, rename=lambda key: key):
+    """Yield (line number, key, value text) for each ``key = value`` line of
+    the UTF-8 text file ``path``: ``#`` starts a comment, blank lines are
+    skipped, and each key is passed through ``rename`` before it is checked.
+
+    Raises ``error`` for a file that cannot be read (naming it ``what``), a
+    line without ``=`` and a key set twice; the caller checks the keys and
+    values it is given.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {what} {path}: {e}") from None
+    seen = set()
+    for ln, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{ln}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = rename(key)
+        if key in seen:
+            raise error(f"{path}:{ln}: {key} is set twice")
+        seen.add(key)
+        yield ln, key, value

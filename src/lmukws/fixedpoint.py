@@ -10,7 +10,7 @@ hardware is enforced by explicit bound checks, not by the dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,20 +266,14 @@ def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
 # Magnitude pruning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PruneMask:
-    """Keep-masks per trainable tensor; False marks a weight forced to zero."""
-
-    masks: dict = field(default_factory=dict)
-    target_sparsity: float = 0.0
-
-
-def prune_magnitude(model, sparsity: float) -> PruneMask:
+def prune_magnitude(model, sparsity: float) -> dict:
     """Mask out the smallest-magnitude trainable weights, across all tensors.
 
-    Exactly floor(sparsity * n) weights are pruned; magnitude ties break by
-    fixed tensor-then-index order so the mask is deterministic.  The fixed
-    memory matrices are not trainable tensors and are never touched.
+    Returns name -> keep array for every trainable tensor; False marks a
+    weight forced to zero.  Exactly floor(sparsity * n) weights are pruned;
+    magnitude ties break by fixed tensor-then-index order so the mask is
+    deterministic.  The fixed memory matrices are not trainable tensors and
+    are never touched.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity!r}")
@@ -300,11 +294,12 @@ def prune_magnitude(model, sparsity: float) -> PruneMask:
     for name, t in tensors:
         masks[name] = ~drop[offset : offset + t.size].reshape(t.shape)
         offset += t.size
-    return PruneMask(masks=masks, target_sparsity=sparsity)
+    return masks
 
 
-def apply_mask(model, mask: PruneMask) -> None:
-    """Zero masked weights in place (used after every optimizer step)."""
+def apply_mask(model, mask: dict) -> None:
+    """Zero the weights a name -> keep array mask drops, in place (used
+    after every optimizer step)."""
     for name, t in model.trainable_tensors():
-        if name in mask.masks:
-            t *= mask.masks[name]
+        if name in mask:
+            t *= mask[name]

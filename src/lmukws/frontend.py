@@ -71,18 +71,10 @@ class FeatureConfig:
         def reprs(values):
             return None if values is None else [repr(float(v)) for v in values]
 
-        parts = [
-            f"sample_rate={self.sample_rate}",
-            f"window_ms={self.window_ms}",
-            f"hop_ms={self.hop_ms}",
-            f"mel_bins={self.mel_bins}",
-            f"fft_size={self.fft_size}",
-            f"log_floor={self.log_floor!r}",
-            f"f_lo={self.f_lo!r}",
-            f"f_hi={self.f_hi!r}",
-            f"norm_mean={reprs(self.norm_mean)}",
-            f"norm_std={reprs(self.norm_std)}",
-        ]
+        recipe = ("sample_rate", "window_ms", "hop_ms", "mel_bins", "fft_size",
+                  "log_floor", "f_lo", "f_hi")
+        parts = [f"{name}={getattr(self, name)!r}" for name in recipe]
+        parts += [f"{name}={reprs(getattr(self, name))}" for name in ("norm_mean", "norm_std")]
         return hashlib.sha256("\n".join(parts).encode()).digest()
 
     @cached_property
@@ -277,7 +269,7 @@ def load_wav(path) -> np.ndarray:
     return np.multiply(np.frombuffer(raw, dtype="<i2"), 2.0**-15, dtype=np.float64)
 
 
-def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:
+def write_wav(path, samples: np.ndarray, rate: int = FeatureConfig.sample_rate) -> None:
     pcm = np.clip(np.rint(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)

@@ -25,16 +25,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
+from .configs import read_key_values
 from .fixedpoint import ACTIVATION_BITS
 from .frontend import FeatureConfig
+from .lmu import trainable_items
 from .qmodel import QuantizedModel, stages
 
-CSV_COLUMNS = (
-    "clock_hz", "lanes", "mac_uW", "sram_dyn_uW", "sram_static_uW", "other_uW",
-    "total_uW", "transistors", "throughput_ms", "latency_ms", "realtime", "pareto",
-)
+# The sweep CSV's column -> the PowerBreakdown attribute it holds, in order.
+CSV_COLUMNS = {
+    "clock_hz": "clock_hz", "lanes": "lanes", "mac_uW": "mac_dynamic_uW",
+    "sram_dyn_uW": "sram_dynamic_uW", "sram_static_uW": "sram_static_uW",
+    "other_uW": "other_dynamic_uW", "total_uW": "total_uW",
+    "transistors": "transistor_count", "throughput_ms": "throughput_ms",
+    "latency_ms": "latency_ms", "realtime": "realtime", "pareto": "pareto",
+}
 
 
 # The coefficient-file key of each field that is not keyed by its own name.
@@ -81,7 +86,8 @@ class CoefficientTable:
 
     @classmethod
     def from_file(cls, path) -> "CoefficientTable":
-        """The defaults, overridden by a "key = value" text file ('#' comments).
+        """The defaults, overridden by a "key = value" text file (read by
+        ``configs.read_key_values``, as ``--config`` files are).
 
         Keys are the field names, but ``transistors.mac_lane`` and
         ``transistors.sram_bit`` for the per-instance transistor counts.
@@ -89,24 +95,12 @@ class CoefficientTable:
         (6e3).  Unknown keys are rejected so typos cannot silently revert
         defaults.
         """
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as e:
-            raise CoefficientError(f"cannot read coefficient file {path}: {e}") from None
         by_key = {FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
         values = {}
-        for ln, line in enumerate(lines, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CoefficientError(f"{path}:{ln}: expected 'key = value'")
-            key, text = (part.strip() for part in line.split("=", 1))
+        for ln, key, text in read_key_values(path, "coefficient file", CoefficientError):
             f = by_key.get(key)
             if f is None:
                 raise CoefficientError(f"{path}:{ln}: unknown coefficient {key!r}")
-            if f.name in values:
-                raise CoefficientError(f"{path}:{ln}: {key} is set twice")
             try:
                 value = float(text)
             except ValueError:
@@ -132,10 +126,9 @@ class WorkloadProfile:
     activation_bits: int
 
     def __post_init__(self):
-        for name in ("macs_per_frame", "read_bits_per_frame", "write_bits_per_frame",
-                     "parameter_bits", "constant_bits", "activation_bits"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     @property
     def storage_bits(self) -> int:
@@ -174,7 +167,7 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
     *body, head = every
     writes = sum(len(st.terms[0].q) for st in body) * ACTIVATION_BITS
     writes += len(head.terms[0].q) * LOGIT_BITS
-    params = sum(qt.q.size * qt.spec.bits for _, qt in qm.weight_tensor_items())
+    params = sum(qt.q.size * qt.spec.bits for _, qt in trainable_items(qm))
     stored = sum(qt.q.size * qt.spec.bits for _, qt in qm.tensor_items())
     return WorkloadProfile(
         macs_per_frame=macs,
@@ -320,9 +313,5 @@ def sweep_to_csv(records: list) -> str:
     """Deterministic CSV of sweep records (byte-stable for fixed inputs)."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.clock_hz, r.lanes, r.mac_dynamic_uW, r.sram_dynamic_uW,
-            r.sram_static_uW, r.other_dynamic_uW, r.total_uW, r.transistor_count,
-            r.throughput_ms, r.latency_ms, r.realtime, r.pareto,
-        )))
+        lines.append(",".join(_fmt(getattr(r, attr)) for attr in CSV_COLUMNS.values()))
     return "\n".join(lines) + "\n"

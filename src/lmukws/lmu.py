@@ -24,36 +24,27 @@ from numpy.polynomial.legendre import legval
 from .frontend import FeatureConfig
 
 
-def legendre_state_space(order: int, theta: float) -> "ContinuousStateSpace":
-    """Closed-form continuous-time system that optimally buffers a sliding window.
+def legendre_state_space(order: int, theta: float):
+    """Closed-form continuous-time system dm/dt = A m + B u that optimally
+    buffers a sliding window.
 
     Args:
         order: number of Legendre coefficients d (>= 1).
-        theta: window length in seconds (> 0).
+        theta: window length in seconds (finite, > 0).
 
     Returns:
-        ContinuousStateSpace with A (d x d, units 1/s) and B (d, units 1/s).
-        All eigenvalues of A have negative real part.
+        (A, B): A is d x d and B has d entries, both in units of 1/s.  All
+        eigenvalues of A have negative real part.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    if not theta > 0:
-        raise ValueError(f"theta must be > 0 seconds, got {theta!r}")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and > 0 seconds, got {theta!r}")
     i = np.arange(order)[:, None]
     j = np.arange(order)[None, :]
     A = (2 * i + 1) / theta * np.where(i < j, -1.0, (-1.0) ** (i - j + 1))
     B = (2 * np.arange(order) + 1) * (-1.0) ** np.arange(order) / theta
-    return ContinuousStateSpace(order=order, theta=theta, A=A, B=B)
-
-
-@dataclass(frozen=True)
-class ContinuousStateSpace:
-    """Continuous-time linear system dm/dt = A m + B u."""
-
-    order: int
-    theta: float
-    A: np.ndarray
-    B: np.ndarray
+    return A, B
 
 
 def expm(X: np.ndarray) -> np.ndarray:
@@ -72,8 +63,8 @@ def expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def discretize(ss: ContinuousStateSpace, dt: float):
-    """Zero-order-hold discretization of ``ss`` at timestep ``dt``.
+def discretize(A: np.ndarray, B: np.ndarray, dt: float):
+    """Zero-order-hold discretization of dm/dt = A m + B u at timestep ``dt``.
 
     Assumes the input is held constant over each step and is exact for such
     inputs: A_d = expm(A dt), B_d = A^-1 (A_d - I) B.  The Legendre A is
@@ -84,8 +75,8 @@ def discretize(ss: ContinuousStateSpace, dt: float):
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    A_d = expm(ss.A * dt)
-    B_d = np.linalg.solve(ss.A, (A_d - np.eye(ss.order)) @ ss.B)
+    A_d = expm(A * dt)
+    B_d = np.linalg.solve(A, (A_d - np.eye(len(B))) @ B)
     return A_d, B_d
 
 
@@ -99,11 +90,9 @@ class MemoryCell:
     """
 
     def __init__(self, order: int, theta: float, dt: float):
-        ss = legendre_state_space(order, theta)
         self.order = order
         self.theta = theta
-        self.dt = dt
-        self.A_d, self.B_d = discretize(ss, dt)
+        self.A_d, self.B_d = discretize(*legendre_state_space(order, theta), dt)
         self.m = np.zeros(order)
 
     def step(self, u: float) -> np.ndarray:
@@ -172,6 +161,21 @@ def memory_system(blocks):
     return A, B
 
 
+def trainable_items(model):
+    """Yield (name, tensor) for every trainable tensor of a ``ModelGraph``
+    or a ``qmodel.QuantizedModel``, in stored order: each layer's
+    ``LAYER_TENSORS``, then the head's weight and bias.
+
+    The fixed memory matrices are deliberately absent: they are never
+    trained, pruned, or counted as parameters.
+    """
+    for i, layer in enumerate(model.layers):
+        for name in LAYER_TENSORS:
+            yield f"layer{i}.{name}", getattr(layer, name)
+    yield "output.weight", model.output_weight
+    yield "output.bias", model.output_bias
+
+
 @dataclass
 class LmuLayerParams:
     """Trainable tensors of one layer (shapes in ``tensor_shapes``) plus its
@@ -213,16 +217,8 @@ class ModelGraph:
             raise ValueError("exactly 12 label names required")
 
     def trainable_tensors(self):
-        """Yield (name, array) for every trainable tensor, in a fixed order.
-
-        The fixed memory matrices are deliberately absent: they are never
-        trained, pruned, or counted as parameters.
-        """
-        for i, layer in enumerate(self.layers):
-            for name in LAYER_TENSORS:
-                yield f"layer{i}.{name}", getattr(layer, name)
-        yield "output.weight", self.output_weight
-        yield "output.bias", self.output_bias
+        """(name, array) for every trainable tensor: ``trainable_items``."""
+        return trainable_items(self)
 
     def parameter_count(self) -> int:
         return sum(int(np.prod(t.shape)) for _, t in self.trainable_tensors())

@@ -176,10 +176,14 @@ def load_model(path) -> QuantizedModel:
         labels.append(r.text())
     (n_layers,) = r.unpack("<H")
     layer_meta = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         hidden, u_exp, m_exp, h_exp = r.unpack("<Hhhh")
         (n_cells,) = r.unpack("<H")
         cells = [r.unpack("<Hd") for _ in range(n_cells)]
+        for k, (_, theta) in enumerate(cells):
+            if not 0 < theta < math.inf:  # lmu.legendre_state_space's rule
+                raise ModelFormatError(f"layer{i}.cell{k}: window theta = {theta!r} s "
+                                       "is not a finite number > 0")
         layer_meta.append((hidden, u_exp, m_exp, h_exp, cells))
     (n_tensors,) = r.unpack("<I")
     tensors, masks = {}, {}

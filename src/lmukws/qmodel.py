@@ -26,10 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .fixedpoint import (
+    ACCUMULATOR_BITS,
     ACTIVATION_BITS,
     MAX_FAN_IN,
+    WEIGHT_BIT_CHOICES,
     MagnitudeTail,
-    PruneMask,
     QuantSpec,
     QuantTensor,
     quantize,
@@ -37,9 +38,7 @@ from .fixedpoint import (
     round_saturate,
     weight_quant_spec,
 )
-from .lmu import LAYER_TENSORS, ModelGraph, memory_system
-
-ACC_LIMIT = 2**31  # worst-case |accumulator| must stay below this
+from .lmu import ModelGraph, memory_system, trainable_items
 
 
 @dataclass(frozen=True)
@@ -101,22 +100,14 @@ class QuantizedModel:
     def logits_exp(self) -> int:
         return self.output_bias.spec.scale_exp
 
-    def weight_tensor_items(self):
-        """(name, QuantTensor) for every stored trainable tensor, fixed order."""
-        for i, layer in enumerate(self.layers):
-            for name in LAYER_TENSORS:
-                yield f"layer{i}.{name}", getattr(layer, name)
-        yield "output.weight", self.output_weight
-        yield "output.bias", self.output_bias
-
     def tensor_items(self):
         """(name, QuantTensor) for every stored tensor, in model-file order:
-        each cell's A and B, then the trainable tensors."""
+        each cell's A and B, then the trainable tensors (``trainable_items``)."""
         for i, layer in enumerate(self.layers):
             for k, cell in enumerate(layer.cells):
                 yield f"layer{i}.cell{k}.A", cell.A
                 yield f"layer{i}.cell{k}.B", cell.B
-        yield from self.weight_tensor_items()
+        yield from trainable_items(self)
 
 
 def kept_parameters(qm: QuantizedModel) -> dict:
@@ -124,7 +115,7 @@ def kept_parameters(qm: QuantizedModel) -> dict:
     its mask keeps, or all of them when it has no mask (a stored zero still
     occupies a slot)."""
     return {name: int(qm.keep_masks[name].sum()) if name in qm.keep_masks else qt.q.size
-            for name, qt in qm.weight_tensor_items()}
+            for name, qt in trainable_items(qm)}
 
 
 def model_size_kbits(qm: QuantizedModel) -> float:
@@ -237,22 +228,23 @@ def freeze(
     model: ModelGraph,
     weight_bits: int,
     scales: ActivationScales,
-    mask: PruneMask | None = None,
+    mask: dict | None = None,
     frontend_hash: bytes = bytes(32),
 ) -> QuantizedModel:
     """Quantize a trained float model into its deployable integer form.
 
     The float model must already have pruned weights zeroed (apply_mask);
-    the mask is carried along purely for size accounting.
+    the mask, name -> keep array as ``prune_magnitude`` returns it, is
+    carried along purely for size accounting.
     """
-    if weight_bits not in (4, 8):
+    if weight_bits not in WEIGHT_BIT_CHOICES:
         raise ValueError(f"weight_bits must be 4 or 8, got {weight_bits}")
     if len(frontend_hash) != 32:
         raise ValueError("frontend_hash must be a 32-byte digest")
     model.validate()
     qm = deployed_tensors(model, weight_bits, scales)
     if mask is not None:
-        qm.keep_masks = {name: m.copy() for name, m in mask.masks.items()}
+        qm.keep_masks = {name: m.copy() for name, m in mask.items()}
     qm.frontend_hash = bytes(frontend_hash)
     qm.compiled = compile_model(qm)
     return qm
@@ -335,9 +327,9 @@ def assert_accumulator_safe(qm: QuantizedModel) -> None:
             raise ValueError(
                 f"{st.name} bias grid 2^{st.bias.spec.scale_exp} != accumulator grid 2^{st.grid}"
             )
-        peak = st.worst_case()
-        if peak >= ACC_LIMIT:
-            raise ValueError(f"{st.name} accumulator worst case {peak} >= 2^31")
+        peak, limit_exp = st.worst_case(), ACCUMULATOR_BITS - 1  # a signed accumulator
+        if peak >= 1 << limit_exp:
+            raise ValueError(f"{st.name} accumulator worst case {peak} >= 2^{limit_exp}")
 
 
 # ---------------------------------------------------------------------------

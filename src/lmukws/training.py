@@ -20,7 +20,6 @@ import numpy as np
 
 from .fixedpoint import (
     ACTIVATION_BITS,
-    PruneMask,
     QuantSpec,
     apply_mask,
     fake_quant,
@@ -424,7 +423,7 @@ class TrainResult:
     quantized: QuantizedModel  # the frozen model
     model: ModelGraph
     scales: ActivationScales  # the HAT run's, or calibrated after float training
-    mask: PruneMask | None
+    mask: dict | None  # name -> keep array, as prune_magnitude returns it
     log: list
     final_loss: float
 

@@ -35,7 +35,7 @@ from lmukws.frontend import (
     save_feature_config,
     write_wav,
 )
-from lmukws.lmu import build_model
+from lmukws.lmu import build_model, trainable_items
 from lmukws.modelfile import _tensor_record, load_model, save_model
 from lmukws.qmodel import calibrate_activation_scales, freeze, kept_parameters, model_size_kbits
 from lmukws.training import evaluate
@@ -107,6 +107,47 @@ class TestParsing:
         assert rc == 1
         assert f"{cfg}:2: lanes is set twice" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("flag, code", [("--config", 1), ("--coefficients", 2)])
+    def test_line_without_equals_names_its_line(self, tmp_path, capsys, flag, code):
+        # Both files go through one reader; each command keeps its exit code.
+        path = tmp_path / "f.txt"
+        path.write_text("# header\n\nlanes 8\n")
+        rc = main(["hw-sweep", "--model-preset", "toy", flag, str(path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == code
+        assert f"{path}:3: expected 'key = value'" in capsys.readouterr().err
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# header\n\nlanes = 1  # one lane\n   \nclock_points = 2\n")
+        out = tmp_path / "out"
+        assert main(["hw-sweep", "--model-preset", "toy", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        resolved = (out / "resolved-config.txt").read_text()
+        assert "lanes = 1\n" in resolved and "clock_points = 2\n" in resolved
+        coeffs = tmp_path / "c.txt"
+        reports = []
+        for text in (None, "e_mac_j = 1.5e-12\n", "# header\n\ne_mac_j = 1.5e-12  # note\n\n"):
+            argv = ["hw-report", "--model-preset", "toy", "--out-dir", str(out)]
+            if text is not None:
+                coeffs.write_text(text)
+                argv += ["--coefficients", str(coeffs)]
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().out)
+        default, plain, commented = reports
+        assert commented == plain != default
+
+    def test_config_key_may_be_written_as_its_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out-dir = custom\n")
+        assert main(["size-report", "--model-preset", "toy", "--config", str(cfg)]) == 0
+        assert "out_dir = custom" in (tmp_path / "custom" / "resolved-config.txt").read_text()
+        cfg.write_text("out-dir = a\nout_dir = b\n")
+        assert main(["size-report", "--model-preset", "toy", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: out_dir is set twice" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_config_file_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -885,7 +926,7 @@ class TestSizeReport:
         qm.output_bias.q[0] = 0
         qm.keep_masks = {"output.bias": keep}
         save_model(qm, tmp_path / "m.lmuq")
-        total = sum(qt.q.size for _, qt in qm.weight_tensor_items())
+        total = sum(qt.q.size for _, qt in trainable_items(qm))
         assert sum(kept_parameters(qm).values()) == total - 1
         assert main(["size-report", "--model", str(tmp_path / "m.lmuq")]) == 0
         row = capsys.readouterr().out.splitlines()[1].split()

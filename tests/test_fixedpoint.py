@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from lmukws.fixedpoint import (
     MAX_FAN_IN,
     MagnitudeTail,
-    PruneMask,
     QuantSpec,
     QuantTensor,
     apply_mask,
@@ -334,31 +333,31 @@ class TestPruning:
     def test_spec_example(self):
         model = _StubModel({"w": np.array([0.1, -0.5, 0.3, -0.2])})
         mask = prune_magnitude(model, 0.5)
-        assert mask.masks["w"].tolist() == [False, True, True, False]
-        assert sum(int((~m).sum()) for m in mask.masks.values()) == 2
+        assert mask["w"].tolist() == [False, True, True, False]
+        assert sum(int((~m).sum()) for m in mask.values()) == 2
 
     def test_zero_sparsity_keeps_all(self):
         model = _StubModel({"w": np.array([1.0, 2.0])})
         mask = prune_magnitude(model, 0.0)
-        assert sum(int((~m).sum()) for m in mask.masks.values()) == 0
+        assert sum(int((~m).sum()) for m in mask.values()) == 0
 
     def test_exact_global_count(self):
         rng = np.random.default_rng(8)
         model = _StubModel({"a": rng.standard_normal((13, 7)), "b": rng.standard_normal(29)})
         for s in (0.1, 0.5, 0.8, 0.91):
             mask = prune_magnitude(model, s)
-            assert sum(int((~m).sum()) for m in mask.masks.values()) == int(s * 120)
+            assert sum(int((~m).sum()) for m in mask.values()) == int(s * 120)
 
     def test_global_picks_smallest_across_tensors(self):
         model = _StubModel({"a": np.array([10.0, 0.1]), "b": np.array([0.2, 20.0])})
         mask = prune_magnitude(model, 0.5)
-        assert mask.masks["a"].tolist() == [True, False]
-        assert mask.masks["b"].tolist() == [False, True]
+        assert mask["a"].tolist() == [True, False]
+        assert mask["b"].tolist() == [False, True]
 
     def test_ties_break_by_index_order(self):
         model = _StubModel({"w": np.ones(6)})
         mask = prune_magnitude(model, 0.5)
-        assert mask.masks["w"].tolist() == [False, False, False, True, True, True]
+        assert mask["w"].tolist() == [False, False, False, True, True, True]
 
     def test_apply_mask_zeroes_in_place(self):
         w = np.array([0.1, -0.5, 0.3, -0.2])

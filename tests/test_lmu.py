@@ -25,27 +25,27 @@ from lmukws.training import hat_forward
 
 class TestLegendreStateSpace:
     def test_order_one(self):
-        ss = legendre_state_space(1, 1.0)
-        np.testing.assert_allclose(ss.A, [[-1.0]])
-        np.testing.assert_allclose(ss.B, [1.0])
+        A, B = legendre_state_space(1, 1.0)
+        np.testing.assert_allclose(A, [[-1.0]])
+        np.testing.assert_allclose(B, [1.0])
 
     def test_order_two_half_second(self):
         # Hand-expanded from the closed form at d=2, theta=0.5.
-        ss = legendre_state_space(2, 0.5)
-        np.testing.assert_allclose(ss.A, [[-2.0, -2.0], [6.0, -6.0]])
-        np.testing.assert_allclose(ss.B, [2.0, -6.0])
+        A, B = legendre_state_space(2, 0.5)
+        np.testing.assert_allclose(A, [[-2.0, -2.0], [6.0, -6.0]])
+        np.testing.assert_allclose(B, [2.0, -6.0])
 
     def test_theta_scales_inversely(self):
-        a = legendre_state_space(5, 1.0)
-        b = legendre_state_space(5, 0.25)
-        np.testing.assert_allclose(b.A, a.A * 4.0)
-        np.testing.assert_allclose(b.B, a.B * 4.0)
+        a_A, a_B = legendre_state_space(5, 1.0)
+        b_A, b_B = legendre_state_space(5, 0.25)
+        np.testing.assert_allclose(b_A, a_A * 4.0)
+        np.testing.assert_allclose(b_B, a_B * 4.0)
 
     @pytest.mark.parametrize("order", [1, 2, 4, 8, 16, 32])
     def test_hurwitz(self, order):
         # Every continuous-time eigenvalue strictly in the left half plane.
-        ss = legendre_state_space(order, 0.3)
-        assert np.all(np.linalg.eigvals(ss.A).real < 0)
+        A, _ = legendre_state_space(order, 0.3)
+        assert np.all(np.linalg.eigvals(A).real < 0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -55,19 +55,23 @@ class TestLegendreStateSpace:
         with pytest.raises(ValueError):
             legendre_state_space(4, -1.0)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_rejects_a_window_that_is_not_finite(self, theta):
+        # An infinite window gave A = 0, which discretize cannot invert.
+        with pytest.raises(ValueError, match="theta must be finite and > 0"):
+            legendre_state_space(4, theta)
+
 
 class TestDiscretize:
     def test_scalar_zoh_exact(self):
         # dm/dt = -m + u discretized at dt=0.1: A_d = e^-0.1, B_d = 1 - e^-0.1.
-        ss = legendre_state_space(1, 1.0)
-        A_d, B_d = discretize(ss, 0.1)
+        A_d, B_d = discretize(*legendre_state_space(1, 1.0), 0.1)
         np.testing.assert_allclose(A_d, [[np.exp(-0.1)]], rtol=1e-14)
         np.testing.assert_allclose(B_d, [1.0 - np.exp(-0.1)], rtol=1e-14)
 
     @pytest.mark.parametrize("order,theta", [(4, 0.2), (8, 0.2), (16, 1.0), (32, 0.2)])
     def test_zoh_spectral_radius_below_one(self, order, theta):
-        ss = legendre_state_space(order, theta)
-        A_d, _ = discretize(ss, 0.02)
+        A_d, _ = discretize(*legendre_state_space(order, theta), 0.02)
         assert np.max(np.abs(np.linalg.eigvals(A_d))) < 1.0
 
     def test_zoh_exact_for_constant_input(self):
@@ -79,13 +83,13 @@ class TestDiscretize:
             np.testing.assert_allclose(cell.m[0], 1.0 - np.exp(-0.05 * k), rtol=1e-12)
 
     def test_rejects_bad_arguments(self):
-        ss = legendre_state_space(2, 1.0)
+        A, B = legendre_state_space(2, 1.0)
         with pytest.raises(ValueError):
-            discretize(ss, 0.0)
+            discretize(A, B, 0.0)
         with pytest.raises(ValueError):
-            discretize(ss, -0.02)
+            discretize(A, B, -0.02)
         with pytest.raises(ValueError, match="finite"):  # expm of an infinite matrix
-            discretize(ss, float("inf"))
+            discretize(A, B, float("inf"))
 
 
 class TestExpm:
@@ -123,7 +127,7 @@ class TestExpm:
 
     @pytest.mark.parametrize("order,theta", [(o, t) for o in (8, 12, 16) for t in (0.1, 0.2, 0.4, 0.8)])
     def test_legendre_inverse_and_commutation(self, order, theta):
-        X = legendre_state_space(order, theta).A * 0.02
+        X = legendre_state_space(order, theta)[0] * 0.02
         E, E_inv = expm(X), expm(-X)
         scale = np.linalg.norm(E, 1)
         inverse_err = np.max(np.abs(E @ E_inv - np.eye(order))) / (scale * np.linalg.norm(E_inv, 1))

@@ -840,6 +840,19 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="frame period"):
             load_model(tmp_path / "m.lmuq")
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), 0.0, -0.2])
+    def test_window_that_is_not_finite_and_positive_rejected(self, small_model_files, tmp_path,
+                                                             theta):
+        # Such a file loaded and saved again; lmu.legendre_state_space
+        # refuses the same windows.
+        body = small_model_files[1].read_bytes()[:-4]
+        cell = struct.pack("<Hd", 5, 0.2)  # layer1.cell0 of _config()
+        assert body.count(cell) == 1
+        at = body.index(cell) + 2
+        _with_crc(tmp_path / "m.lmuq", body[:at] + struct.pack("<d", theta) + body[at + 8:])
+        with pytest.raises(ModelFormatError, match=r"layer1\.cell0: window theta"):
+            load_model(tmp_path / "m.lmuq")
+
     @pytest.mark.parametrize("field", ["label", "tensor name"])
     def test_text_that_is_not_utf8_rejected(self, small_model_files, tmp_path, field):
         body = small_model_files[1].read_bytes()[:-4]

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmukws.fixedpoint import (
     ACTIVATION_BITS,
-    PruneMask,
     QuantSpec,
     fake_quant,
     prune_magnitude,
@@ -52,7 +51,7 @@ def ref_prune_magnitude(model, sparsity):
         for name, t in tensors:
             masks[name] &= ~drop[offset : offset + t.size].reshape(t.shape)
             offset += t.size
-    return PruneMask(masks=masks, target_sparsity=sparsity)
+    return masks
 
 
 def _ref_fq_weight(w, bits):
@@ -368,8 +367,8 @@ def test_prune_is_the_stable_argsort_selection(case):
     model = _Tensors(tensors)
     mask = prune_magnitude(model, sparsity)
     ref = ref_prune_magnitude(model, sparsity)
-    assert sum(int((~m).sum()) for m in mask.masks.values()) == k
-    assert mask.masks.keys() == ref.masks.keys()
-    for name in ref.masks:
-        assert mask.masks[name].tobytes() == ref.masks[name].tobytes(), name
-        assert mask.masks[name].dtype == bool and mask.masks[name].shape == tensors[name].shape
+    assert sum(int((~m).sum()) for m in mask.values()) == k
+    assert mask.keys() == ref.keys()
+    for name in ref:
+        assert mask[name].tobytes() == ref[name].tobytes(), name
+        assert mask[name].dtype == bool and mask[name].shape == tensors[name].shape

@@ -300,7 +300,7 @@ class TestTrainLoop:
         )
         result = train(cfg, data)
         n = result.model.parameter_count()
-        pruned = sum(int((~m).sum()) for m in result.mask.masks.values())
+        pruned = sum(int((~m).sum()) for m in result.mask.values())
         assert pruned == int(0.75 * n)
         zeros = sum(int((w == 0).sum()) for _, w in result.model.trainable_tensors())
         assert zeros >= pruned
