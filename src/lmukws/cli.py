@@ -253,10 +253,19 @@ def _input_file(path, what: str) -> Path:
     return path
 
 
+def _model_file(path):
+    """The model file at path, loaded; a ModelFormatError names the file."""
+    path = _input_file(path, "model file")
+    try:
+        return load_model(path)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+
+
 def _quantized_model(cfg: dict):
     """--model loaded, or else --model-preset frozen from seeded random weights."""
     if cfg["model"]:
-        return load_model(_input_file(cfg["model"], "model file"))
+        return _model_file(cfg["model"])
     model_cfg = reference_config(cfg["model_preset"])
     model = build_model(model_cfg, np.random.default_rng(cfg["seed"]))
     mask = None
@@ -499,7 +508,7 @@ EVAL_SETTINGS = {
 def cmd_eval(cfg: dict) -> int:
     keywords = _keywords(cfg["keywords"])
     out = _run_dir(cfg, "eval")
-    qm = load_model(_input_file(cfg["model"], "model file"))
+    qm = _model_file(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
     split = cfg["split"]
     manifest = build_dataset(cfg["data_root"], keywords, seed=cfg["seed"])
@@ -544,7 +553,7 @@ def cmd_stream(cfg: dict) -> int:
     if not cfg["wav"]:
         raise UsageError("stream requires --wav")
     out = _run_dir(cfg, "stream")
-    qm = load_model(_input_file(cfg["model"], "model file"))
+    qm = _model_file(cfg["model"])
     feat_cfg = _sidecar_config(cfg, qm)
     samples = load_wav(_input_file(cfg["wav"], "wav file"))
 
@@ -622,6 +631,14 @@ def cmd_hw_report(cfg: dict) -> int:
     dp = DesignPoint(clock_hz=float(cfg["clock_hz"]), lanes=cfg["lanes"])
     pb = estimate_power(w, dp, coeffs)
     fps = 1000 / FeatureConfig.hop_ms
+    asic_uj = 3.4  # the reported ASIC's energy per frame
+    comparisons = [
+        ("this design", pb.total_uW, "modeled"),
+        *((f"MCU at {eff:g} uW/MHz", mcu_power(MCU_CYCLES_PER_S, eff),
+           "reported cycle count x datasheet efficiency") for eff in (12.26, 6.88)),
+        (f"{asic_uj:g} uJ/frame ASIC", energy_per_frame_power(asic_uj, fps),
+         f"reported energy per frame x {fps:g} fps"),
+    ]
     lines = [
         f"workload: {w.macs_per_frame} MACs/frame, {w.storage_bits} stored bits",
         f"design: clock {dp.clock_hz:.6g} Hz, {dp.lanes} lanes",
@@ -634,10 +651,7 @@ def cmd_hw_report(cfg: dict) -> int:
         f"  throughput    {pb.throughput_ms:.2f} ms/frame, latency {pb.latency_ms:.2f} ms, "
         f"realtime={'yes' if pb.realtime else 'no'}",
         "comparisons:",
-        f"  this design          {pb.total_uW:10.3f} uW   (modeled)",
-        f"  MCU at 12.26 uW/MHz  {mcu_power(MCU_CYCLES_PER_S, 12.26):10.3f} uW   (reported cycle count x datasheet efficiency)",
-        f"  MCU at 6.88 uW/MHz   {mcu_power(MCU_CYCLES_PER_S, 6.88):10.3f} uW   (reported cycle count x datasheet efficiency)",
-        f"  3.4 uJ/frame ASIC    {energy_per_frame_power(3.4, fps):10.3f} uW   (reported energy per frame x {fps:g} fps)",
+        *(f"  {label:<21}{uW:10.3f} uW   ({source})" for label, uW, source in comparisons),
     ]
     (out / "hw-report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))

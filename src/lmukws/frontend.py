@@ -293,6 +293,7 @@ def pad_or_crop(samples: np.ndarray, length: int) -> np.ndarray:
 
 SILENCE_LABEL = 10
 UNKNOWN_LABEL = 11
+N_LABELS = 12  # the 10 keyword slots, silence and unknown
 BACKGROUND_DIR = "_background_noise_"
 
 

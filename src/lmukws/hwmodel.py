@@ -168,7 +168,7 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
     writes = sum(len(st.terms[0].q) for st in body) * ACTIVATION_BITS
     writes += len(head.terms[0].q) * LOGIT_BITS
     params = sum(qt.q.size * qt.spec.bits for _, qt in trainable_items(qm))
-    stored = sum(qt.q.size * qt.spec.bits for _, qt in qm.tensor_items())
+    stored = sum(qt.q.size * qt.spec.bits for qt in qm.stored_tensors())
     return WorkloadProfile(
         macs_per_frame=macs,
         read_bits_per_frame=reads,

@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import legval
 
-from .frontend import FeatureConfig
+from .frontend import N_LABELS, FeatureConfig
+
+
+def check_cell(order: int, theta: float) -> None:
+    """ValueError unless order is an integer >= 1 and theta finite and > 0 s."""
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"window theta must be finite and > 0 seconds, got {theta!r}")
 
 
 def legendre_state_space(order: int, theta: float):
@@ -36,10 +44,7 @@ def legendre_state_space(order: int, theta: float):
         (A, B): A is d x d and B has d entries, both in units of 1/s.  All
         eigenvalues of A have negative real part.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    if not 0 < theta < np.inf:
-        raise ValueError(f"theta must be finite and > 0 seconds, got {theta!r}")
+    check_cell(order, theta)
     i = np.arange(order)[:, None]
     j = np.arange(order)[None, :]
     A = (2 * i + 1) / theta * np.where(i < j, -1.0, (-1.0) ** (i - j + 1))
@@ -142,8 +147,27 @@ def tensor_shapes(input_dim: int, topology) -> dict:
         for name, shape in zip(LAYER_TENSORS, ((c, n), (c, h), (h, n), (h, D), (h,))):
             shapes[f"layer{i}.{name}"] = shape
         n = h
-    shapes["output.weight"], shapes["output.bias"] = (12, n), (12,)
+    shapes["output.weight"], shapes["output.bias"] = (N_LABELS, n), (N_LABELS,)
     return shapes
+
+
+def cell_name(i: int, k: int) -> str:
+    """Cell k of layer i, as model files and the accumulator proof name it."""
+    return f"layer{i}.cell{k}"
+
+
+def stored_shapes(input_dim: int, topology) -> dict:
+    """name -> shape of every tensor a model file stores, in stored order:
+    each layer's cells' fixed A (d, d) and B (d,), then ``tensor_shapes``."""
+    cells = {f"{cell_name(i, k)}.{part}": shape
+             for i, (_, orders) in enumerate(topology) for k, d in enumerate(orders)
+             for part, shape in (("A", (d, d)), ("B", (d,)))}
+    return cells | tensor_shapes(input_dim, topology)
+
+
+def model_topology(model) -> list:
+    """Each layer's (hidden width, cell orders) of a ModelGraph or QuantizedModel."""
+    return [(layer.hidden_dim, [cell.order for cell in layer.cells]) for layer in model.layers]
 
 
 def memory_system(blocks):
@@ -208,13 +232,12 @@ class ModelGraph:
     label_names: list
 
     def validate(self) -> None:
-        topology = [(layer.hidden_dim, [c.order for c in layer.cells]) for layer in self.layers]
-        shapes = tensor_shapes(self.input_dim, topology)
+        shapes = tensor_shapes(self.input_dim, model_topology(self))
         for name, tensor in self.trainable_tensors():
             if tensor.shape != shapes[name]:
                 raise ValueError(f"{name} shape {tensor.shape} != {shapes[name]}")
-        if len(self.label_names) != 12:
-            raise ValueError("exactly 12 label names required")
+        if len(self.label_names) != N_LABELS:
+            raise ValueError(f"exactly {N_LABELS} label names required")
 
     def trainable_tensors(self):
         """(name, array) for every trainable tensor: ``trainable_items``."""
@@ -277,7 +300,7 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
         output_weight=tensors["output.weight"],
         output_bias=tensors["output.bias"],
         input_dim=config.input_dim,
-        label_names=list(config.label_names) or [f"label{i}" for i in range(12)],
+        label_names=list(config.label_names) or [f"label{i}" for i in range(N_LABELS)],
     )
     model.validate()
     return model

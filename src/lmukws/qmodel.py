@@ -38,7 +38,7 @@ from .fixedpoint import (
     round_saturate,
     weight_quant_spec,
 )
-from .lmu import ModelGraph, memory_system, trainable_items
+from .lmu import ModelGraph, cell_name, memory_system, model_topology, stored_shapes, trainable_items
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,14 @@ class QuantizedModel:
     def logits_exp(self) -> int:
         return self.output_bias.spec.scale_exp
 
+    def stored_tensors(self) -> list:
+        """Each cell's A and B, then ``trainable_items``: the model file's order."""
+        cells = [qt for layer in self.layers for cell in layer.cells for qt in (cell.A, cell.B)]
+        return cells + [qt for _, qt in trainable_items(self)]
+
     def tensor_items(self):
-        """(name, QuantTensor) for every stored tensor, in model-file order:
-        each cell's A and B, then the trainable tensors (``trainable_items``)."""
-        for i, layer in enumerate(self.layers):
-            for k, cell in enumerate(layer.cells):
-                yield f"layer{i}.cell{k}.A", cell.A
-                yield f"layer{i}.cell{k}.B", cell.B
-        yield from trainable_items(self)
+        """``stored_tensors`` named as ``lmu.stored_shapes`` names them."""
+        return zip(stored_shapes(self.input_dim, model_topology(self)), self.stored_tensors())
 
 
 def kept_parameters(qm: QuantizedModel) -> dict:
@@ -306,8 +306,8 @@ def stages(qm: QuantizedModel) -> list:
                                           term(layer.input_encoder, x_exp)], layer.u_exp))
         for k, cell in enumerate(layer.cells):
             b = term(cell.B, layer.u_exp)  # (d,): one column, over the cell's u
-            out.append(Stage(f"layer{i}.cell{k}: m", [term(cell.A, layer.m_exp),
-                                                      b._replace(q=b.q[:, None])], layer.m_exp))
+            out.append(Stage(f"{cell_name(i, k)}: m", [term(cell.A, layer.m_exp),
+                                                       b._replace(q=b.q[:, None])], layer.m_exp))
         out.append(Stage(f"layer{i}: h", [term(layer.input_kernel, x_exp),
                                           term(layer.memory_kernel, layer.m_exp)],
                          layer.h_exp, layer.bias))
@@ -422,7 +422,7 @@ def _source(qm: "QuantizedModel") -> tuple:
     return (
         qm.input_exp,
         tuple((layer.u_exp, layer.m_exp, layer.h_exp) for layer in qm.layers),
-        tuple((qt.spec, qt.shape, qt.q.tobytes()) for _, qt in qm.tensor_items()),
+        tuple((qt.spec, qt.shape, qt.q.tobytes()) for qt in qm.stored_tensors()),
     )
 
 

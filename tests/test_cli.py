@@ -24,7 +24,7 @@ from detect_reference import inline_detect, stream_logits
 from lmukws import cli, training
 from lmukws.cli import COMMANDS, build_parser, main, resolve_config
 from lmukws.configs import REFERENCE_NAMES, reference_config
-from lmukws.fixedpoint import QuantTensor
+from lmukws.fixedpoint import QuantSpec, QuantTensor
 from lmukws.frontend import (
     FeatureConfig,
     build_dataset,
@@ -37,7 +37,13 @@ from lmukws.frontend import (
 )
 from lmukws.lmu import build_model, trainable_items
 from lmukws.modelfile import _tensor_record, load_model, save_model
-from lmukws.qmodel import calibrate_activation_scales, freeze, kept_parameters, model_size_kbits
+from lmukws.qmodel import (
+    QuantizedCell,
+    calibrate_activation_scales,
+    freeze,
+    kept_parameters,
+    model_size_kbits,
+)
 from lmukws.training import evaluate
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -855,8 +861,22 @@ def _nan_bias(tensors):
     tensors["layer0.bias"][0] = np.nan
 
 
-# case -> (command, flag, maker of the bad file at a path); each comment says
-# how the command used to end
+def _order_0_model(path, trained):
+    """The trained toy model with a third cell of order 0, its encoders
+    widened by a zero row to match: consistent but for the cell rule."""
+    qm = load_model(trained / "model.lmuq")
+    layer = qm.layers[0]
+    assert len(layer.cells) == 2 and not qm.keep_masks
+    layer.cells.append(QuantizedCell(A=QuantTensor(np.zeros((0, 0)), QuantSpec(8, 0)),
+                                     B=QuantTensor(np.zeros(0), QuantSpec(8, 0)), theta=0.8))
+    for name in ("input_encoder", "hidden_encoder"):
+        qt = getattr(layer, name)
+        setattr(layer, name, QuantTensor(np.vstack([qt.q, np.zeros((1, qt.shape[1]))]), qt.spec))
+    save_model(qm, path)
+
+
+# case -> (command, flag, maker of the bad file at a path, and any text that
+# stderr names besides the path); each comment says how the command used to end
 BAD_ARTIFACTS = {
     "resume-cut-npz": ("train", "--resume",  # uncaught BadZipFile
                        lambda p, t: p.write_bytes((t / "checkpoint.npz").read_bytes()[:300])),
@@ -870,13 +890,18 @@ BAD_ARTIFACTS = {
     "eval-frontend-directory": ("eval", "--frontend", lambda p, t: p.mkdir()),
     "stream-wav-directory": ("stream", "--wav", lambda p, t: p.mkdir()),
     "stream-wav-empty": ("stream", "--wav", lambda p, t: p.write_bytes(b"")),  # EOFError
+    # exit 2 with numpy's "zero-size array" from the accumulator proof,
+    # naming neither the file nor the cell
+    "eval-model-order-0": ("eval", "--model", _order_0_model, "layer0.cell2: "),
+    "stream-model-order-0": ("stream", "--model", _order_0_model, "layer0.cell2: "),
+    "hw-report-model-order-0": ("hw-report", "--model", _order_0_model, "layer0.cell2: "),
 }
 
 
 @pytest.mark.parametrize("case", BAD_ARTIFACTS)
 def test_bad_artifact_is_data_error_naming_it(toy_root, trained, tmp_path, capsys,
                                               monkeypatch, case):
-    cmd, flag, make = BAD_ARTIFACTS[case]
+    cmd, flag, make, *named = BAD_ARTIFACTS[case]
     bad = tmp_path / "bad"
     make(bad, trained)
 
@@ -887,11 +912,14 @@ def test_bad_artifact_is_data_error_naming_it(toy_root, trained, tmp_path, capsy
     model, wav = str(trained / "model.lmuq"), str(next((toy_root / "yes").glob("*.wav")))
     flags = {"train": {"--data-root": str(toy_root), "--steps": "2"},
              "eval": {"--model": model, "--data-root": str(toy_root), "--split": "val"},
-             "stream": {"--model": model, "--wav": wav}}[cmd]
+             "stream": {"--model": model, "--wav": wav},
+             "hw-report": {"--model": model}}[cmd]
     flags.update({flag: str(bad), "--out-dir": str(tmp_path / "out")})
     rc = main([cmd] + [arg for item in flags.items() for arg in item])
     assert rc == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert all(text in err for text in named)
 
 
 class TestSizeReport:

@@ -23,11 +23,19 @@ from lmukws.fixedpoint import (
     round_half_even_rshift,
     scale_exp_for_max,
 )
-from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model, tensor_shapes
+from lmukws.lmu import (
+    CellConfig,
+    LayerConfig,
+    ModelConfig,
+    build_model,
+    legendre_state_space,
+    tensor_shapes,
+)
 from lmukws.hwmodel import profile_workload
 from lmukws.modelfile import MAGIC, ModelFormatError, _tensor_record, load_model, save_model
 from lmukws.qmodel import (
     ActivationScales,
+    QuantizedCell,
     QuantStreamState,
     assert_accumulator_safe,
     calibrate_activation_scales,
@@ -749,6 +757,18 @@ def _record_names(blob: bytes) -> list:
     return names
 
 
+def _add_order_0_cell(qm, i, k, theta):
+    """Give layer i of an unpruned qm an order-0 cell at position k, its
+    encoders widened by a zero row to match: consistent but for the cell
+    rule."""
+    layer = qm.layers[i]
+    layer.cells.insert(k, QuantizedCell(A=QuantTensor(np.zeros((0, 0)), QuantSpec(8, 0)),
+                                        B=QuantTensor(np.zeros(0), QuantSpec(8, 0)), theta=theta))
+    for name in ("input_encoder", "hidden_encoder"):
+        qt = getattr(layer, name)
+        setattr(layer, name, QuantTensor(np.insert(qt.q, k, 0, axis=0), qt.spec))
+
+
 class TestModelFile:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -852,6 +872,47 @@ class TestModelFile:
         _with_crc(tmp_path / "m.lmuq", body[:at] + struct.pack("<d", theta) + body[at + 8:])
         with pytest.raises(ModelFormatError, match=r"layer1\.cell0: window theta"):
             load_model(tmp_path / "m.lmuq")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+            min_size=1, max_size=3,
+        ),
+        order_0=st.booleans(),
+        theta=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.2]) | st.floats(0.05, 0.5),
+        data=st.data(),
+    )
+    def test_file_loads_exactly_when_the_cell_rule_accepts_its_cells(self, topology, order_0,
+                                                                      theta, data):
+        # One cell of a frozen model gets a new window, or a new order-0 cell
+        # comes in with its encoders widened to match.  An order-0 cell used
+        # to fail the accumulator proof with numpy's "zero-size array"
+        # message, which named neither the cell nor the rule.
+        rng = np.random.default_rng(0)
+        model = build_model(ModelConfig(input_dim=3, layers=tuple(
+            LayerConfig(hidden=hidden, cells=tuple(CellConfig(order, 0.2) for order in orders))
+            for hidden, orders in topology)), rng)
+        qm = freeze(model, 8, calibrate_activation_scales(model, rng.standard_normal((2, 4, 3))))
+        i = data.draw(st.integers(0, len(qm.layers) - 1), label="layer")
+        k = data.draw(st.integers(0, len(qm.layers[i].cells) - (not order_0)), label="cell")
+        if order_0:
+            _add_order_0_cell(qm, i, k, theta)
+        else:
+            qm.layers[i].cells[k].theta = theta
+        try:
+            legendre_state_space(qm.layers[i].cells[k].order, theta)
+            accepted = True
+        except ValueError:
+            accepted = False
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.lmuq"
+            save_model(qm, path)
+            if accepted:
+                assert load_model(path).layers[i].cells[k].theta == theta
+            else:
+                with pytest.raises(ModelFormatError, match=rf"layer{i}\.cell{k}: "):
+                    load_model(path)
 
     @pytest.mark.parametrize("field", ["label", "tensor name"])
     def test_text_that_is_not_utf8_rejected(self, small_model_files, tmp_path, field):
