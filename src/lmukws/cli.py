@@ -27,12 +27,13 @@ import numpy as np
 from .configs import REFERENCE_NAMES, read_key_values, reference_config
 from .detect import Detector
 from .frontend import (
-    TOY_WORD_TONES,
+    BACKGROUND_DIR,
     DatasetError,
     FeatureConfig,
     StreamFeaturizer,
     WavFormatError,
     build_dataset,
+    check_toy_words,
     featurize_utterance,
     generate_toy_dataset,
     load_clip,
@@ -172,6 +173,21 @@ TEXT_OR_NONE = Limit(str, optional=True)
 COMMON = {
     "seed": Setting(0, Limit(int, lo=0)),
     "out_dir": Setting(None, TEXT_OR_NONE),
+}
+# Rows two commands share: the corpus (train, eval), a served model (eval,
+# stream) and a costed one (hw-report, hw-sweep).
+CORPUS = {
+    "data_root": Setting("data/speech_commands", TEXT),
+    "keywords": Setting("yes,no", TEXT),
+}
+SERVED_MODEL = {
+    "model": Setting("runs/train/model.lmuq", TEXT),
+    "frontend": Setting(None, TEXT_OR_NONE, "frontend.npz sidecar (default: next to the model)"),
+}
+COSTED_MODEL = {
+    "model": Setting(None, TEXT_OR_NONE),
+    "model_preset": Setting("lmu2", Limit(str, choices=REFERENCE_NAMES)),
+    "coefficients": Setting(None, TEXT_OR_NONE, "coefficient table file (default: built-in)"),
 }
 
 
@@ -322,7 +338,7 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
         for member in tar:
             top = member.name.lstrip("./").split("/", 1)[0]
             if keywords is not None and "/" in member.name.lstrip("./"):
-                if top not in keywords and top != "_background_noise_":
+                if top not in keywords and top != BACKGROUND_DIR:
                     continue
             count += 1
             try:
@@ -335,16 +351,10 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
 def cmd_fetch_data(cfg: dict) -> int:
     if cfg["toy"]:
         keywords, unknown_words = _words(cfg["keywords"]), _words(cfg["unknown_words"])
-        words = keywords + unknown_words
-        missing = [w for w in words if w not in TOY_WORD_TONES]
-        if missing:
-            raise UsageError(f"no synthetic recipe for {', '.join(map(repr, missing))}; "
-                             f"--toy knows {', '.join(TOY_WORD_TONES)}")
-        repeated = sorted({w for w in words if words.count(w) > 1})
-        if repeated:
-            raise UsageError(f"--keywords and --unknown-words list "
-                             f"{', '.join(map(repr, repeated))} more than once; "
-                             "--toy synthesizes each word once")
+        try:
+            check_toy_words(keywords + unknown_words)
+        except ValueError as e:
+            raise UsageError(f"--toy: {e}") from None
     else:  # an empty list extracts every word
         keywords = _words(cfg["keywords"]) if cfg["keywords"] else None
     _run_dir(cfg, "fetch-data")
@@ -394,8 +404,7 @@ def cmd_fetch_data(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 TRAIN_SETTINGS = {
-    "data_root": Setting("data/speech_commands", TEXT),
-    "keywords": Setting("yes,no", TEXT),
+    **CORPUS,
     "model_preset": Setting("toy", Limit(str, choices=REFERENCE_NAMES)),
     "steps": Setting(200, Limit(int, lo=1)),
     "batch_size": Setting(32, Limit(int, lo=1)),
@@ -492,13 +501,9 @@ def cmd_train(cfg: dict) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-FRONTEND_HELP = "frontend.npz sidecar (default: next to the model)"
-
 EVAL_SETTINGS = {
-    "model": Setting("runs/train/model.lmuq", TEXT),
-    "frontend": Setting(None, TEXT_OR_NONE, FRONTEND_HELP),
-    "data_root": Setting("data/speech_commands", TEXT),
-    "keywords": Setting("yes,no", TEXT),
+    **SERVED_MODEL,
+    **CORPUS,
     "split": Setting("test", Limit(str, choices=("train", "val", "test"))),
     "mode": Setting("offline", Limit(str, choices=("offline", "streaming"))),
     **COMMON,
@@ -539,8 +544,7 @@ def cmd_eval(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 STREAM_SETTINGS = {
-    "model": Setting("runs/train/model.lmuq", TEXT),
-    "frontend": Setting(None, TEXT_OR_NONE, FRONTEND_HELP),
+    **SERVED_MODEL,
     "wav": Setting(None, TEXT_OR_NONE),
     "smooth": Setting(5, Limit(int, lo=1), "posterior moving-average window in hops"),
     "threshold": Setting(0.7, Limit(float, lo=0.0, hi=1.0, lo_open=True)),
@@ -612,12 +616,8 @@ def cmd_size_report(cfg: dict) -> int:
 # hw-report and hw-sweep
 # ---------------------------------------------------------------------------
 
-COEFFICIENTS_HELP = "coefficient table file (default: built-in)"
-
 HW_REPORT_SETTINGS = {
-    "model": Setting(None, TEXT_OR_NONE),
-    "model_preset": Setting("lmu2", Limit(str, choices=REFERENCE_NAMES)),
-    "coefficients": Setting(None, TEXT_OR_NONE, COEFFICIENTS_HELP),
+    **COSTED_MODEL,
     "clock_hz": Setting(92000.0, Limit(float, lo=0.0, lo_open=True)),
     "lanes": Setting(128, Limit(int, lo=1)),
     **COMMON,
@@ -630,7 +630,7 @@ def cmd_hw_report(cfg: dict) -> int:
     coeffs = _coefficients(cfg)
     dp = DesignPoint(clock_hz=float(cfg["clock_hz"]), lanes=cfg["lanes"])
     pb = estimate_power(w, dp, coeffs)
-    fps = 1000 / FeatureConfig.hop_ms
+    fps = 1 / FeatureConfig.hop_s
     asic_uj = 3.4  # the reported ASIC's energy per frame
     comparisons = [
         ("this design", pb.total_uW, "modeled"),
@@ -659,9 +659,7 @@ def cmd_hw_report(cfg: dict) -> int:
 
 
 HW_SWEEP_SETTINGS = {
-    "model": Setting(None, TEXT_OR_NONE),
-    "model_preset": Setting("lmu2", Limit(str, choices=REFERENCE_NAMES)),
-    "coefficients": Setting(None, TEXT_OR_NONE, COEFFICIENTS_HELP),
+    **COSTED_MODEL,
     "clock_min": Setting(1e4, Limit(float, lo=0.0, lo_open=True)),
     "clock_max": Setting(1e7, Limit(float, lo=0.0, lo_open=True)),
     "clock_points": Setting(25, Limit(int, lo=1)),

@@ -21,18 +21,15 @@ from .lmu import CellConfig, LayerConfig, ModelConfig
 THETA_LADDER = (0.1, 0.2, 0.4, 0.8)
 
 
-def _cells(order: int) -> tuple:
+def _ladder(order: int) -> tuple:
     return tuple(CellConfig(order=order, theta=t) for t in THETA_LADDER)
 
 
-def _preset(hidden, order, weight_bits, target_sparsity=0.0) -> ModelConfig:
-    h1, h2 = hidden
+def _preset(hidden, cells, weight_bits, target_sparsity=0.0) -> ModelConfig:
+    """One layer per hidden width, each with ``cells``, over the frontend's features."""
     return ModelConfig(
         input_dim=FeatureConfig.mel_bins,
-        layers=(
-            LayerConfig(hidden=h1, cells=_cells(order)),
-            LayerConfig(hidden=h2, cells=_cells(order)),
-        ),
+        layers=tuple(LayerConfig(hidden=h, cells=cells) for h in hidden),
         weight_bits=weight_bits,
         target_sparsity=target_sparsity,
     )
@@ -40,25 +37,16 @@ def _preset(hidden, order, weight_bits, target_sparsity=0.0) -> ModelConfig:
 
 REFERENCE_CONFIGS = {
     # dense 8-bit: 210375 parameters -> 1683.0 kbits
-    "lmu1": _preset((387, 382), 12, weight_bits=8),
+    "lmu1": _preset((387, 382), _ladder(12), weight_bits=8),
     # dense 4-bit: 90250 parameters -> 361.0 kbits
-    "lmu2": _preset((210, 228), 16, weight_bits=4),
+    "lmu2": _preset((210, 228), _ladder(16), weight_bits=4),
     # 4-bit, 80% pruned: 131250 -> 26250 kept -> 105.0 kbits
-    "lmu3": _preset((218, 356), 16, weight_bits=4, target_sparsity=0.80),
+    "lmu3": _preset((218, 356), _ladder(16), weight_bits=4, target_sparsity=0.80),
     # 4-bit, 91% pruned: 136111 -> 12250 kept -> 49.0 kbits
-    "lmu4": _preset((307, 312), 8, weight_bits=4, target_sparsity=0.91),
+    "lmu4": _preset((307, 312), _ladder(8), weight_bits=4, target_sparsity=0.91),
     # small single-layer model for demos and the synthetic dataset
-    "toy": ModelConfig(
-        input_dim=FeatureConfig.mel_bins,
-        layers=(
-            LayerConfig(
-                hidden=32,
-                cells=(CellConfig(order=8, theta=0.2),
-                       CellConfig(order=8, theta=0.4)),
-            ),
-        ),
-        weight_bits=4,
-    ),
+    "toy": _preset((32,), (CellConfig(order=8, theta=0.2), CellConfig(order=8, theta=0.4)),
+                   weight_bits=4),
 }
 
 REFERENCE_NAMES = tuple(REFERENCE_CONFIGS)

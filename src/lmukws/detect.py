@@ -31,7 +31,7 @@ class Detector:
     @property
     def t(self) -> float:
         """Start of the latest hop stepped, in seconds."""
-        return (self.hops - 1) * (FeatureConfig.hop_ms / 1000)
+        return (self.hops - 1) * FeatureConfig.hop_s
 
     def step(self, logits: np.ndarray):
         """One hop's int64 logits (12,) -> (smoothed posterior, detection

@@ -16,11 +16,14 @@ import numpy as np
 
 ACTIVATION_BITS = 7
 ACCUMULATOR_BITS = 32
-WEIGHT_BIT_CHOICES = (4, 8)
+WEIGHT_BIT_CHOICES = (4, 8)  # for the trainable weights
+CELL_BITS = 8  # each memory cell's fixed A and B
+BIAS_BITS = ACCUMULATOR_BITS  # a bias is added to its stage's accumulator
+WIDTHS = tuple(sorted({ACTIVATION_BITS, *WEIGHT_BIT_CHOICES, CELL_BITS, BIAS_BITS}))
 
 # Largest dot-product length that can never overflow a 32-bit accumulator
-# with 7-bit activations and 8-bit weights: 2^(32-1-6-7).
-MAX_FAN_IN = 2 ** (ACCUMULATOR_BITS - 1 - (ACTIVATION_BITS - 1) - (8 - 1))
+# with 7-bit activations and the widest (8-bit) weights: 2^(32-1-6-7).
+MAX_FAN_IN = 2 ** (ACCUMULATOR_BITS + 1 - ACTIVATION_BITS - max(CELL_BITS, *WEIGHT_BIT_CHOICES))
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,9 @@ class QuantSpec:
     scale_exp: int
 
     def __post_init__(self):
-        if self.bits not in (4, 7, 8, 32):
-            raise ValueError(f"unsupported width {self.bits}; use 4, 7, 8, or 32")
+        if self.bits not in WIDTHS:
+            raise ValueError(f"unsupported width {self.bits}; use "
+                             f"{', '.join(map(str, WIDTHS[:-1]))}, or {WIDTHS[-1]}")
 
     @property
     def qmin(self) -> int:

@@ -7,9 +7,9 @@ feature configuration, normalization included, is stored in model files so
 an inference-side config drift is caught instead of silently skewing inputs.
 
 Dataset directories follow the public keyword-spotting corpus layout: one
-folder per word plus _background_noise_, file names "<speaker>_nohash_<take>
-.wav", and the split is a pure hash of the speaker id so no speaker ever
-straddles train/val/test.
+folder per word plus the noise folder ``BACKGROUND_DIR``, file names
+"<speaker>_nohash_<take>.wav", and the split is a pure hash of the speaker
+id so no speaker ever straddles train/val/test.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ class FeatureConfig:
     sample_rate: ClassVar[int] = 16000
     window_ms: ClassVar[int] = 40
     hop_ms: ClassVar[int] = 20
+    hop_s: ClassVar[float] = hop_ms / 1000  # the frame period every model steps at
     mel_bins: ClassVar[int] = 40
     fft_size: ClassVar[int] = 1024
     log_floor: ClassVar[float] = 1e-6
@@ -76,6 +77,16 @@ class FeatureConfig:
         parts = [f"{name}={getattr(self, name)!r}" for name in recipe]
         parts += [f"{name}={reprs(getattr(self, name))}" for name in ("norm_mean", "norm_std")]
         return hashlib.sha256("\n".join(parts).encode()).digest()
+
+    def normalize(self, feats: np.ndarray) -> np.ndarray:
+        """The fitted per-bin normalization, applied to log-mel rows in place
+        (none before fitting); training's ``materialize_features`` and the
+        deployed ``log_mel_frames`` both apply it here, so they agree."""
+        _, _, mean, std = self._kernel
+        if mean is not None:
+            feats -= mean
+            feats /= std
+        return feats
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -178,7 +189,7 @@ def log_mel_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim == 0 or frames.shape[-1] != config.window_samples:
         raise ValueError(f"expected windows of {config.window_samples} samples, got {frames.shape}")
-    window, bank, mean, std = config._kernel
+    window, bank, _, _ = config._kernel
     spec = np.fft.rfft(frames * window, n=config.fft_size)
     power = np.square(spec.real)
     power += np.square(spec.imag)
@@ -186,10 +197,7 @@ def log_mel_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     np.matmul(bank, power[..., None], out=feats[..., None])
     feats += config.log_floor
     np.log(feats, out=feats)
-    if mean is not None:
-        feats -= mean
-        feats /= std
-    return feats
+    return config.normalize(feats)
 
 
 def featurize_signal(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -291,9 +299,10 @@ def pad_or_crop(samples: np.ndarray, length: int) -> np.ndarray:
 # Splits and dataset manifests
 # ---------------------------------------------------------------------------
 
-SILENCE_LABEL = 10
-UNKNOWN_LABEL = 11
-N_LABELS = 12  # the 10 keyword slots, silence and unknown
+KEYWORD_SLOTS = 10
+SILENCE_LABEL = KEYWORD_SLOTS  # the keyword slots, then silence and unknown
+UNKNOWN_LABEL = SILENCE_LABEL + 1
+N_LABELS = UNKNOWN_LABEL + 1
 BACKGROUND_DIR = "_background_noise_"
 
 
@@ -334,13 +343,13 @@ class Manifest:
 
 
 def twelve_label_names(keywords) -> list:
-    """10 keyword slots + silence + unknown; short keyword lists pad the tail."""
+    """The keyword slots (a short list pads their tail), silence and unknown."""
     keywords = list(keywords)
-    if len(keywords) > 10:
-        raise ValueError("at most 10 keywords")
+    if len(keywords) > KEYWORD_SLOTS:
+        raise ValueError(f"at most {KEYWORD_SLOTS} keywords")
     if len(set(keywords)) < len(keywords):
         raise ValueError("keywords must be distinct")
-    names = keywords + [f"(unused{i})" for i in range(len(keywords), 10)]
+    names = keywords + [f"(unused{i})" for i in range(len(keywords), KEYWORD_SLOTS)]
     return names + ["_silence_", "_unknown_"]
 
 
@@ -406,7 +415,7 @@ def build_dataset(root, keywords, seed: int = 0) -> Manifest:
             ManifestEntry(
                 path=f"{BACKGROUND_DIR}/{bg_files[i % len(bg_files)]}",
                 label=SILENCE_LABEL,
-                split=split_cycle[i % 10],
+                split=split_cycle[i % len(split_cycle)],
             )
         )
     return Manifest(root=root, label_names=twelve_label_names(keywords), entries=entries)
@@ -457,34 +466,26 @@ def materialize_features(manifest: Manifest, config: FeatureConfig) -> FeatureDa
     read (the recipe is fixed and the normalization is fitted here); it stays
     because perfbench's workloads pass ``FeatureConfig()``.
     """
-    raw = {"train": [], "val": [], "test": []}
-    labels = {"train": [], "val": [], "test": []}
     base, bins = FeatureConfig(), FeatureConfig.mel_bins
+    splits = {split: ([], []) for split in ("train", "val", "test")}  # (features, labels)
     for i, entry in enumerate(manifest.entries):
-        raw[entry.split].append(featurize_utterance(load_clip(manifest, i), base))
-        labels[entry.split].append(entry.label)
-    if not raw["train"]:
+        feats, labels = splits[entry.split]
+        feats.append(featurize_utterance(load_clip(manifest, i), base))
+        labels.append(entry.label)
+    if not splits["train"][0]:
         raise DatasetError("manifest has no training entries")
-    train = np.stack(raw["train"])
-    mean = train.reshape(-1, bins).mean(axis=0)
-    std = train.reshape(-1, bins).std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    fitted = FeatureConfig(norm_mean=tuple(float(v) for v in mean),
-                           norm_std=tuple(float(v) for v in std))
-
-    def pack(split):
-        if not raw[split]:
-            return (np.zeros((0, train.shape[1], bins)), np.zeros(0, dtype=np.int64))
-        x = (np.stack(raw[split]) - mean) / std
-        return x, np.asarray(labels[split], dtype=np.int64)
-
-    tx, ty = pack("train")
-    vx, vy = pack("val")
-    sx, sy = pack("test")
-    return FeatureDataset(
-        train_x=tx, train_y=ty, val_x=vx, val_y=vy, test_x=sx, test_y=sy,
-        label_names=manifest.label_names, config=fitted,
-    )
+    data = {}
+    for split, (feats, labels) in splits.items():
+        x = np.stack(feats) if feats else np.zeros((0, base.frames_per_second_clip, bins))
+        feats.clear()  # the stack holds them now
+        data[f"{split}_x"], data[f"{split}_y"] = x, np.asarray(labels, dtype=np.int64)
+    train = data["train_x"].reshape(-1, bins)
+    std = train.std(axis=0)
+    fitted = FeatureConfig(norm_mean=tuple(float(v) for v in train.mean(axis=0)),
+                           norm_std=tuple(float(v) for v in np.where(std < 1e-8, 1.0, std)))
+    for split in splits:
+        fitted.normalize(data[f"{split}_x"])
+    return FeatureDataset(**data, label_names=manifest.label_names, config=fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +501,18 @@ TOY_WORD_TONES = {
     "left": (380.0, 2600.0),
     "right": (540.0, 1200.0),
 }
+
+
+def check_toy_words(words) -> None:
+    """ValueError unless every word has a synthetic recipe and none is listed
+    twice; ``generate_toy_dataset`` checks this before it writes any file."""
+    words = list(words)
+    for word in words:
+        if word not in TOY_WORD_TONES:
+            raise ValueError(f"no synthetic recipe for word {word!r}; "
+                             f"known words: {', '.join(TOY_WORD_TONES)}")
+        if words.count(word) > 1:
+            raise ValueError(f"word {word!r} is listed more than once")
 
 
 def _synth_word(rng, word: str, rate: int) -> np.ndarray:
@@ -534,11 +547,7 @@ def generate_toy_dataset(
     carry synthetic speaker ids so which_set exercises the real split logic.
     """
     words = list(keywords) + list(unknown_words)
-    for word in words:  # before any file is written
-        if word not in TOY_WORD_TONES:
-            raise ValueError(f"no synthetic recipe for word {word!r}")
-        if words.count(word) > 1:
-            raise ValueError(f"word {word!r} is listed more than once")
+    check_toy_words(words)
     rate = FeatureConfig.sample_rate
     rng = np.random.default_rng(seed)
     for word in words:

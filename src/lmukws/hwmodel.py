@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .configs import read_key_values
-from .fixedpoint import ACTIVATION_BITS
+from .fixedpoint import ACCUMULATOR_BITS, ACTIVATION_BITS
 from .frontend import FeatureConfig
 from .lmu import trainable_items
 from .qmodel import QuantizedModel, stages
@@ -135,8 +135,6 @@ class WorkloadProfile:
         return self.parameter_bits + self.constant_bits + self.activation_bits
 
 
-# The head's sums are the logits, kept at the 32-bit accumulator width.
-LOGIT_BITS = 32
 # Bits the SRAM port moves per cycle, and the fixed cycles of each frame.
 SRAM_WIDTH_BITS = 4096
 OVERHEAD_CYCLES = 64
@@ -166,7 +164,7 @@ def profile_workload(qm: QuantizedModel) -> WorkloadProfile:
             reads += st.bias.q.size * st.bias.spec.bits
     *body, head = every
     writes = sum(len(st.terms[0].q) for st in body) * ACTIVATION_BITS
-    writes += len(head.terms[0].q) * LOGIT_BITS
+    writes += len(head.terms[0].q) * ACCUMULATOR_BITS  # the logits: the head's sums
     params = sum(qt.q.size * qt.spec.bits for _, qt in trainable_items(qm))
     stored = sum(qt.q.size * qt.spec.bits for qt in qm.stored_tensors())
     return WorkloadProfile(

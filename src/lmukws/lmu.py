@@ -281,7 +281,6 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     +-sqrt(3 / fan-in), in stored order; hidden encoders and biases start at
     zero.  The memory cells step once per frontend hop.
     """
-    dt = FeatureConfig.hop_ms / 1000
     topology = [(lc.hidden, [cc.order for cc in lc.cells]) for lc in config.layers]
     tensors = {}
     for name, shape in tensor_shapes(config.input_dim, topology).items():
@@ -292,7 +291,8 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> 
             tensors[name] = rng.uniform(-bound, bound, size=shape)
     layers = [
         LmuLayerParams(**{name: tensors[f"layer{i}.{name}"] for name in LAYER_TENSORS},
-                       cells=[MemoryCell(cc.order, cc.theta, dt) for cc in lc.cells])
+                       cells=[MemoryCell(cc.order, cc.theta, FeatureConfig.hop_s)
+                              for cc in lc.cells])
         for i, lc in enumerate(config.layers)
     ]
     model = ModelGraph(

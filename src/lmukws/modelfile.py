@@ -22,15 +22,14 @@ import zlib
 
 import numpy as np
 
-from .fixedpoint import WEIGHT_BIT_CHOICES, QuantSpec, QuantTensor, pack_nibbles, unpack_nibbles
+from .fixedpoint import (BIAS_BITS, CELL_BITS, WEIGHT_BIT_CHOICES, QuantSpec, QuantTensor,
+                         pack_nibbles, unpack_nibbles)
 from .frontend import N_LABELS, FeatureConfig
 from .lmu import LAYER_TENSORS, cell_name, check_cell, stored_shapes, tensor_shapes
 from .qmodel import QuantizedCell, QuantizedLayer, QuantizedModel, compile_model
 
 MAGIC = b"LMUQ"
 VERSION = 1
-# The one frame period a model file may hold: the frontend's hop.
-FRAME_PERIOD_S = FeatureConfig.hop_ms / 1000
 
 # Each record of the layout above, declared once for the writer and the reader.
 PREAMBLE = struct.Struct("<4sH")  # magic, version
@@ -82,7 +81,7 @@ def _tensor_record(name: str, qt: QuantTensor, mask: np.ndarray | None) -> bytes
 def save_model(qm: QuantizedModel, path) -> None:
     """Write the deployable model to path; load_model inverts it bit-exactly."""
     out = [PREAMBLE.pack(MAGIC, VERSION),
-           HEADER.pack(qm.frontend_hash, qm.input_dim, qm.weight_bits, FRAME_PERIOD_S,
+           HEADER.pack(qm.frontend_hash, qm.input_dim, qm.weight_bits, FeatureConfig.hop_s,
                        qm.input_exp),
            U16.pack(len(qm.label_names))]
     out += [_text(label) for label in qm.label_names]
@@ -182,15 +181,15 @@ def load_model(path) -> QuantizedModel:
     if len(labels) != N_LABELS:
         raise ModelFormatError(f"{len(labels)} labels; a model has exactly {N_LABELS}")
     if weight_bits not in WEIGHT_BIT_CHOICES:
-        raise ModelFormatError(f"weight width {weight_bits} is not 4 or 8")
-    if dt != FRAME_PERIOD_S:  # the engine runs, and the cost model times, 20 ms hops
+        raise ModelFormatError(f"weight width {weight_bits} is not "
+                               f"{' or '.join(map(str, WEIGHT_BIT_CHOICES))}")
+    if dt != FeatureConfig.hop_s:  # the engine runs, and the cost model times, 20 ms hops
         raise ModelFormatError(f"frame period dt = {dt!r} is not the frontend's "
-                               f"{FRAME_PERIOD_S!r} s hop")
-    # name -> (shape, bits) of every tensor the stored topology implies: the
-    # cells' A and B are 8-bit, biases 32-bit and the other weights weight_bits
+                               f"{FeatureConfig.hop_s!r} s hop")
+    # name -> (shape, bits) of every tensor the stored topology implies
     topology = [(head[0], [order for order, _ in cells]) for head, cells in layer_meta]
-    expected = {name: (shape, 8) for name, shape in stored_shapes(input_dim, topology).items()}
-    expected |= {name: (shape, 32 if name.endswith("bias") else weight_bits)
+    expected = {name: (shape, CELL_BITS) for name, shape in stored_shapes(input_dim, topology).items()}
+    expected |= {name: (shape, BIAS_BITS if name.endswith("bias") else weight_bits)
                  for name, shape in tensor_shapes(input_dim, topology).items()}
     for i, (name, want) in enumerate(itertools.zip_longest(tensors, expected)):
         if name != want:  # an extra, missing, renamed or reordered record

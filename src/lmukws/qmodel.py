@@ -28,6 +28,8 @@ import numpy as np
 from .fixedpoint import (
     ACCUMULATOR_BITS,
     ACTIVATION_BITS,
+    BIAS_BITS,
+    CELL_BITS,
     MAX_FAN_IN,
     WEIGHT_BIT_CHOICES,
     MagnitudeTail,
@@ -203,8 +205,8 @@ def deployed_tensors(model: ModelGraph, weight_bits: int,
             hidden_encoder=qw(layer.hidden_encoder),
             input_kernel=w_x,
             memory_kernel=w_m,
-            bias=quantize(layer.bias, QuantSpec(32, pre_exp)),
-            cells=[QuantizedCell(A=qw(cell.A_d, 8), B=qw(cell.B_d, 8), theta=cell.theta)
+            bias=quantize(layer.bias, QuantSpec(BIAS_BITS, pre_exp)),
+            cells=[QuantizedCell(qw(cell.A_d, CELL_BITS), qw(cell.B_d, CELL_BITS), cell.theta)
                    for cell in layer.cells],
             u_exp=u_exp,
             m_exp=m_exp,
@@ -220,7 +222,7 @@ def deployed_tensors(model: ModelGraph, weight_bits: int,
         input_exp=scales.input_exp,
         layers=qlayers,
         output_weight=w_out,
-        output_bias=quantize(model.output_bias, QuantSpec(32, w_out.spec.scale_exp + x_exp)),
+        output_bias=quantize(model.output_bias, QuantSpec(BIAS_BITS, w_out.spec.scale_exp + x_exp)),
     )
 
 
@@ -238,7 +240,8 @@ def freeze(
     carried along purely for size accounting.
     """
     if weight_bits not in WEIGHT_BIT_CHOICES:
-        raise ValueError(f"weight_bits must be 4 or 8, got {weight_bits}")
+        raise ValueError(f"weight_bits must be {' or '.join(map(str, WEIGHT_BIT_CHOICES))}, "
+                         f"got {weight_bits}")
     if len(frontend_hash) != 32:
         raise ValueError("frontend_hash must be a 32-byte digest")
     model.validate()
@@ -350,7 +353,7 @@ _LO, _HI, _ZERO = _const(_ACT.qmin), _const(_ACT.qmax), _const(0.0)
 # is clamped to these k: below, every sum under 2^31 rounds to 0; above,
 # every nonzero one saturates.  So the outputs are unchanged, and the folded
 # weights stay normal floats for any exponents a model file holds.
-_FOLD_MIN = -32  # |sum| < 2^31, so |sum| * 2^-32 < 1/2
+_FOLD_MIN = -ACCUMULATOR_BITS  # |sum| < 2^31, so |sum| * 2^-32 < 1/2
 _FOLD_MAX = ACTIVATION_BITS  # |sum| >= 1, so |sum| * 2^7 > 64
 
 

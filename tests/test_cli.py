@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from detect_reference import inline_detect, stream_logits
 from lmukws import cli, training
-from lmukws.cli import COMMANDS, build_parser, main, resolve_config
+from lmukws.cli import COMMANDS, Limit, build_parser, main, resolve_config
 from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import QuantSpec, QuantTensor
 from lmukws.frontend import (
@@ -250,7 +250,95 @@ class TestParsing:
             resolve_config(args, COMMANDS[args.cmd].settings)
 
 
+# Every command's settings in flag order: key, default, Limit and help.
+TEXT, TEXT_OR_NONE = Limit(str), Limit(str, optional=True)
+PRESET = Limit(str, choices=("lmu1", "lmu2", "lmu3", "lmu4", "toy"))
+SEED_AND_OUT_DIR = [("seed", 0, Limit(int, lo=0), None), ("out_dir", None, TEXT_OR_NONE, None)]
+PINNED_SETTINGS = {
+    "fetch-data": [
+        ("root", "data/speech_commands", TEXT, None),
+        ("url", "http://download.tensorflow.org/data/speech_commands_v0.02.tar.gz", TEXT, None),
+        ("checksum", "af14739ee7dc311471de98f5f9d2c9191b18aedfe957f4a6ff791c709868ff58",
+         TEXT_OR_NONE, None),
+        ("toy", False, Limit(bool), "generate a synthetic corpus instead of downloading"),
+        ("keywords", "yes,no", TEXT, None),
+        ("unknown_words", "wow,zero", TEXT, None),
+        ("speakers", 40, Limit(int, lo=1), None),
+        ("takes", 3, Limit(int, lo=1), None),
+    ] + SEED_AND_OUT_DIR,
+    "train": [
+        ("data_root", "data/speech_commands", TEXT, None),
+        ("keywords", "yes,no", TEXT, None),
+        ("model_preset", "toy", PRESET, None),
+        ("steps", 200, Limit(int, lo=1), None),
+        ("batch_size", 32, Limit(int, lo=1), None),
+        ("learning_rate", 0.01, Limit(float, lo=0.0, hi=1.0, lo_open=True), None),
+        ("weight_bits", None, Limit(int, choices=(4, 8), optional=True), None),
+        ("target_sparsity", None, Limit(float, lo=0.0, hi=1.0, hi_open=True, optional=True), None),
+        ("hat", True, Limit(bool), "from step steps // 2, train against the deployed integers"),
+        ("resume", None, TEXT_OR_NONE, "checkpoint.npz to initialize weights from"),
+    ] + SEED_AND_OUT_DIR,
+    "eval": [
+        ("model", "runs/train/model.lmuq", TEXT, None),
+        ("frontend", None, TEXT_OR_NONE, "frontend.npz sidecar (default: next to the model)"),
+        ("data_root", "data/speech_commands", TEXT, None),
+        ("keywords", "yes,no", TEXT, None),
+        ("split", "test", Limit(str, choices=("train", "val", "test")), None),
+        ("mode", "offline", Limit(str, choices=("offline", "streaming")), None),
+    ] + SEED_AND_OUT_DIR,
+    "stream": [
+        ("model", "runs/train/model.lmuq", TEXT, None),
+        ("frontend", None, TEXT_OR_NONE, "frontend.npz sidecar (default: next to the model)"),
+        ("wav", None, TEXT_OR_NONE, None),
+        ("smooth", 5, Limit(int, lo=1), "posterior moving-average window in hops"),
+        ("threshold", 0.7, Limit(float, lo=0.0, hi=1.0, lo_open=True), None),
+        ("refractory", 10, Limit(int, lo=0), "hops to suppress after a detection"),
+    ] + SEED_AND_OUT_DIR,
+    "size-report": [
+        ("model", None, TEXT_OR_NONE, None),
+        ("model_preset", None, dataclasses.replace(PRESET, optional=True), None),
+    ] + SEED_AND_OUT_DIR,
+    "hw-report": [
+        ("model", None, TEXT_OR_NONE, None),
+        ("model_preset", "lmu2", PRESET, None),
+        ("coefficients", None, TEXT_OR_NONE, "coefficient table file (default: built-in)"),
+        ("clock_hz", 92000.0, Limit(float, lo=0.0, lo_open=True), None),
+        ("lanes", 128, Limit(int, lo=1), None),
+    ] + SEED_AND_OUT_DIR,
+    "hw-sweep": [
+        ("model", None, TEXT_OR_NONE, None),
+        ("model_preset", "lmu2", PRESET, None),
+        ("coefficients", None, TEXT_OR_NONE, "coefficient table file (default: built-in)"),
+        ("clock_min", 1e4, Limit(float, lo=0.0, lo_open=True), None),
+        ("clock_max", 1e7, Limit(float, lo=0.0, lo_open=True), None),
+        ("clock_points", 25, Limit(int, lo=1), None),
+        ("lanes", "1,2,4,8,16,32,64,128,256,512", TEXT, None),
+    ] + SEED_AND_OUT_DIR,
+}
+
+
+def test_every_setting_is_pinned():
+    # Rows shared between command tables must leave each command's flags, in
+    # order, with their defaults, Limits and help, as the commands declare them.
+    assert sum(len(rows) for rows in PINNED_SETTINGS.values()) == 58
+    assert list(COMMANDS) == list(PINNED_SETTINGS)
+    subparsers = next(a for a in build_parser()._actions if a.dest == "cmd").choices
+    for name, rows in PINNED_SETTINGS.items():
+        table = COMMANDS[name].settings
+        assert [(key, *setting) for key, setting in table.items()] == rows, name
+        flags = [a.option_strings[0] for a in subparsers[name]._actions
+                 if a.option_strings and a.option_strings[0] not in ("-h", "--config")]
+        assert flags == ["--" + key.replace("_", "-") for key, *_ in rows], name
+
+
 class TestFetchData:
+    def test_toy_word_without_a_recipe_names_it(self, tmp_path, capsys):
+        # The CLI and generate_toy_dataset checked the word list separately.
+        assert main(["fetch-data", "--toy", "--keywords", "yes,up"]) == 1
+        assert not any(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert "'up'" in err and "yes, no, wow, zero, left, right" in err
+
     def test_toy_generation_and_idempotence(self, toy_root, capsys):
         assert (toy_root / "yes").is_dir()
         assert (toy_root / "_background_noise_").is_dir()

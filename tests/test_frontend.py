@@ -14,6 +14,7 @@ from lmukws.frontend import (
     MAX_WAVS_PER_SPEAKER,
     DatasetError,
     FeatureConfig,
+    N_LABELS,
     SILENCE_LABEL,
     StreamFeaturizer,
     UNKNOWN_LABEL,
@@ -497,6 +498,10 @@ class TestBuildDataset:
         assert len(names) == 12 and names[0] == "yes" and names[2] == "(unused2)"
         with pytest.raises(ValueError):
             twelve_label_names([str(i) for i in range(11)])
+        for n in range(11):  # the label layout holds for every keyword count
+            names = twelve_label_names([f"w{i}" for i in range(n)])
+            assert len(names) == N_LABELS
+            assert names[SILENCE_LABEL] == "_silence_" and names[UNKNOWN_LABEL] == "_unknown_"
 
     def test_repeated_keyword_rejected(self, toy_root):
         # The manifest listed every yes clip twice, under two labels named yes.
