@@ -102,8 +102,8 @@ class _Parser(argparse.ArgumentParser):
 class Limit:
     """The declared type and range of one setting, checked by ``resolve_config``.
 
-    ``kind`` is int, float, bool or str; a float setting also takes an int and
-    must be finite.  The bounds are inclusive unless marked open.
+    ``kind`` is int, float, bool or str; a float setting must be finite.
+    The bounds are inclusive unless marked open.
     ``choices``, when given, lists every allowed value.  ``optional`` allows
     None, which leaves the setting unset.
     """
@@ -116,9 +116,11 @@ class Limit:
     optional: bool = False
 
     def parse(self, text: str):
-        """A config-file value.  A str setting keeps its text; ``none`` or
-        ``null`` unsets an optional one.  Any other setting reads the text as
-        none, a bool, an int or a float, or else keeps it (and fails ``check``)."""
+        """A value given as text, by a flag or a config-file line.  A str
+        setting keeps its text; ``none`` or ``null`` unsets an optional one.
+        Any other setting reads the text as none, a bool, or a number (a
+        float for a float setting, else an int or a float), or else keeps
+        it (and fails ``check``)."""
         low = text.lower()
         if low in ("none", "null") and (self.optional or self.kind is not str):
             return None
@@ -126,7 +128,7 @@ class Limit:
             return text
         if low in ("true", "false"):
             return low == "true"
-        for cast in (int, float):
+        for cast in (float,) if self.kind is float else (int, float):
             try:
                 return cast(text)
             except ValueError:
@@ -136,10 +138,8 @@ class Limit:
     def check(self, key: str, value) -> None:
         if value is None and self.optional:
             return
-        ok = isinstance(value, (int, float) if self.kind is float else self.kind)
-        ok = ok and (self.kind is bool or not isinstance(value, bool))
-        # finite, and for an int, within the float range
-        ok = ok and (self.kind is not float or abs(value) <= sys.float_info.max)
+        ok = isinstance(value, self.kind) and (self.kind is bool or not isinstance(value, bool))
+        ok = ok and (self.kind is not float or abs(value) <= sys.float_info.max)  # finite
         ok = ok and (self.lo is None or (value > self.lo if self.lo_open else value >= self.lo))
         ok = ok and (self.hi is None or (value < self.hi if self.hi_open else value <= self.hi))
         ok = ok and (not self.choices or value in self.choices)
@@ -193,7 +193,8 @@ COSTED_MODEL = {
 
 def resolve_config(args, settings: dict) -> dict:
     """Merge run settings; reject unknown config-file keys and any setting
-    outside its declared ``Limit``, whether it came from a flag or a file."""
+    outside its declared ``Limit``, whether it came from a flag or a file.
+    A flag's text is parsed as a config-file value is, a bool flag aside."""
     resolved = {key: setting.default for key, setting in settings.items()}
     if args.config is not None:
         # a key is a setting's name or its flag's (out-dir for out_dir)
@@ -209,7 +210,7 @@ def resolve_config(args, settings: dict) -> dict:
     for key, setting in settings.items():
         flag = getattr(args, key)
         if flag is not None:
-            resolved[key] = flag
+            resolved[key] = flag if setting.limit.kind is bool else setting.limit.parse(flag)
         setting.limit.check(key, resolved[key])
     return resolved
 
@@ -331,20 +332,27 @@ def _sha256_file(path: Path) -> str:
 
 
 def _extract_archive(archive: Path, root: Path, keywords) -> int:
+    """Extract the gzip tar archive into root, through tarfile's "data"
+    filter; DatasetError naming the archive if it is not one (or is cut
+    short), or if the filter refuses a member, such as one that would land
+    outside root."""
     import tarfile  # only fetch-data reads archives; other commands skip the import
 
+    if not hasattr(tarfile, "data_filter"):  # Python before 3.10.12 or 3.11.4
+        raise DatasetError(f"cannot extract {archive} safely: this Python's tarfile "
+                           "has no extraction filters (3.10.12, 3.11.4 or later has)")
     count = 0
-    with tarfile.open(archive, "r:gz") as tar:
-        for member in tar:
-            top = member.name.lstrip("./").split("/", 1)[0]
-            if keywords is not None and "/" in member.name.lstrip("./"):
-                if top not in keywords and top != BACKGROUND_DIR:
-                    continue
-            count += 1
-            try:
+    try:
+        with tarfile.open(archive, "r:gz") as tar:
+            for member in tar:
+                top = member.name.lstrip("./").split("/", 1)[0]
+                if keywords is not None and "/" in member.name.lstrip("./"):
+                    if top not in keywords and top != BACKGROUND_DIR:
+                        continue
+                count += 1
                 tar.extract(member, root, filter="data")
-            except TypeError:  # Python < 3.12 has no filter argument
-                tar.extract(member, root)
+    except (tarfile.TarError, EOFError) as e:  # EOFError: a gzip stream cut short
+        raise DatasetError(f"cannot extract {archive}: {e}") from None
     return count
 
 
@@ -445,7 +453,7 @@ def cmd_train(cfg: dict) -> int:
     if cfg["weight_bits"] is not None:
         overrides["weight_bits"] = cfg["weight_bits"]
     if cfg["target_sparsity"] is not None:
-        overrides["target_sparsity"] = float(cfg["target_sparsity"])
+        overrides["target_sparsity"] = cfg["target_sparsity"]
     model_cfg = dataclasses.replace(model_cfg, **overrides)
     init_tensors = None
     if cfg["resume"]:
@@ -459,7 +467,7 @@ def cmd_train(cfg: dict) -> int:
     steps = cfg["steps"]
     train_cfg = TrainConfig(
         model=model_cfg,
-        learning_rate=float(cfg["learning_rate"]),
+        learning_rate=cfg["learning_rate"],
         batch_size=cfg["batch_size"],
         steps=steps,
         quant_on_step=steps // 2 if cfg["hat"] else None,
@@ -628,7 +636,7 @@ def cmd_hw_report(cfg: dict) -> int:
     out = _run_dir(cfg, "hw-report")
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
-    dp = DesignPoint(clock_hz=float(cfg["clock_hz"]), lanes=cfg["lanes"])
+    dp = DesignPoint(clock_hz=cfg["clock_hz"], lanes=cfg["lanes"])
     pb = estimate_power(w, dp, coeffs)
     fps = 1 / FeatureConfig.hop_s
     asic_uj = 3.4  # the reported ASIC's energy per frame
@@ -675,8 +683,7 @@ def cmd_hw_sweep(cfg: dict) -> int:
     out = _run_dir(cfg, "hw-sweep")
     w = profile_workload(_quantized_model(cfg))
     coeffs = _coefficients(cfg)
-    clocks = np.geomspace(float(cfg["clock_min"]), float(cfg["clock_max"]),
-                          cfg["clock_points"])
+    clocks = np.geomspace(cfg["clock_min"], cfg["clock_max"], cfg["clock_points"])
     records = sweep(w, clocks, lanes, coeffs)
     csv_path = out / "sweep.csv"
     csv_path.write_text(sweep_to_csv(records))
@@ -727,10 +734,7 @@ def build_parser() -> _Parser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for key, (_, limit, help_text) in command.settings.items():
-            if limit.kind is bool:
-                kind = {"action": argparse.BooleanOptionalAction}
-            else:
-                kind = {"type": limit.kind}
+            kind = {"action": argparse.BooleanOptionalAction} if limit.kind is bool else {}
             if limit.choices:
                 kind["metavar"] = "{" + ",".join(map(str, limit.choices)) + "}"
             p.add_argument("--" + key.replace("_", "-"), help=help_text, **kind)

@@ -37,6 +37,9 @@ class DatasetError(ValueError):
     """Raised when a dataset directory is missing required pieces."""
 
 
+DIGEST_SIZE = hashlib.sha256().digest_size  # bytes of FeatureConfig.config_hash
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """The one frontend recipe, and the per-bin normalization fitted on the

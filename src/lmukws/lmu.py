@@ -21,15 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import legval
 
+from .fixedpoint import BIAS_BITS, CELL_BITS
 from .frontend import N_LABELS, FeatureConfig
 
 
-def check_cell(order: int, theta: float) -> None:
-    """ValueError unless order is an integer >= 1 and theta finite and > 0 s."""
+def check_cell(order: int) -> None:
+    """ValueError unless a cell's order is an integer >= 1."""
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    if not 0 < theta < np.inf:
-        raise ValueError(f"window theta must be finite and > 0 seconds, got {theta!r}")
 
 
 def legendre_state_space(order: int, theta: float):
@@ -44,7 +43,9 @@ def legendre_state_space(order: int, theta: float):
         (A, B): A is d x d and B has d entries, both in units of 1/s.  All
         eigenvalues of A have negative real part.
     """
-    check_cell(order, theta)
+    check_cell(order)
+    if not 0 < theta < np.inf:
+        raise ValueError(f"window theta must be finite and > 0 seconds, got {theta!r}")
     i = np.arange(order)[:, None]
     j = np.arange(order)[None, :]
     A = (2 * i + 1) / theta * np.where(i < j, -1.0, (-1.0) ** (i - j + 1))
@@ -156,13 +157,16 @@ def cell_name(i: int, k: int) -> str:
     return f"layer{i}.cell{k}"
 
 
-def stored_shapes(input_dim: int, topology) -> dict:
-    """name -> shape of every tensor a model file stores, in stored order:
-    each layer's cells' fixed A (d, d) and B (d,), then ``tensor_shapes``."""
-    cells = {f"{cell_name(i, k)}.{part}": shape
+def stored_layout(input_dim: int, topology, weight_bits: int) -> dict:
+    """name -> (shape, width) of every tensor a model file stores, in stored
+    order: each layer's cells' fixed A (d, d) and B (d,) at ``CELL_BITS``,
+    then ``tensor_shapes``, each bias at ``BIAS_BITS`` and each weight at
+    ``weight_bits``."""
+    cells = {f"{cell_name(i, k)}.{part}": (shape, CELL_BITS)
              for i, (_, orders) in enumerate(topology) for k, d in enumerate(orders)
              for part, shape in (("A", (d, d)), ("B", (d,)))}
-    return cells | tensor_shapes(input_dim, topology)
+    return cells | {name: (shape, BIAS_BITS if name.endswith("bias") else weight_bits)
+                    for name, shape in tensor_shapes(input_dim, topology).items()}
 
 
 def model_topology(model) -> list:

@@ -40,7 +40,8 @@ from .fixedpoint import (
     round_saturate,
     weight_quant_spec,
 )
-from .lmu import ModelGraph, cell_name, memory_system, model_topology, stored_shapes, trainable_items
+from .frontend import DIGEST_SIZE
+from .lmu import ModelGraph, cell_name, memory_system, trainable_items
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class QuantizedCell:
 
     A: QuantTensor
     B: QuantTensor
-    theta: float
 
     @property
     def order(self) -> int:
@@ -93,7 +93,7 @@ class QuantizedModel:
     output_weight: QuantTensor
     output_bias: QuantTensor  # 32-bit, on the output accumulator grid
     keep_masks: dict = field(default_factory=dict)
-    frontend_hash: bytes = bytes(32)
+    frontend_hash: bytes = bytes(DIGEST_SIZE)
     # The engine's stages: set by freeze and load_model, rebuilt by the
     # engine when the model has been edited since (see compile_model).
     compiled: "CompiledModel | None" = field(default=None, init=False, repr=False, compare=False)
@@ -106,10 +106,6 @@ class QuantizedModel:
         """Each cell's A and B, then ``trainable_items``: the model file's order."""
         cells = [qt for layer in self.layers for cell in layer.cells for qt in (cell.A, cell.B)]
         return cells + [qt for _, qt in trainable_items(self)]
-
-    def tensor_items(self):
-        """``stored_tensors`` named as ``lmu.stored_shapes`` names them."""
-        return zip(stored_shapes(self.input_dim, model_topology(self)), self.stored_tensors())
 
 
 def kept_parameters(qm: QuantizedModel) -> dict:
@@ -206,7 +202,7 @@ def deployed_tensors(model: ModelGraph, weight_bits: int,
             input_kernel=w_x,
             memory_kernel=w_m,
             bias=quantize(layer.bias, QuantSpec(BIAS_BITS, pre_exp)),
-            cells=[QuantizedCell(qw(cell.A_d, CELL_BITS), qw(cell.B_d, CELL_BITS), cell.theta)
+            cells=[QuantizedCell(qw(cell.A_d, CELL_BITS), qw(cell.B_d, CELL_BITS))
                    for cell in layer.cells],
             u_exp=u_exp,
             m_exp=m_exp,
@@ -231,7 +227,7 @@ def freeze(
     weight_bits: int,
     scales: ActivationScales,
     mask: dict | None = None,
-    frontend_hash: bytes = bytes(32),
+    frontend_hash: bytes = bytes(DIGEST_SIZE),
 ) -> QuantizedModel:
     """Quantize a trained float model into its deployable integer form.
 
@@ -242,8 +238,8 @@ def freeze(
     if weight_bits not in WEIGHT_BIT_CHOICES:
         raise ValueError(f"weight_bits must be {' or '.join(map(str, WEIGHT_BIT_CHOICES))}, "
                          f"got {weight_bits}")
-    if len(frontend_hash) != 32:
-        raise ValueError("frontend_hash must be a 32-byte digest")
+    if len(frontend_hash) != DIGEST_SIZE:
+        raise ValueError(f"frontend_hash must be a {DIGEST_SIZE}-byte digest")
     model.validate()
     qm = deployed_tensors(model, weight_bits, scales)
     if mask is not None:

@@ -26,6 +26,7 @@ from .fixedpoint import (
     in_range,
     prune_magnitude,
 )
+from .frontend import DIGEST_SIZE
 from .lmu import LAYER_TENSORS, ModelConfig, ModelGraph, build_model, memory_system
 from .qmodel import (
     ActivationScales,
@@ -150,21 +151,21 @@ def hat_forward(
     feats: np.ndarray,
     quant_on: bool = False,
     scales: ActivationScales | None = None,
-    weight_bits: int = 8,
+    weight_bits: int | None = None,
 ) -> ForwardCache:
     """Unrolled batch forward storing everything backward needs.
 
     feats is (B, T, input_dim) with T >= 1.  This is the one float forward:
     training and evaluation run it, and calibration drives the same
     ``LayerStep``.  With quant_on, ``scales`` must hold the frozen
-    activation scales; the parameters are then read from
-    ``deployed_tensors(model, weight_bits, scales)`` and the arithmetic
-    matches deployment exactly.
+    activation scales and ``weight_bits`` the stored weight width; the
+    parameters are then read from ``deployed_tensors(model, weight_bits,
+    scales)`` and the arithmetic matches deployment exactly.
     """
     feats = np.asarray(feats, dtype=np.float64)
     check_feats(model, feats)
-    if quant_on and scales is None:
-        raise ValueError("quant_on requires calibrated activation scales")
+    if quant_on and (scales is None or weight_bits is None):
+        raise ValueError("quant_on requires calibrated activation scales and a weight width")
     qm = deployed_tensors(model, weight_bits, scales) if quant_on else None
 
     x, _ = _act_fq(feats, qm.input_exp if quant_on else None)
@@ -296,7 +297,7 @@ def forward_backward(
     batch,
     quant_on: bool = False,
     scales: ActivationScales | None = None,
-    weight_bits: int = 8,
+    weight_bits: int | None = None,
 ):
     """Loss and exact reverse-mode gradients on a (features, labels) batch.
 
@@ -482,7 +483,7 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
         scales = calibrate_activation_scales(model, dataset.train_x[:CALIBRATION_SEQUENCES])
     quantized = freeze(
         model, weight_bits, scales, mask=mask,
-        frontend_hash=getattr(dataset, "frontend_hash", bytes(32)),
+        frontend_hash=getattr(dataset, "frontend_hash", bytes(DIGEST_SIZE)),
     )
     return TrainResult(quantized=quantized, model=model, scales=scales, mask=mask,
                        log=log, final_loss=float(loss))

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from detect_reference import inline_detect, stream_logits
 from lmukws import cli, training
-from lmukws.cli import COMMANDS, Limit, build_parser, main, resolve_config
+from lmukws.cli import COMMANDS, Limit, UsageError, build_parser, main, resolve_config
 from lmukws.configs import REFERENCE_NAMES, reference_config
 from lmukws.fixedpoint import QuantSpec, QuantTensor
 from lmukws.frontend import (
@@ -36,7 +36,7 @@ from lmukws.frontend import (
     write_wav,
 )
 from lmukws.lmu import build_model, trainable_items
-from lmukws.modelfile import _tensor_record, load_model, save_model
+from lmukws.modelfile import load_model, save_model
 from lmukws.qmodel import (
     QuantizedCell,
     calibrate_activation_scales,
@@ -317,6 +317,28 @@ PINNED_SETTINGS = {
 }
 
 
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_flag_and_config_line_resolve_alike(tmp_path, cmd):
+    # `--clock-hz 92000` resolved to 92000.0 and `clock_hz = 92000` to
+    # 92000; `--out-dir none` named a directory none, `out_dir = none` the
+    # default.  argparse parsed flags, Limit.parse config lines.
+    settings = COMMANDS[cmd].settings
+    cfg = tmp_path / "run.cfg"
+    for key, setting in settings.items():
+        if setting.limit.kind is bool:  # a bool flag takes no value
+            continue
+        for text in ("none", "7", "92000", "0.5", "-3", "1e400", "nan", "true", "fast"):
+            cfg.write_text(f"{key} = {text}\n")
+            outcomes = []
+            for argv in ([cmd, "--" + key.replace("_", "-"), text], [cmd, "--config", str(cfg)]):
+                try:
+                    outcomes.append(repr(resolve_config(build_parser().parse_args(argv),
+                                                        settings)))
+                except UsageError as e:
+                    outcomes.append(f"UsageError: {e}")
+            assert outcomes[0] == outcomes[1], (key, text)
+
+
 def test_every_setting_is_pinned():
     # Rows shared between command tables must leave each command's flags, in
     # order, with their defaults, Limits and help, as the commands declare them.
@@ -375,6 +397,45 @@ class TestFetchData:
         # the keyword filter must skip unrequested word directories
         assert not (root / "stop").exists()
         assert (root / ".complete").exists()
+
+    @pytest.mark.parametrize("case", ["member-outside-root", "not-gzip", "cut-short"])
+    def test_bad_archive_is_data_error_naming_it(self, tmp_path, capsys, case):
+        # The first ended in an uncaught OutsideDestinationError (exit 1)
+        # after extracting the member before it, the second in a ReadError
+        # and the third in an EOFError.
+        payload = io.BytesIO()
+        with tarfile.open(fileobj=payload, mode="w:gz") as tar:
+            for name in ("yes/a_nohash_0.wav", "../escaped.txt"):
+                info = tarfile.TarInfo(name)
+                info.size = 4096
+                tar.addfile(info, io.BytesIO(bytes(4096)))
+        data = {"member-outside-root": payload.getvalue(), "not-gzip": b"not a tarball",
+                "cut-short": payload.getvalue()[:len(payload.getvalue()) // 2]}[case]
+        archive = tmp_path / "corpus.tar.gz"
+        archive.write_bytes(data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("checksum = none\n")
+        root = tmp_path / "data" / "root"
+        rc = main(["fetch-data", "--root", str(root), "--url", archive.as_uri(),
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"cannot extract {root / archive.name}" in capsys.readouterr().err
+        assert not (root.parent / "escaped.txt").exists()
+        assert not (root / ".complete").exists()
+
+    def test_tarfile_without_extraction_filters_is_data_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Python 3.10.0-3.10.11 and 3.11.0-3.11.3 extracted without a filter,
+        # so a member could land outside --root.
+        monkeypatch.delattr(tarfile, "data_filter")
+        archive = self._archive(tmp_path)
+        root = tmp_path / "extracted"
+        rc = main(["fetch-data", "--root", str(root), "--url", archive.as_uri(),
+                   "--checksum", hashlib.sha256(archive.read_bytes()).hexdigest(),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"cannot extract {root / archive.name} safely" in capsys.readouterr().err
+        assert not (root / "yes").exists() and not (root / ".complete").exists()
 
     def test_checksum_mismatch_removes_partial(self, tmp_path, capsys):
         archive = self._archive(tmp_path)
@@ -724,32 +785,17 @@ class TestEval:
         assert rc == 2
         assert "h accumulator worst case" in capsys.readouterr().err
 
-    def test_tensor_shape_mismatch_is_data_error(self, toy_root, trained, tmp_path, capsys):
-        qm = load_model(trained / "model.lmuq")
-        kernel = qm.layers[0].memory_kernel
-        qm.layers[0].memory_kernel = QuantTensor(kernel.q[:, :-1], kernel.spec)
-        bad = tmp_path / "bad.lmuq"
-        save_model(qm, bad)
-        rc = main(["eval", "--model", str(bad), "--data-root", str(toy_root),
-                   "--split", "val", "--out-dir", str(tmp_path / "out")])
-        assert rc == 2
-        assert "layer0.memory_kernel" in capsys.readouterr().err
-
-    def test_tensor_record_appearing_twice_is_data_error(
-        self, toy_root, trained, tmp_path, capsys
-    ):
-        qm = load_model(trained / "model.lmuq")
+    def test_version_1_model_is_data_error(self, toy_root, trained, tmp_path, capsys):
+        # The trained model with its version field set to 1 and the CRC fixed
+        # up: version 1 restated what the topology fixes, and is not read.
         blob = (trained / "model.lmuq").read_bytes()[:-4]
-        record = _tensor_record("layer0.cell0.A", qm.layers[0].cells[0].A, None)
-        at = blob.index(record)  # the first record, right after the u32 count
-        (count,) = struct.unpack("<I", blob[at - 4 : at])
-        body = blob[: at - 4] + struct.pack("<I", count + 1) + record + blob[at:]
-        bad = tmp_path / "bad.lmuq"
-        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        body = blob[:4] + struct.pack("<H", 1) + blob[6:]
+        bad = tmp_path / "v1.lmuq"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         rc = main(["eval", "--model", str(bad), "--data-root", str(toy_root),
                    "--split", "val", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
-        assert "appears twice" in capsys.readouterr().err
+        assert f"{bad}: unsupported version 1" in capsys.readouterr().err
 
     def test_missing_model_is_data_error(self, toy_root, tmp_path):
         rc = main(["eval", "--model", str(tmp_path / "none.lmuq"),
@@ -956,7 +1002,7 @@ def _order_0_model(path, trained):
     layer = qm.layers[0]
     assert len(layer.cells) == 2 and not qm.keep_masks
     layer.cells.append(QuantizedCell(A=QuantTensor(np.zeros((0, 0)), QuantSpec(8, 0)),
-                                     B=QuantTensor(np.zeros(0), QuantSpec(8, 0)), theta=0.8))
+                                     B=QuantTensor(np.zeros(0), QuantSpec(8, 0))))
     for name in ("input_encoder", "hidden_encoder"):
         qt = getattr(layer, name)
         setattr(layer, name, QuantTensor(np.vstack([qt.q, np.zeros((1, qt.shape[1]))]), qt.spec))
@@ -1093,14 +1139,14 @@ REPORT_DIGESTS = {
 }
 
 
-# SHA-256 of each preset's model file, frozen from seed-0 random weights as
-# the reports above read it.
+# SHA-256 of each preset's model file (format version 2), frozen from
+# seed-0 random weights as the reports above read it.
 MODEL_DIGESTS = {
-    "lmu1": "6dfe730b1dd86cb6cb3edd78f9cd2fb2e642acc05a8deaeb75133751998216ad",
-    "lmu2": "86f253e5bd831c47ab7707d7810a59361d973fdc4a40353cd504216894f02bb1",
-    "lmu3": "8f2f5ad9dfeb2618a293fe7cadd3bd78290e8f65e34de63485d8f629342f1938",
-    "lmu4": "4c3ca374db4e1a33b7c4525aecdae8b146f0f7fb0e1c22756f9e8dc6d655b426",
-    "toy": "73cf0b4007fe83b0e923a98af8cadd8f0c655d6ef93cfedc05d189dfeddf205a",
+    "lmu1": "584bd63b5e81e9cd45fa6bf3beaa6cd22957526af3451998d9a8d62a4f96134a",
+    "lmu2": "6de64f307804c25abcc3ac8dfbcae834eb7c5634346d4e4eab63193cc91c208b",
+    "lmu3": "10820b79472e86bd6ab65fa6d0d5443a58ce273ebfe8753c80dbd1c47e40c9cf",
+    "lmu4": "e2afff9cd52f462b4ef7d6a6cbb7cbc6ba50756e3c42009383e6578d16093d39",
+    "toy": "76c01da395bc704633b1fbea0927b02bbd9d0c78ece76c36ad47e2ab682fcea9",
 }
 
 

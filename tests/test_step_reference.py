@@ -271,10 +271,11 @@ def test_saturated_output_bias_gets_no_gradient():
     (u_exp, m_exp, h_exp), = scales.layer_exps
     scales = ActivationScales(input_exp=scales.input_exp,
                               layer_exps=((u_exp, m_exp, h_exp - 40),))
-    _, grads = forward_backward(model, (feats, labels), quant_on=True, scales=scales)
+    _, grads = forward_backward(model, (feats, labels), quant_on=True, scales=scales,
+                                weight_bits=8)
     assert np.all(grads["output.bias"] == 0.0)
     assert np.any(grads["output.weight"] != 0.0)
-    cache = hat_forward(model, feats, quant_on=True, scales=scales)
+    cache = hat_forward(model, feats, quant_on=True, scales=scales, weight_bits=8)
     assert np.all(cache.out_b_fq < 1e-5)
     assert not cache.out_b_mask.any()
 

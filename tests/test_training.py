@@ -133,6 +133,18 @@ class TestLossAndGradients:
         np.testing.assert_array_equal(grads["layer0.input_encoder"], 0.0)
         np.testing.assert_array_equal(grads["layer0.hidden_encoder"], 0.0)
 
+    def test_quant_on_requires_scales_and_weight_width(self):
+        # Each has no default of its own: the width comes from the model's
+        # config, as the scales come from calibration.
+        model, rng = _tiny_model(3)
+        feats = rng.standard_normal((2, 6, 4))
+        scales = calibrate_activation_scales(model, feats)
+        for kw in ({"scales": scales}, {"weight_bits": 8}):
+            with pytest.raises(ValueError, match="scales and a weight width"):
+                hat_forward(model, feats, quant_on=True, **kw)
+            with pytest.raises(ValueError, match="scales and a weight width"):
+                forward_backward(model, (feats, np.array([0, 1])), quant_on=True, **kw)
+
     def test_non_finite_loss_raises(self):
         model, rng = _tiny_model(4)
         model.output_weight[:] = 1e300
