@@ -335,25 +335,27 @@ def _extract_archive(archive: Path, root: Path, keywords) -> int:
     """Extract the gzip tar archive into root, through tarfile's "data"
     filter; DatasetError naming the archive if it is not one (or is cut
     short), or if the filter refuses a member, such as one that would land
-    outside root."""
+    outside root.  Every member is read and filtered before any is
+    extracted, so a refused archive leaves nothing under root."""
     import tarfile  # only fetch-data reads archives; other commands skip the import
 
     if not hasattr(tarfile, "data_filter"):  # Python before 3.10.12 or 3.11.4
         raise DatasetError(f"cannot extract {archive} safely: this Python's tarfile "
                            "has no extraction filters (3.10.12, 3.11.4 or later has)")
-    count = 0
     try:
         with tarfile.open(archive, "r:gz") as tar:
+            members = []
             for member in tar:
                 top = member.name.lstrip("./").split("/", 1)[0]
                 if keywords is not None and "/" in member.name.lstrip("./"):
                     if top not in keywords and top != BACKGROUND_DIR:
                         continue
-                count += 1
-                tar.extract(member, root, filter="data")
+                tarfile.data_filter(member, str(root))
+                members.append(member)
+            tar.extractall(root, members=members, filter="data")
     except (tarfile.TarError, EOFError) as e:  # EOFError: a gzip stream cut short
         raise DatasetError(f"cannot extract {archive}: {e}") from None
-    return count
+    return len(members)
 
 
 def cmd_fetch_data(cfg: dict) -> int:

@@ -97,7 +97,6 @@ class MemoryCell:
 
     def __init__(self, order: int, theta: float, dt: float):
         self.order = order
-        self.theta = theta
         self.A_d, self.B_d = discretize(*legendre_state_space(order, theta), dt)
         self.m = np.zeros(order)
 

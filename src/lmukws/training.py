@@ -324,70 +324,85 @@ def forward_backward(
     if cache.out_b_mask is not None:
         grads["output.bias"] *= cache.out_b_mask
 
-    # External dh per step, time-major; the top layer receives the loss path.
-    B, T, _ = cache.logits.shape
-    dh_ext = np.zeros((T,) + h_last.shape)
-    dh_ext[-1] = dz @ cache.out_w_fq
-    for li in range(len(model.layers) - 1, -1, -1):
-        lc = cache.layers[li]
-        grad, dh_ext = _layer_backward(lc, dh_ext, need_dx=li > 0)
-        if lc.bias_mask is not None:
-            grad["bias"] *= lc.bias_mask
-        for name, g in grad.items():
+    # Every layer steps back through t together, top layer first, and hands
+    # the layer below the (B, n) gradient of its input at that step, which
+    # that layer reads before the next step overwrites it.  The top layer's
+    # outputs receive the loss path at the last step and +0 at every other.
+    steps = [LayerReverseStep(lc, need_dx=li > 0) for li, lc in enumerate(cache.layers)]
+    dh_loss = dz @ cache.out_w_fq
+    dh_zero = np.zeros_like(dh_loss)
+    T = cache.logits.shape[1]
+    for t in range(T - 1, -1, -1):
+        dh_above = dh_loss if t == T - 1 else dh_zero
+        for step in reversed(steps):
+            dh_above = step(dh_above)
+    for li, step in enumerate(steps):
+        if step.lc.bias_mask is not None:
+            step.grad["bias"] *= step.lc.bias_mask
+        for name, g in step.grad.items():
             grads[f"layer{li}.{name}"] = g
     return loss, grads
 
 
-def _layer_backward(lc: _LayerCache, dh_ext: np.ndarray, need_dx: bool):
-    """One layer's reverse pass through all T steps, latest first.
+class LayerReverseStep:
+    """One layer's reverse pass, stepped back one time step per call: the
+    mirror of ``LayerStep``.
 
-    ``dh_ext`` is (T, B, h): the gradient its outputs receive from above.
-    Returns the weight gradients (the bias's not yet masked) and, when
-    ``need_dx``, the (T, B, n) gradient with respect to the layer input
-    (else None).  Every product is the same BLAS call on the same operands,
-    in the same t order, as a loop that allocates each one; it writes into
-    a buffer made once per call.
+    ``lc`` is the layer's forward cache; the first call handles its last
+    step, the T-th its first.  Each call takes the (B, h) gradient the
+    layer's output at that step receives from above and returns, when
+    ``need_dx``, the (B, n) gradient of the layer's input at that step (else
+    None); that is the step's own buffer, which the next call overwrites.
+    ``grad`` holds the weight gradients summed so far, the bias's not yet
+    masked.  Every product is the same BLAS call on the same operands, in
+    the same t order, as a loop that allocates each one; it writes into a
+    buffer made once per layer.
     The only skipped work is exact: multiplies by all-True masks, adding the
     zero products of the zero state before t = 0, and carries nothing reads.
     The input gradient is P + Q where that loop forms (0 + P) + Q, so the two
     differ at most in the sign of a zero.  No weight gradient can see that:
     each is a sum that starts at +0.
     """
-    w = lc.w_fq
-    B, T, n = lc.x.shape
-    h_dim, c_dim, D = lc.h.shape[2], lc.u.shape[2], lc.m.shape[2]
-    grad = {name: np.zeros_like(w[name]) for name in LAYER_TENSORS}
-    dWex, dWeh = grad["input_encoder"], grad["hidden_encoder"]
-    dWx, dWm, db = grad["input_kernel"], grad["memory_kernel"], grad["bias"]
-    prod = {name: np.empty_like(g) for name, g in grad.items() if name != "bias"}
-    dh, dh_carry = np.empty((B, h_dim)), np.zeros((B, h_dim))
-    dm, dm_carry = np.empty((B, D)), np.zeros((B, D))
-    du = np.empty((B, c_dim))
-    dX = np.empty((T, B, n)) if need_dx else None
-    dx_u = np.empty((B, n)) if need_dx else None
-    for t in range(T - 1, -1, -1):
+
+    def __init__(self, lc: _LayerCache, need_dx: bool):
+        self.lc, w = lc, lc.w_fq
+        B, T, n = lc.x.shape
+        h_dim, c_dim, D = lc.h.shape[2], lc.u.shape[2], lc.m.shape[2]
+        self.grad = {name: np.zeros_like(w[name]) for name in LAYER_TENSORS}
+        self.prod = {name: np.empty_like(g) for name, g in self.grad.items() if name != "bias"}
+        self.dh, self.dh_carry = np.empty((B, h_dim)), np.zeros((B, h_dim))
+        self.dm, self.dm_carry = np.empty((B, D)), np.zeros((B, D))
+        self.du = np.empty((B, c_dim))
+        self.dx = np.empty((B, n)) if need_dx else None
+        self.dx_u = np.empty((B, n)) if need_dx else None
+        self.t = T
+
+    def __call__(self, dh_above: np.ndarray):
+        self.t -= 1
+        t, lc, w, grad, prod = self.t, self.lc, self.lc.w_fq, self.grad, self.prod
+        dh, dm, du, dx = self.dh, self.dm, self.du, self.dx
         x_t = lc.x[:, t]
-        np.add(dh_ext[t], dh_carry, out=dh)
+        np.add(dh_above, self.dh_carry, out=dh)
         dh *= lc.h[:, t] > 0.0 if lc.mask_h is None else lc.mask_h[:, t]
-        db += dh.sum(axis=0)
-        dWx += np.matmul(dh.T, x_t, out=prod["input_kernel"])
-        dWm += np.matmul(dh.T, lc.m[:, t], out=prod["memory_kernel"])
+        grad["bias"] += dh.sum(axis=0)
+        grad["input_kernel"] += np.matmul(dh.T, x_t, out=prod["input_kernel"])
+        grad["memory_kernel"] += np.matmul(dh.T, lc.m[:, t], out=prod["memory_kernel"])
         np.matmul(dh, w["memory_kernel"], out=dm)
-        dm += dm_carry
+        dm += self.dm_carry
         if lc.mask_m is not None:
             dm *= lc.mask_m[:, t]
         np.matmul(dm, lc.B.T, out=du)
         if lc.mask_u is not None:
             du *= lc.mask_u[:, t]
-        dWex += np.matmul(du.T, x_t, out=prod["input_encoder"])
-        if need_dx:
-            np.matmul(dh, w["input_kernel"], out=dX[t])
-            dX[t] += np.matmul(du, w["input_encoder"], out=dx_u)
+        grad["input_encoder"] += np.matmul(du.T, x_t, out=prod["input_encoder"])
+        if dx is not None:
+            np.matmul(dh, w["input_kernel"], out=dx)
+            dx += np.matmul(du, w["input_encoder"], out=self.dx_u)
         if t > 0:
-            dWeh += np.matmul(du.T, lc.h[:, t - 1], out=prod["hidden_encoder"])
-            np.matmul(dm, lc.A, out=dm_carry)
-            np.matmul(du, w["hidden_encoder"], out=dh_carry)
-    return grad, dX
+            grad["hidden_encoder"] += np.matmul(du.T, lc.h[:, t - 1], out=prod["hidden_encoder"])
+            np.matmul(dm, lc.A, out=self.dm_carry)
+            np.matmul(du, w["hidden_encoder"], out=self.dh_carry)
+        return dx
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,7 @@ class TestFetchData:
         assert f"cannot extract {root / archive.name}" in capsys.readouterr().err
         assert not (root.parent / "escaped.txt").exists()
         assert not (root / ".complete").exists()
+        assert [p.name for p in root.iterdir()] == [archive.name]
 
     def test_tarfile_without_extraction_filters_is_data_error(self, tmp_path, capsys,
                                                               monkeypatch):

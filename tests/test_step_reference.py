@@ -191,7 +191,7 @@ def ref_forward_backward(model, batch, quant_on=False, scales=None, weight_bits=
 
 @st.composite
 def _step_case(draw):
-    n_layers = draw(st.integers(1, 2))
+    n_layers = draw(st.integers(1, 3))
     layers = tuple(
         LayerConfig(hidden=draw(st.integers(1, 6)),
                     cells=tuple(CellConfig(order=draw(st.integers(1, 4)),
