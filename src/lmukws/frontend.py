@@ -242,7 +242,7 @@ class StreamFeaturizer:
 
     def push(self, chunk: np.ndarray) -> list:
         """Feed any number of samples; returns the frames completed by them."""
-        pending = np.concatenate([self._pending, np.asarray(chunk, dtype=np.float64)])
+        pending = np.concatenate([self._pending, chunk], dtype=np.float64)
         w, hop = self.config.window_samples, self.config.hop_samples
         n = (pending.size - w) // hop + 1 if pending.size >= w else 0
         self._pending = pending[n * hop :]
@@ -254,7 +254,11 @@ class StreamFeaturizer:
 # ---------------------------------------------------------------------------
 
 def load_wav(path) -> np.ndarray:
-    """Read a PCM16 mono WAV at the frontend's rate into float64 in [-1, 1)."""
+    """Read a PCM16 mono WAV at the frontend's rate into float32 in [-1, 1).
+
+    float32 holds every PCM16 value k * 2^-15 exactly, in half the bytes of
+    float64; the frontend converts to float64 where its arithmetic starts.
+    """
     rate = FeatureConfig.sample_rate
     try:
         with wave.open(str(path), "rb") as f:
@@ -275,9 +279,9 @@ def load_wav(path) -> np.ndarray:
         raise WavFormatError(
             f"{path}: data chunk declares {declared} samples, the file holds {len(raw) // 2}"
         )
-    # k * 2^-15 is exact in float64: the same values as astype, then / 32768.
-    # dtype= keeps float64 under numpy 1.x's value-based casting, too.
-    return np.multiply(np.frombuffer(raw, dtype="<i2"), 2.0**-15, dtype=np.float64)
+    # k * 2^-15 needs 16 significant bits, so float32 (24) holds it exactly:
+    # the same values as astype(float64) / 32768, with no float64 copy made.
+    return np.multiply(np.frombuffer(raw, dtype="<i2"), 2.0**-15, dtype=np.float32)
 
 
 def write_wav(path, samples: np.ndarray, rate: int = FeatureConfig.sample_rate) -> None:
@@ -290,10 +294,11 @@ def write_wav(path, samples: np.ndarray, rate: int = FeatureConfig.sample_rate) 
 
 
 def pad_or_crop(samples: np.ndarray, length: int) -> np.ndarray:
-    """Front-pad with zeros (keeps speech near the end) or crop to length."""
+    """Front-pad with zeros (keeps speech near the end) or crop to length;
+    the result has the input's dtype."""
     if samples.size >= length:
         return samples[-length:]
-    out = np.zeros(length)
+    out = np.zeros(length, dtype=samples.dtype)
     out[length - samples.size :] = samples
     return out
 

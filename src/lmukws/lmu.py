@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from .fixedpoint import BIAS_BITS, CELL_BITS
 from .frontend import N_LABELS, FeatureConfig
@@ -111,6 +110,8 @@ def shifted_legendre(order: int, x: float) -> np.ndarray:
 
     P~_i(x) = P_i(2x - 1) on [0, 1], normalized so P~_i(1) = 1.
     """
+    from numpy.polynomial.legendre import legval  # only decoding needs it: import on use
+
     return np.array([legval(2.0 * x - 1.0, [0.0] * i + [1.0]) for i in range(order)])
 
 

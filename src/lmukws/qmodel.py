@@ -132,34 +132,30 @@ def model_size_kbits(qm: QuantizedModel) -> float:
 def calibrate_activation_scales(model: ModelGraph, sequences) -> ActivationScales:
     """Choose frozen activation scales from the float graph's magnitudes.
 
-    ``sequences`` is (N, T, input_dim) with N >= 1.  Every layer's
-    ``training.LayerStep``, the float forward's step, runs on all N
-    sequences at once, one time step at a time: layer i + 1 reads layer i's
-    h for the step straight from its buffer, so each product is the one
+    ``sequences`` is (N, T, input_dim) with N >= 1.  ``training.float_steps``
+    runs every layer's ``LayerStep``, the float forward's step, on all N
+    sequences at once, one time step at a time, so each product is the one
     ``training.hat_forward`` computes and no (N, T, width) array is made.
     Each site (the input, then u, m and h per layer) feeds every step's
     magnitudes to its own ``MagnitudeTail``, which keeps only those that can
     decide its 99.9th percentile.  The output head never runs, and
     ``sequences`` itself is never written.
     """
-    from .training import LayerStep, check_feats  # training imports this module
+    from .training import check_feats, float_steps  # training imports this module
 
     feats = np.asarray(sequences, dtype=np.float64)
     check_feats(model, feats)
     N, T, _ = feats.shape
     if N < 1:
         raise ValueError("calibration needs at least one sequence")
-    steps = [LayerStep(layer, N) for layer in model.layers]
     input_tail = MagnitudeTail(feats.size)
     layer_tails = [[MagnitudeTail(N * T * width)
                     for width in (len(layer.cells), layer.memory_dim, layer.hidden_dim)]
                    for layer in model.layers]
-    for t in range(T):
-        x = feats[:, t]
+    for x, acts in float_steps(model, feats):
         input_tail.feed(x)
-        for step, tails in zip(steps, layer_tails):
-            u, m, x, *_ = step(x)
-            for tail, a in zip(tails, (u, m, x)):
+        for tails, layer_acts in zip(layer_tails, acts):
+            for tail, a in zip(tails, layer_acts):
                 tail.feed(a)
     return ActivationScales(
         input_exp=input_tail.spec().scale_exp,
@@ -528,7 +524,9 @@ def quantized_forward(
         raise ValueError("cannot quantize non-finite values")
     engine = state.engine
     T = features.shape[-2]
-    h_out = np.empty(batch + (T, engine.out_W.shape[0]))  # the head's input per step
+    # The head runs per step into its row of the logits; every sum is below
+    # 2^31 (assert_accumulator_safe), so they are exact in any order.
+    out = np.empty(batch + (T, engine.out_W.shape[1]))
     for t in range(T):
         h = np.divide(features[..., t, :], engine.x_step, out=state.x_q)
         round_saturate(h, _LO, _HI)
@@ -541,7 +539,6 @@ def quantized_forward(
             h = np.matmul(row.xm, st.H, out=row.h)
             h += st.bias
             round_saturate(h, _ZERO, _HI)  # the relu: its lower bound is 0
-        h_out[..., t, :] = h
-    out = h_out @ engine.out_W
+        np.matmul(h, engine.out_W, out=out[..., t, :])
     out += engine.out_b
     return out.astype(np.int64), state

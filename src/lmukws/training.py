@@ -156,11 +156,11 @@ def hat_forward(
     """Unrolled batch forward storing everything backward needs.
 
     feats is (B, T, input_dim) with T >= 1.  This is the one float forward:
-    training and evaluation run it, and calibration drives the same
-    ``LayerStep``.  With quant_on, ``scales`` must hold the frozen
-    activation scales and ``weight_bits`` the stored weight width; the
-    parameters are then read from ``deployed_tensors(model, weight_bits,
-    scales)`` and the arithmetic matches deployment exactly.
+    training runs it, and evaluation and calibration drive the same
+    ``LayerStep`` through ``float_steps``.  With quant_on, ``scales`` must
+    hold the frozen activation scales and ``weight_bits`` the stored weight
+    width; the parameters are then read from ``deployed_tensors(model,
+    weight_bits, scales)`` and the arithmetic matches deployment exactly.
     """
     feats = np.asarray(feats, dtype=np.float64)
     check_feats(model, feats)
@@ -275,6 +275,26 @@ class LayerStep:
         self.h_prev, self.m_prev = h, m
         self.t += 1
         return u, m, h, mu, mm, mh
+
+
+def float_steps(model: ModelGraph, feats: np.ndarray):
+    """Every layer's float ``LayerStep`` on all rows of checked (N, T, n)
+    ``feats`` at once, one time step at a time.
+
+    Yields, for each t, the step's input ``feats[:, t]`` and each layer's
+    (u, m, h); layer i + 1 reads layer i's h straight from its buffer, so
+    each product is the one ``hat_forward`` computes and no (N, T, width)
+    array is made.  The arrays are the steps' own buffers, valid until the
+    next step is drawn.
+    """
+    steps = [LayerStep(layer, len(feats)) for layer in model.layers]
+    for t in range(feats.shape[1]):
+        x = x_t = feats[:, t]
+        acts = []
+        for step in steps:
+            u, m, x, *_ = step(x)
+            acts.append((u, m, x))
+        yield x_t, acts
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +526,20 @@ def train(config: TrainConfig, dataset, init_tensors: dict | None = None) -> Tra
 
 def evaluate(model, x: np.ndarray, y: np.ndarray) -> float:
     """Final-frame classification accuracy on (N, T, F) features of a float
-    ModelGraph or a deployed QuantizedModel."""
+    ModelGraph or a deployed QuantizedModel.  A float model is stepped
+    through time by ``float_steps`` and its head reads the last h only."""
     y = np.asarray(y)
     if len(x) == 0:
         raise ValueError("cannot evaluate on zero utterances")
     if isinstance(model, QuantizedModel):
-        logits, _ = quantized_forward(model, x)
+        logits = quantized_forward(model, x)[0][:, -1]
     else:
-        logits = hat_forward(model, x).logits
-    return float((logits[:, -1].argmax(axis=1) == y).mean())
+        x = np.asarray(x, dtype=np.float64)
+        check_feats(model, x)
+        for x_t, acts in float_steps(model, x):
+            pass
+        logits = (acts[-1][2] if acts else x_t) @ model.output_weight.T + model.output_bias
+    return float((logits.argmax(axis=1) == y).mean())
 
 
 def majority_baseline(y: np.ndarray) -> float:

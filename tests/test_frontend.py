@@ -257,10 +257,13 @@ class TestFeaturize:
     seed=st.integers(0, 2**32 - 1),
     normalized=st.booleans(),
     max_chunk=st.sampled_from([1, 320, 700, 5000]),
+    pcm=st.sampled_from([None, np.float32, np.float64]),
 )
-def test_stream_offline_and_reference_agree(n, seed, normalized, max_chunk):
+def test_stream_offline_and_reference_agree(n, seed, normalized, max_chunk, pcm):
     rng = np.random.default_rng(seed)
     signal = rng.uniform(-1.0, 1.0, n) * rng.choice([1e-4, 0.1, 1.0])
+    if pcm is not None:  # on the PCM16 grid, as load_wav returns it (float32) or as float64
+        signal = (np.clip(np.rint(signal * 32768), -32768, 32767) / 32768).astype(pcm)
     cfg = FeatureConfig(
         norm_mean=tuple(float(v) for v in rng.standard_normal(40)),
         norm_std=tuple(float(v) for v in rng.uniform(0.5, 3.0, 40)),
@@ -341,7 +344,7 @@ class TestWavIO:
         path = tmp_path / "all.wav"
         write_wav(path, pcm / 32768.0)
         back = load_wav(path)
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
         assert np.array_equal(back, pcm.astype(np.float64) / 32768)
 
     def test_header_cut_short_rejected(self, tmp_path):
@@ -384,6 +387,13 @@ class TestWavIO:
         np.testing.assert_array_equal(padded[:60], 0.0)  # front-padded
         np.testing.assert_array_equal(padded[60:], 1.0)
         np.testing.assert_array_equal(pad_or_crop(np.arange(10.0), 4), np.arange(6.0, 10.0))
+        # load_wav's float32 stays float32, padded or cropped.
+        padded = pad_or_crop(short.astype(np.float32), 160)
+        assert padded.dtype == np.float32
+        np.testing.assert_array_equal(padded, np.r_[np.zeros(60), np.ones(100)])
+        cropped = pad_or_crop(np.arange(10, dtype=np.float32), 4)
+        assert cropped.dtype == np.float32
+        np.testing.assert_array_equal(cropped, np.arange(6.0, 10.0))
 
 
 class TestWhichSet:

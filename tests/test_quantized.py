@@ -44,7 +44,7 @@ from lmukws.qmodel import (
     model_size_kbits,
     quantized_forward,
 )
-from lmukws.training import LayerStep, evaluate, hat_forward
+from lmukws.training import LayerStep, evaluate, float_steps, hat_forward
 
 from stepwise import engine_steps, hat_steps
 
@@ -167,6 +167,12 @@ class TestCalibration:
                 u, m, x, *masks = step(x)
                 assert masks == [None, None, None]
                 for got, full in ((u, lc.u), (m, lc.m), (x, lc.h)):
+                    assert got.tobytes() == np.ascontiguousarray(full[:, k]).tobytes()
+        # float_steps, the loop calibration and evaluate share, yields the same.
+        for k, (x, acts) in enumerate(float_steps(model, feats)):
+            assert x.tobytes() == np.ascontiguousarray(feats[:, k]).tobytes()
+            for (u, m, h), lc in zip(acts, cache.layers, strict=True):
+                for got, full in ((u, lc.u), (m, lc.m), (h, lc.h)):
                     assert got.tobytes() == np.ascontiguousarray(full[:, k]).tobytes()
 
     def test_rejects_what_hat_forward_rejects_and_empty_batches(self):

@@ -5,8 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmukws import training
+from lmukws.frontend import N_LABELS
 from lmukws.lmu import CellConfig, LayerConfig, ModelConfig, build_model
 from lmukws.modelfile import save_model
 from lmukws.qmodel import calibrate_activation_scales, freeze, quantized_forward
@@ -162,6 +164,42 @@ class TestEvaluate:
         for m in (model, qm):
             with pytest.raises(ValueError, match="zero utterances"):
                 evaluate(m, np.zeros((0, 10, 4)), np.zeros(0, dtype=np.int64))
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        topology=st.lists(
+            st.tuples(st.integers(1, 9), st.lists(st.integers(1, 8), min_size=1, max_size=3)),
+            min_size=0, max_size=3,
+        ),
+        input_dim=st.integers(1, 6),
+        n=st.integers(1, 40),
+        t=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float_accuracy_is_hat_forwards_on_the_last_frame(self, topology, input_dim,
+                                                              n, t, seed):
+        # evaluate steps a float model through time and applies the head to
+        # the last h only; its argmax is the one of hat_forward's last frame.
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(
+            input_dim=input_dim,
+            layers=tuple(
+                LayerConfig(hidden=hidden, cells=tuple(
+                    CellConfig(order, float(rng.uniform(0.05, 0.5))) for order in orders))
+                for hidden, orders in topology
+            ),
+        )
+        model = build_model(cfg, rng)
+        for layer in model.layers:
+            layer.hidden_encoder[:] = rng.uniform(-0.4, 0.4, layer.hidden_encoder.shape)
+            layer.bias[:] = rng.uniform(-0.3, 0.3, layer.bias.shape)
+        model.output_bias[:] = rng.uniform(-0.3, 0.3, model.output_bias.shape)
+        feats = rng.standard_normal((n, t, input_dim))
+        pred = hat_forward(model, feats).logits[:, -1].argmax(axis=1)
+        # About half the labels are the prediction, so a wrong frame shows.
+        y = np.where(rng.random(n) < 0.5, pred, rng.integers(0, N_LABELS, n))
+        assert evaluate(model, feats, y) == float((pred == y).mean())
 
 
 class TestAdam:
